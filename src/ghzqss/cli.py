@@ -15,7 +15,9 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
+from .attacks import STRATEGIES
 from .corpus import IDENTITY_IDS, verify_equation_corpus
 from .harness import SimConfig, SimReport, run_grid, run_simulation
 from .protocol import transcripts_to_jsonl
@@ -24,8 +26,6 @@ CSV_HEADER = (
     "variant,strategy,rounds,check_fraction,seed,rounds_run,checked_rounds,"
     "honest_error_rate,detected,eve_accuracy,err_product,err_pair,err_single_w1,err_single_w2"
 )
-
-_ALL_STRATEGIES = ("none", "a1", "a2", "a2-probe", "dishonest-bob")
 
 
 def _default_seed() -> int:
@@ -109,10 +109,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         secret_bits=args.secrets,
         detect_threshold=args.detect_threshold,
     )
-    transcripts = [] if args.transcripts else None
-    report = run_simulation(cfg, transcripts_out=transcripts)
-    if args.transcripts:
-        with open(args.transcripts, "w") as fh:
+    # Open the transcript file before simulating, so an unwritable path
+    # fails at once instead of after the whole session.
+    with open(args.transcripts, "w") if args.transcripts else nullcontext() as fh:
+        transcripts = None if fh is None else []
+        report = run_simulation(cfg, transcripts_out=transcripts)
+        if fh is not None:
             fh.write(transcripts_to_jsonl(transcripts))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="play one session and report it")
     run.add_argument("--protocol", choices=("original", "revised"), default="revised")
-    run.add_argument("--attack", choices=_ALL_STRATEGIES, default="none")
+    run.add_argument("--attack", choices=STRATEGIES, default="none")
     run.add_argument("--rounds", type=int, default=100)
     run.add_argument("--seed", type=int, default=_default_seed())
     run.add_argument("--check-fraction", type=float, default=0.25)

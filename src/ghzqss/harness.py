@@ -13,6 +13,7 @@ into closed-form numbers for small scenarios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,6 +95,8 @@ class SimConfig:
             raise ValueError("check_fraction must lie in (0, 1]")
         if not 0.0 <= self.hadamard_bias <= 1.0:
             raise ValueError("hadamard_bias must lie in [0, 1]")
+        if not (math.isfinite(self.detect_threshold) and self.detect_threshold >= 0.0):
+            raise ValueError("detect_threshold must be a finite number >= 0")
         if self.secret_bits is not None:
             if set(self.secret_bits) - {"0", "1"}:
                 raise ValueError("secret_bits must contain only 0 and 1")

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -66,13 +67,15 @@ W2 = "w2"
 TRANSIT_LABELS = (W1, W2, "w1p", "w2p")
 
 
+@cache
 def chi_state() -> PureState:
-    """Carrier in its preparation form (|000> + |111>)/sqrt(2)."""
+    """Carrier in its preparation form (|000> + |111>)/sqrt(2); built once."""
     return ghz_carrier(CARRIER)
 
 
+@cache
 def g_state() -> PureState:
-    """Carrier after one full Hadamard layer: the even-weight superposition."""
+    """Carrier after one full Hadamard layer: the even-weight superposition; built once."""
     state = chi_state()
     for lab in CARRIER:
         state = apply_h(state, lab)

@@ -17,7 +17,9 @@ of how many rng draws happened earlier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +49,7 @@ class MeasurementRecord:
     probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PureState:
     """Immutable n-qubit pure state with real amplitudes.
 
@@ -98,30 +100,62 @@ def _wrap(labels: tuple[str, ...], amps: np.ndarray) -> PureState:
     invariants by construction; the validation in ``_make`` on every
     intermediate state would dominate the simulation runtime.
     """
-    amps.flags.writeable = False
+    amps.setflags(write=False)
     return PureState(labels, amps)
 
 
-def _split(state: PureState, k: int) -> np.ndarray:
-    """View of the amplitudes as (before, 2, after) around qubit axis ``k``."""
-    n = state.num_qubits
-    return state.amps.reshape(1 << k, 2, 1 << (n - k - 1))
+_S = 1.0 / np.sqrt(2.0)
+
+
+@lru_cache(maxsize=None)
+def _axis_table(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Index tables for qubit axis ``k`` of an ``n``-qubit register.
+
+    Returns ``(lo, hi, p0, p1, sign)``: ``lo``/``hi`` list in ascending
+    order the basis indices whose bit ``k`` is 0/1; ``p0``/``p1`` map
+    every index to itself with that bit cleared/set; ``sign`` is -1.0
+    where the bit is set and 1.0 elsewhere.  ``MAX_QUBITS`` bounds the
+    cache at 78 entries.
+    """
+    idx = np.arange(1 << n)
+    bit = 1 << (n - 1 - k)
+    is_one = (idx & bit) != 0
+    tables = (idx[~is_one], idx[is_one], idx & ~bit, idx | bit, np.where(is_one, -1.0, 1.0))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _cnot_perm(n: int, kc: int, kt: int) -> np.ndarray:
+    """Gather that applies CNOT(control axis ``kc``, target axis ``kt``).
+
+    ``MAX_QUBITS`` bounds the cache at 572 entries.
+    """
+    idx = np.arange(1 << n)
+    perm = np.where(idx & (1 << (n - 1 - kc)), idx ^ (1 << (n - 1 - kt)), idx)
+    perm.flags.writeable = False
+    return perm
 
 
 def basis_state(assignments: Iterable[tuple[str, int]]) -> PureState:
-    """Product basis state from ``(label, bit)`` pairs, first pair most significant."""
-    pairs = list(assignments)
+    """Product basis state from ``(label, bit)`` pairs, first pair most significant.
+
+    Equal arguments return the same immutable state.
+    """
+    pairs = tuple(assignments)
     if not pairs:
         raise ValueError("basis_state needs at least one qubit")
-    labels = [lab for lab, _ in pairs]
-    bits = []
+    index = 0
     for lab, bit in pairs:
         if bit not in (0, 1):
             raise ValueError(f"bit for {lab!r} must be 0 or 1, got {bit!r}")
-        bits.append(bit)
-    index = 0
-    for bit in bits:
         index = (index << 1) | bit
+    return _basis_state(tuple(lab for lab, _ in pairs), index)
+
+
+@lru_cache(maxsize=256)
+def _basis_state(labels: tuple[str, ...], index: int) -> PureState:
     amps = np.zeros(2 ** len(labels))
     amps[index] = 1.0
     return _make(labels, amps)
@@ -161,13 +195,19 @@ def prepare_pair_qbar(q: int, labels: Sequence[str] = ("w1", "w2")) -> PureState
     """Correlated transit pair (|0,q> + |1,1-q>)/sqrt(2).
 
     The XOR of the two qubits equals ``q`` in every branch, which is the
-    property the entangled encoding relies on.
+    property the entangled encoding relies on.  Equal arguments return
+    the same immutable state.
     """
     if q not in (0, 1):
         raise ValueError(f"payload bit must be 0 or 1, got {q!r}")
     labels = tuple(labels)
     if len(labels) != 2:
         raise ValueError("transit pair has exactly two qubits")
+    return _pair_qbar(q, labels)
+
+
+@lru_cache(maxsize=256)
+def _pair_qbar(q: int, labels: tuple[str, str]) -> PureState:
     amps = np.zeros(4)
     amps[0b00 if q == 0 else 0b01] = 1.0 / np.sqrt(2.0)
     amps[0b11 if q == 0 else 0b10] = 1.0 / np.sqrt(2.0)
@@ -176,13 +216,12 @@ def prepare_pair_qbar(q: int, labels: Sequence[str] = ("w1", "w2")) -> PureState
 
 def apply_h(state: PureState, label: str) -> PureState:
     """Hadamard on one qubit."""
-    k = state.axis(label)
-    v = _split(state, k)
-    s = 1.0 / np.sqrt(2.0)
-    out = np.empty_like(state.amps)
-    o = out.reshape(v.shape)
-    o[:, 0] = (v[:, 0] + v[:, 1]) * s
-    o[:, 1] = (v[:, 0] - v[:, 1]) * s
+    _, _, p0, p1, sign = _axis_table(state.num_qubits, state.axis(label))
+    a = state.amps
+    out = a[p1]
+    out *= sign
+    out += a[p0]
+    out *= _S
     return _wrap(state.labels, out)
 
 
@@ -190,27 +229,18 @@ def apply_cnot(state: PureState, control: str, target: str) -> PureState:
     """CNOT with the given control and target labels."""
     if control == target:
         raise ValueError("control and target must differ")
-    kc = state.axis(control)
-    kt = state.axis(target)
-    n = state.num_qubits
-    i, j = (kc, kt) if kc < kt else (kt, kc)
-    out = state.amps.copy()
-    # Five axes: everything before i, qubit i, between, qubit j, after.
-    v = out.reshape(1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - j - 1))
-    if kc < kt:
-        tmp = v[:, 1, :, 0, :].copy()
-        v[:, 1, :, 0, :] = v[:, 1, :, 1, :]
-        v[:, 1, :, 1, :] = tmp
-    else:
-        tmp = v[:, 0, :, 1, :].copy()
-        v[:, 0, :, 1, :] = v[:, 1, :, 1, :]
-        v[:, 1, :, 1, :] = tmp
-    return _wrap(state.labels, out)
+    perm = _cnot_perm(state.num_qubits, state.axis(control), state.axis(target))
+    return _wrap(state.labels, state.amps[perm])
 
 
 def probability_of_one(state: PureState, label: str) -> float:
     """Born probability that measuring ``label`` yields 1."""
-    hi = _split(state, state.axis(label))[:, 1]
+    # einsum on the (before, after) view of the |1> half sums each run of
+    # ``after`` contiguous amplitudes with numpy's vector kernel, then adds
+    # the runs in order.  Every draw depends on the last bit of this sum,
+    # and a gathered copy, np.dot or a sequential sum round differently on
+    # most random states, so the view stays.
+    hi = state.amps.reshape(1 << state.axis(label), 2, -1)[:, 1]
     return float(np.einsum("ij,ij->", hi, hi))
 
 
@@ -231,11 +261,9 @@ def measure(state: PureState, label: str, rng) -> tuple[MeasurementRecord, PureS
         u = rng.random()
         outcome = 1 if u < p1 else 0
         prob = p1 if outcome == 1 else 1.0 - p1
-    k = state.axis(label)
-    v = _split(state, k)
-    out = np.zeros_like(state.amps)
-    o = out.reshape(v.shape)
-    o[:, outcome] = v[:, outcome] / np.sqrt(prob)
+    kept = _axis_table(state.num_qubits, state.axis(label))[outcome]  # lo or hi
+    out = np.zeros(state.amps.size)
+    out[kept] = state.amps[kept] / math.sqrt(prob)
     return MeasurementRecord(label, outcome, float(prob)), _wrap(state.labels, out)
 
 
@@ -265,8 +293,8 @@ def discard(state: PureState, label: str) -> PureState:
         raise ValueError(f"qubit {label!r} is not definite (p1={p1!r}); measure it first")
     value = 1 if p1 > 0.5 else 0
     k = state.axis(label)
-    kept = np.array(_split(state, k)[:, value]).reshape(-1)
-    kept /= np.sqrt(np.dot(kept, kept))
+    kept = state.amps[_axis_table(state.num_qubits, k)[value]]  # lo or hi half
+    kept /= math.sqrt(np.dot(kept, kept))
     labels = state.labels[:k] + state.labels[k + 1 :]
     return _wrap(labels, kept)
 

@@ -89,6 +89,21 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A NaN threshold would report a 46.5% error rate as undetected.
+            ["--attack", "a2-probe", "--check-fraction", "1.0", "--detect-threshold", "nan"],
+            # A negative threshold would flag an error-free honest session.
+            ["--rounds", "20", "--detect-threshold", "-1"],
+        ],
+    )
+    def test_bad_detect_threshold_is_usage_error(self, capsys, argv):
+        code, out, err = _run(capsys, ["run", *argv])
+        assert code == 2
+        assert "detect_threshold" in err
+        assert out == ""
+
     def test_fail_on_detect(self, capsys):
         argv = ["run", "--attack", "dishonest-bob", "--rounds", "400", "--seed", "0",
                 "--check-fraction", "1.0", "--format", "json", "--fail-on-detect"]
@@ -113,6 +128,22 @@ class TestRunCommand:
             assert record["round"] == i
             assert record["recovered"] == record["secret"]
             assert list(record)[0] == "round"
+
+    def test_unwritable_transcript_path_fails_before_simulating(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("session simulated before the transcript path was checked")
+
+        monkeypatch.setattr("ghzqss.cli.run_simulation", no_simulation)
+        path = tmp_path / "missing-dir" / "rounds.jsonl"
+        code, out, err = _run(
+            capsys, ["run", "--rounds", "5000", "--transcripts", str(path)]
+        )
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+        assert not path.parent.exists()
 
     def test_seed_env_default_and_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QSS_SEED", "123")

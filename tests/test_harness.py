@@ -63,6 +63,9 @@ class TestSimConfigValidation:
             (dict(hadamard_bias=1.5), "hadamard_bias"),
             (dict(rounds=3, secret_bits="01"), "3 rounds"),
             (dict(rounds=3, secret_bits="01x"), "only 0 and 1"),
+            (dict(detect_threshold=float("nan")), "detect_threshold"),
+            (dict(detect_threshold=float("inf")), "detect_threshold"),
+            (dict(detect_threshold=-1.0), "detect_threshold"),
         ],
     )
     def test_bad_configs_are_rejected(self, kwargs, match):

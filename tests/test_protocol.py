@@ -54,6 +54,14 @@ class TestCarrierForms:
             st = apply_h(st, lab)
         assert equal_up_to_sign(st, g_state())
 
+    def test_carrier_forms_are_built_once_and_frozen(self):
+        # Every honest round compares against these, so they are shared;
+        # a writeable buffer would let one caller corrupt every later check.
+        for form in (chi_state, g_state):
+            assert form() is form()
+            with pytest.raises(ValueError):
+                form().amps[0] = 0.0
+
     def test_layer_is_an_involution_on_the_carrier(self):
         tracker = CarrierTracker()
         st = hadamard_layer(chi_state(), CARRIER, tracker)

@@ -2,7 +2,8 @@
 
 The gate checks compare ``apply_h`` / ``apply_cnot`` against dense
 unitaries assembled independently with ``np.kron``, so a bug in the
-axis-slicing fast path cannot hide behind itself.
+index-table kernels cannot hide behind itself.  ``TestReferenceKernels``
+keeps the earlier reshape-based kernels as a bit-for-bit reference.
 """
 
 import numpy as np
@@ -369,6 +370,120 @@ class TestComparison:
         assert 0 < dev < 2e-4
         assert not equal_up_to_sign(a, b)
         assert equal_up_to_sign(a, b, atol=1e-3)
+
+
+# Reshape-based kernels: each qubit axis is viewed as (before, 2, after)
+# and the gates are written as strided slice arithmetic.  Sampled draws and
+# exact branch probabilities depend on the last bit of every amplitude and
+# probability, so the table-driven kernels must reproduce these exactly.
+
+
+def _ref_split(amps, n, k):
+    return amps.reshape(1 << k, 2, 1 << (n - k - 1))
+
+
+def _ref_h(amps, n, k):
+    v = _ref_split(amps, n, k)
+    s = 1.0 / np.sqrt(2.0)
+    out = np.empty_like(amps)
+    o = out.reshape(v.shape)
+    o[:, 0] = (v[:, 0] + v[:, 1]) * s
+    o[:, 1] = (v[:, 0] - v[:, 1]) * s
+    return out
+
+
+def _ref_cnot(amps, n, kc, kt):
+    i, j = (kc, kt) if kc < kt else (kt, kc)
+    out = amps.copy()
+    v = out.reshape(1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - j - 1))
+    if kc < kt:
+        tmp = v[:, 1, :, 0, :].copy()
+        v[:, 1, :, 0, :] = v[:, 1, :, 1, :]
+        v[:, 1, :, 1, :] = tmp
+    else:
+        tmp = v[:, 0, :, 1, :].copy()
+        v[:, 0, :, 1, :] = v[:, 1, :, 1, :]
+        v[:, 1, :, 1, :] = tmp
+    return out
+
+
+def _ref_probability_of_one(amps, n, k):
+    hi = _ref_split(amps, n, k)[:, 1]
+    return float(np.einsum("ij,ij->", hi, hi))
+
+
+def _ref_measure(amps, n, k, rng):
+    p1 = _ref_probability_of_one(amps, n, k)
+    if p1 < ATOL:
+        outcome, prob = 0, 1.0 - p1
+    elif 1.0 - p1 < ATOL:
+        outcome, prob = 1, p1
+    else:
+        outcome = 1 if rng.random() < p1 else 0
+        prob = p1 if outcome == 1 else 1.0 - p1
+    v = _ref_split(amps, n, k)
+    out = np.zeros_like(amps)
+    out.reshape(v.shape)[:, outcome] = v[:, outcome] / np.sqrt(prob)
+    return outcome, float(prob), out
+
+
+def _ref_discard(amps, n, k):
+    value = 1 if _ref_probability_of_one(amps, n, k) > 0.5 else 0
+    kept = np.array(_ref_split(amps, n, k)[:, value]).reshape(-1)
+    kept /= np.sqrt(np.dot(kept, kept))
+    return kept
+
+
+class _Draw:
+    """Measurement rng that returns one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestReferenceKernels:
+    @staticmethod
+    def _states(rng, n):
+        """Random real states, plus collapsed ones whose zeros exercise signed-zero paths."""
+        states = [_random_state(rng, n) for _ in range(4)]
+        for st in list(states[:2]):
+            k = int(rng.integers(0, n))
+            states.append(measure(st, f"q{k}", rng)[1])
+        return states
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gates_match_reference_bytes(self, n):
+        rng = np.random.default_rng(900 + n)
+        for st in self._states(rng, n):
+            for k in range(n):
+                got = apply_h(st, f"q{k}").amps
+                assert got.tobytes() == _ref_h(st.amps, n, k).tobytes()
+            for kc in range(n):
+                for kt in range(n):
+                    if kc != kt:
+                        got = apply_cnot(st, f"q{kc}", f"q{kt}").amps
+                        assert got.tobytes() == _ref_cnot(st.amps, n, kc, kt).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_measurement_matches_reference_exactly(self, n):
+        rng = np.random.default_rng(950 + n)
+        for st in self._states(rng, n):
+            for k in range(n):
+                p1 = _ref_probability_of_one(st.amps, n, k)
+                assert probability_of_one(st, f"q{k}") == p1
+                # A draw equal to the reference probability sits on the
+                # outcome boundary, so any last-bit drift flips the outcome.
+                for u in (float(rng.random()), p1):
+                    rec, post = measure(st, f"q{k}", _Draw(u))
+                    outcome, prob, amps = _ref_measure(st.amps, n, k, _Draw(u))
+                    assert (rec.outcome, rec.probability) == (outcome, prob)
+                    assert post.amps.tobytes() == amps.tobytes()
+                    if n > 1:
+                        got = discard(post, f"q{k}").amps
+                        assert got.tobytes() == _ref_discard(amps, n, k).tobytes()
 
 
 def test_measurement_record_is_immutable():
