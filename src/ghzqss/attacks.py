@@ -27,9 +27,15 @@ Classical choices an attacker makes (substitute bits, forged
 announcements) come from the attack's own ``coins`` generator, kept
 separate from the quantum streams so that branch enumeration treats
 them as fixed inputs rather than quantum forks.
+
+``fork()`` returns an independent twin in the same state; the branch
+enumerator forks the attack once per outcome history instead of
+replaying the session from round 1.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -65,18 +71,37 @@ class ChannelAttack:
         notes, self._notes = self._notes, None
         return notes
 
+    def fork(self) -> "ChannelAttack":
+        """An independent twin in the same state, for the branch enumerator.
 
-class A1Attack(ChannelAttack):
-    """Single persistent probe copied from the first transit qubit.
+        The twin gets its own copies of the mutable lists and its own
+        ``coins`` generator, set to the same state: sharing either would
+        let one branch's draws or records leak into its siblings.  The
+        records themselves are immutable and stay shared.
+        """
+        twin = copy.copy(self)
+        twin.records = list(self.records)
+        twin.inferred = list(self.inferred)
+        # Seed 0 only spares reading OS entropy; the state is overwritten.
+        bits = type(self.coins.bit_generator)(0)
+        bits.state = self.coins.bit_generator.state
+        twin.coins = np.random.Generator(bits)
+        return twin
 
-    Every round Eve CNOTs the qubit bound for Bob onto one ancilla ``e``
-    she keeps in her lab.  Against basis-encoded rounds this would read
-    out the payload bit.  Against the coin-flip variant the outcome is
-    all or nothing.  The probe starts in ``|0> = (|+> + |->)/sqrt(2)``: a
-    CNOT onto ``|+>`` is the identity, and one onto ``|->`` kicks the
-    phase ``(-1)^w1`` back onto the transit qubit.  The first round whose
-    decode reads the probe's X parity collapses it, with probability
-    exactly 1/2 each, to
+
+class ProbeAttack(ChannelAttack):
+    """One persistent probe ``e`` that CNOT-copies transit qubits every round.
+
+    Every round Eve CNOTs each transit qubit named in ``copies`` (in
+    that order) onto one ancilla ``e`` she keeps in her lab.  Against
+    basis-encoded rounds this would read out the payload (one copy) or
+    the XOR of the pair (both).  Against the coin-flip variant the
+    outcome is all or nothing.  The probe starts in
+    ``|0> = (|+> + |->)/sqrt(2)``: a CNOT onto ``|+>`` is the identity,
+    and one onto ``|->`` kicks the phase ``(-1)^(XOR of the copied
+    qubits)`` back onto the transit qubits.  The first round whose decode
+    reads the probe's X parity collapses it, with probability exactly 1/2
+    each, to
 
     * ``|->``: every later intercept kicks a phase, decode errors
       cascade and the check phase catches her; or
@@ -85,7 +110,7 @@ class A1Attack(ChannelAttack):
       nothing.
     """
 
-    name = "a1"
+    copies: tuple[str, ...] = ()
 
     def __init__(self, coins: np.random.Generator | None = None) -> None:
         super().__init__(coins)
@@ -95,37 +120,26 @@ class A1Attack(ChannelAttack):
         if not self._probe_live:
             world = tensor(world, basis_state([("e", 0)]))
             self._probe_live = True
-        world = apply_cnot(world, W1, "e")
-        self._notes = {"action": "copied transit qubit onto probe e"}
+        for lab in self.copies:
+            world = apply_cnot(world, lab, "e")
+        what = "transit qubit" if len(self.copies) == 1 else "both transit qubits"
+        self._notes = {"action": f"copied {what} onto probe e"}
         return world, W1, W2
 
 
-class A2ProbeAttack(ChannelAttack):
-    """Like ``A1Attack`` but copies both transit qubits onto the probe.
+class A1Attack(ProbeAttack):
+    """Probe copied from the first transit qubit, the one bound for Bob."""
 
-    The probe then records the XOR of the pair, which for the entangled
-    encoding is the secret.  Against the coin-flip variant the phase
-    kicked back from ``|->`` is ``(-1)^(w1 XOR w2)``, and the session
-    splits as for ``A1Attack``: with probability exactly 1/2 the probe
-    collapses to ``|->`` and the errors cascade until the check phase
-    catches her, otherwise it ends in ``|+>``, decoupled and holding
-    nothing, and the session stays error-free.
-    """
+    name = "a1"
+    copies = (W1,)
+
+
+class A2ProbeAttack(ProbeAttack):
+    """Probe copied from both transit qubits: it records their XOR, which
+    for the entangled encoding is the secret."""
 
     name = "a2-probe"
-
-    def __init__(self, coins: np.random.Generator | None = None) -> None:
-        super().__init__(coins)
-        self._probe_live = False
-
-    def intercept(self, world, round_index, rngs):
-        if not self._probe_live:
-            world = tensor(world, basis_state([("e", 0)]))
-            self._probe_live = True
-        world = apply_cnot(world, W1, "e")
-        world = apply_cnot(world, W2, "e")
-        self._notes = {"action": "copied both transit qubits onto probe e"}
-        return world, W1, W2
+    copies = (W1, W2)
 
 
 class A2Attack(ChannelAttack):
@@ -156,6 +170,11 @@ class A2Attack(ChannelAttack):
         super().__init__(coins)
         self._live: list[str] = []
         self._next_round = 1
+
+    def fork(self) -> "A2Attack":
+        twin = super().fork()
+        twin._live = list(self._live)
+        return twin
 
     def sync_hadamard(self, world):
         for lab in self._live:

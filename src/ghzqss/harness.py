@@ -4,11 +4,18 @@
 streams per party, so results are reproducible from ``(config)`` alone
 and attacks never disturb the honest parties' draw sequences.
 
-``enumerate_branches`` replays a short scripted scenario once per
-measurement branch by substituting a scripted decider for every quantum
-rng at once; each branch reports its exact probability (the product of
-the Born weights of the outcomes taken), which turns Monte Carlo claims
-into closed-form numbers for small scenarios.
+``enumerate_branches`` walks the outcome tree of a short scripted
+scenario depth first.  Each node is a round boundary: the world, the
+carrier parity, a fork of the attack and the transcripts so far.  A
+round is played once per distinct outcome history, with a scripted
+decider standing in for every quantum rng to take each of its forks in
+turn, and the walk descends into the next round once per outcome.  Each
+branch reports its exact probability (the product of the Born weights
+of the outcomes taken), which turns Monte Carlo claims into closed-form
+numbers for small scenarios.
+
+``run_simulation`` and the walk share ``_play_round``, the one per-round
+step of a session.
 """
 
 from __future__ import annotations
@@ -178,6 +185,24 @@ def _score_eve(attack, transcripts: Sequence[RoundTranscript]) -> float | None:
     return correct / len(transcripts)
 
 
+def _play_round(
+    variant: str, world: PureState, plan: RoundPlan, tracker: CarrierTracker, rngs: Rngs, attack
+) -> tuple[PureState, RoundTranscript]:
+    """One round of a session of either variant.
+
+    The alternating variant applies the public Hadamard layer before
+    every round after the first, and the attack keeps its probes in
+    step with it.
+    """
+    if variant == "original":
+        if plan.round_index > 1:
+            world = hadamard_layer(world, CARRIER, tracker)
+            if attack is not None:
+                world = attack.sync_hadamard(world)
+        return original_round(world, plan, tracker, rngs, attack)
+    return revised_round(world, plan, tracker, rngs, attack)
+
+
 def run_simulation(
     cfg: SimConfig, transcripts_out: list[RoundTranscript] | None = None
 ) -> SimReport:
@@ -201,13 +226,8 @@ def run_simulation(
         else:
             secret = int(alice.integers(0, 2))
         if cfg.variant == "original":
-            if i > 1:
-                world = hadamard_layer(world, CARRIER, tracker)
-                if attack is not None:
-                    world = attack.sync_hadamard(world)
             mode = ProductPair(secret) if i % 2 == 1 else EntangledPair(secret)
             plan = RoundPlan(i, mode)
-            world, t = original_round(world, plan, tracker, rngs, attack)
         else:
             coin = int(alice.random() < cfg.hadamard_bias)
             if coin ^ tracker.hadamard_parity:
@@ -217,7 +237,7 @@ def run_simulation(
                 target = W1 if alice.random() < 0.5 else W2
                 mode = SinglePair(q1, q1 ^ secret, target)
             plan = RoundPlan(i, mode, alice_hadamard=coin)
-            world, t = revised_round(world, plan, tracker, rngs, attack)
+        world, t = _play_round(cfg.variant, world, plan, tracker, rngs, attack)
         transcripts.append(t)
 
     error_rate, detected = check_phase(
@@ -248,15 +268,15 @@ def run_simulation(
 
 
 class TapeDecider:
-    """Scripted stand-in for every quantum rng during one branch replay.
+    """Scripted stand-in for every quantum rng during one play of a round.
 
     Supplies ``random()`` values that force measurement outcomes: a tape
     bit of 1 forces outcome 1 (by returning 0.0), a bit of 0 forces
     outcome 0 (by returning 1.0, which no Born weight reaches).
     Degenerate measurements never consult the rng, so only genuine forks
     consume tape bits; drawing past the scripted prefix extends the tape
-    with zeros, which is what lets the enumerator walk all branches in
-    binary-counter order.
+    with zeros, which is what lets the enumerator walk all of a round's
+    forks in binary-counter order.
     """
 
     def __init__(self, prefix: Sequence[int]) -> None:
@@ -312,7 +332,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Branch:
-    """One measurement branch of a scenario and its exact probability."""
+    """One measurement branch of a scenario and its exact probability.
+
+    Sibling branches share the ``RoundTranscript`` objects of the rounds
+    they have in common, because each round is played once per outcome
+    history.  Nothing in the package mutates a transcript after its
+    round; copy one before changing it (``check_phase`` appends events).
+    ``attack`` is the branch's own attack object.
+    """
 
     probability: float
     transcripts: tuple[RoundTranscript, ...]
@@ -324,53 +351,60 @@ class Branch:
         return sum(1 for t in self.transcripts if t.recovered != t.secret)
 
 
-def _play_scenario(scenario: Scenario, decider: TapeDecider) -> Branch:
-    attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
-    rngs = Rngs(bob=decider, charlie=decider, attack=decider)
-    world = chi_state()
-    tracker = CarrierTracker()
-    transcripts: list[RoundTranscript] = []
-    for plan in scenario.plans:
-        if scenario.variant == "original":
-            if plan.round_index > 1:
-                world = hadamard_layer(world, CARRIER, tracker)
-                if attack is not None:
-                    world = attack.sync_hadamard(world)
-            world, t = original_round(world, plan, tracker, rngs, attack)
-        else:
-            world, t = revised_round(world, plan, tracker, rngs, attack)
-        transcripts.append(t)
-    prob = 1.0
-    for t in transcripts:
-        for rec in t.records:
-            prob *= rec.probability
-    if attack is not None:
-        for rec in attack.records:
-            prob *= rec.probability
-    return Branch(prob, tuple(transcripts), world, attack)
+def _walk(
+    scenario: Scenario, world: PureState, parity: int, attack,
+    transcripts: tuple[RoundTranscript, ...], branches: list[Branch], max_branches: int,
+) -> None:
+    """Append every branch below one round boundary to ``branches``.
 
-
-def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES) -> list[Branch]:
-    """Replay the scenario once per measurement branch.
-
-    Branch probabilities sum to 1 over the returned list (within float
-    rounding).  Raises if the scenario forks more than ``max_branches``
-    times, which short scripted scenarios never should.
+    A ``TapeDecider`` counts through the next round's own forks in
+    binary; each play starts from this node with a fresh fork of its
+    attack, and the walk descends once per play.
     """
-    branches: list[Branch] = []
+    k = len(transcripts)
+    if k == len(scenario.plans):
+        prob = 1.0
+        for t in transcripts:
+            for rec in t.records:
+                prob *= rec.probability
+        if attack is not None:
+            for rec in attack.records:
+                prob *= rec.probability
+        branches.append(Branch(prob, transcripts, world, attack))
+        if len(branches) > max_branches:
+            raise RuntimeError(f"scenario exceeded {max_branches} branches")
+        return
+    plan = scenario.plans[k]
     tape: list[int] = []
     while True:
         decider = TapeDecider(tape)
-        branches.append(_play_scenario(scenario, decider))
-        if len(branches) > max_branches:
-            raise RuntimeError(f"scenario exceeded {max_branches} branches")
+        tracker = CarrierTracker(parity)
+        twin = attack.fork() if attack is not None else None
+        rngs = Rngs(bob=decider, charlie=decider, attack=decider)
+        after, t = _play_round(scenario.variant, world, plan, tracker, rngs, twin)
+        _walk(scenario, after, tracker.hadamard_parity, twin, transcripts + (t,), branches, max_branches)
         consumed = decider.consumed
         i = len(consumed) - 1
         while i >= 0 and consumed[i] == 1:
             i -= 1
         if i < 0:
-            return branches
+            return
         tape = consumed[:i] + [1]
+
+
+def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES) -> list[Branch]:
+    """Every measurement branch of the scenario, by a depth-first walk.
+
+    Each round is played once per distinct outcome history, not once per
+    branch.  Branches come out in the lexicographic order of their
+    outcomes, and their probabilities sum to 1 (within float rounding).
+    Raises if the scenario forks more than ``max_branches`` times, which
+    short scripted scenarios never should.
+    """
+    attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
+    branches: list[Branch] = []
+    _walk(scenario, chi_state(), 0, attack, (), branches, max_branches)
+    return branches
 
 
 def original_plans(secrets: Sequence[int]) -> tuple[RoundPlan, ...]:

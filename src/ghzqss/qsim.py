@@ -316,7 +316,7 @@ def deviation_up_to_sign(state: PureState, other: PureState) -> float:
     """
     if set(state.labels) != set(other.labels):
         raise ValueError(f"label sets differ: {state.labels} vs {other.labels}")
-    aligned = reorder(other, state.labels)
+    aligned = other if other.labels == state.labels else reorder(other, state.labels)
     d_plus = float(np.max(np.abs(state.amps - aligned.amps)))
     d_minus = float(np.max(np.abs(state.amps + aligned.amps)))
     return min(d_plus, d_minus)

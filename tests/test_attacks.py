@@ -17,6 +17,7 @@ from ghzqss.attacks import (
     A2ProbeAttack,
     ChannelAttack,
     DishonestBobAttack,
+    ProbeAttack,
     STRATEGIES,
     build_attack,
     eve_reconstruct,
@@ -74,7 +75,36 @@ class TestBaseInterface:
         assert STRATEGIES == ("none", "a1", "a2", "a2-probe", "dishonest-bob")
 
 
+class TestFork:
+    def test_twin_has_the_same_state_and_owns_its_mutables(self):
+        attack = A2Attack(np.random.default_rng(5))
+        attack.coins.integers(0, 2)
+        attack.intercept(tensor(chi_state(), basis_state([(W1, 0), (W2, 0)])), 1, _rngs())
+        twin = attack.fork()
+        assert type(twin) is A2Attack
+        assert twin._next_round == attack._next_round == 2
+        for name in ("records", "inferred", "_live"):
+            assert getattr(twin, name) == getattr(attack, name)
+            assert getattr(twin, name) is not getattr(attack, name)
+        assert twin.coins.bit_generator is not attack.coins.bit_generator
+        assert list(twin.coins.integers(0, 1 << 30, size=4)) == list(attack.coins.integers(0, 1 << 30, size=4))
+
+    def test_twin_draws_do_not_advance_the_original(self):
+        attack = DishonestBobAttack(np.random.default_rng(8))
+        twin = attack.fork()
+        first = list(twin.coins.integers(0, 1 << 30, size=3))
+        assert list(attack.coins.integers(0, 1 << 30, size=3)) == first
+        twin.inferred.append((1, 0, "secret"))
+        assert attack.inferred == []
+
+
 class TestPersistentProbes:
+    def test_probe_strategies_differ_only_in_what_they_copy(self):
+        assert (A1Attack.copies, A2ProbeAttack.copies) == ((W1,), (W1, W2))
+        for cls in (A1Attack, A2ProbeAttack):
+            assert issubclass(cls, ProbeAttack)
+            assert {k for k in vars(cls) if not k.startswith("__")} == {"name", "copies"}
+
     @pytest.mark.parametrize("cls", [A1Attack, A2ProbeAttack])
     def test_single_probe_installed_once(self, cls):
         attack = cls()

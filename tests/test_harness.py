@@ -1,13 +1,17 @@
 """Session driver tests: Monte Carlo reproducibility, enumeration, sweeps."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+import ghzqss.harness as harness
+from ghzqss.attacks import ChannelAttack, build_attack
 from ghzqss.harness import (
     COMPATIBLE,
     MAX_ENUM_ROUNDS,
+    Branch,
     Scenario,
     SimConfig,
     TapeDecider,
@@ -26,8 +30,13 @@ from ghzqss.protocol import (
     CarrierTracker,
     EntangledPair,
     ProductPair,
+    Rngs,
     RoundPlan,
     SinglePair,
+    chi_state,
+    hadamard_layer,
+    original_round,
+    revised_round,
     transcripts_to_jsonl,
 )
 from ghzqss.qsim import equal_up_to_sign
@@ -275,6 +284,165 @@ class TestEnumeration:
                 errs += int(transcripts[1].recovered != transcripts[1].secret)
             sigma = np.sqrt(exact * (1 - exact) / n)
             assert abs(errs / n - exact) <= 3 * sigma
+
+
+def _replay_branches(scenario):
+    """Reference enumerator: replays the whole scenario once per branch.
+
+    A binary counter over one ``TapeDecider`` for the whole session picks
+    the next branch, and each replay starts from round 1 with a fresh
+    attack, so nothing can leak between branches.
+    """
+    branches = []
+    tape = []
+    while True:
+        decider = TapeDecider(tape)
+        attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
+        rngs = Rngs(bob=decider, charlie=decider, attack=decider)
+        world = chi_state()
+        tracker = CarrierTracker()
+        transcripts = []
+        for plan in scenario.plans:
+            if scenario.variant == "original":
+                if plan.round_index > 1:
+                    world = hadamard_layer(world, CARRIER, tracker)
+                    if attack is not None:
+                        world = attack.sync_hadamard(world)
+                world, t = original_round(world, plan, tracker, rngs, attack)
+            else:
+                world, t = revised_round(world, plan, tracker, rngs, attack)
+            transcripts.append(t)
+        prob = 1.0
+        for t in transcripts:
+            for rec in t.records:
+                prob *= rec.probability
+        if attack is not None:
+            for rec in attack.records:
+                prob *= rec.probability
+        branches.append(Branch(prob, tuple(transcripts), world, attack))
+        consumed = decider.consumed
+        i = len(consumed) - 1
+        while i >= 0 and consumed[i] == 1:
+            i -= 1
+        if i < 0:
+            return branches
+        tape = consumed[:i] + [1]
+
+
+def _fingerprint(branch):
+    attack = branch.attack
+    return (
+        branch.probability,
+        [t.records for t in branch.transcripts],
+        [(t.to_record(), t.eve_notes) for t in branch.transcripts],
+        None if attack is None else (attack.records, attack.inferred),
+        branch.world.labels,
+        branch.world.amps.tobytes(),
+    )
+
+
+def _random_revised_scenarios(strategy, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        coins, secrets, q1 = (tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(3))
+        targets = tuple(W1 if b else W2 for b in rng.integers(0, 2, n))
+        plans = revised_plans(coins, secrets, q1_bits=q1, targets=targets)
+        out.append(Scenario("revised", plans, strategy=strategy, attack_seed=int(rng.integers(1 << 31))))
+    return out
+
+
+# Dishonest-receiver scenarios whose forking pair rounds (Bob's lone
+# decode measures junk) come before later rounds that draw the
+# attacker's coins again.
+DISHONEST_FORKING = [
+    Scenario("revised", revised_plans(coins, (1, 0, 1, 1), q1_bits=(1, 0, 1, 0), targets=targets),
+             strategy="dishonest-bob", attack_seed=seed)
+    for coins, targets in (((1, 0, 1, 1), (W1, W2, W2, W1)), ((1, 1, 1, 0), (W2, W2, W1, W2)))
+    for seed in (3, 2024)
+]
+
+
+class TestForkingWalk:
+    def _assert_matches_replay(self, scenario):
+        walked = enumerate_branches(scenario)
+        replayed = _replay_branches(scenario)
+        assert len(walked) == len(replayed)
+        for w, r in zip(walked, replayed):
+            assert _fingerprint(w) == _fingerprint(r)
+
+    def test_gate2_scenarios_match_the_replay(self):
+        for secrets in itertools.product((0, 1), repeat=6):
+            self._assert_matches_replay(Scenario("original", original_plans(secrets), strategy="a2"))
+
+    @pytest.mark.parametrize("scenario", DISHONEST_FORKING)
+    def test_dishonest_receiver_matches_the_replay(self, scenario):
+        self._assert_matches_replay(scenario)
+
+    @pytest.mark.parametrize("strategy", ["none", "a1", "a2-probe", "dishonest-bob"])
+    def test_random_revised_scenarios_match_the_replay(self, strategy):
+        for scenario in _random_revised_scenarios(strategy, 12, seed=len(strategy)):
+            self._assert_matches_replay(scenario)
+
+    def test_honest_original_scenarios_match_the_replay(self):
+        for secrets in itertools.product((0, 1), repeat=5):
+            self._assert_matches_replay(Scenario("original", original_plans(secrets)))
+
+    def test_a_fork_that_shares_coins_is_caught(self, monkeypatch):
+        def sharing_fork(self):
+            twin = copy.copy(self)
+            twin.records = list(self.records)
+            twin.inferred = list(self.inferred)
+            twin.coins = copy.copy(self.coins)  # shares the bit generator
+            return twin
+
+        monkeypatch.setattr(ChannelAttack, "fork", sharing_fork)
+        for scenario in DISHONEST_FORKING:
+            walked = [_fingerprint(b) for b in enumerate_branches(scenario)]
+            assert walked != [_fingerprint(b) for b in _replay_branches(scenario)]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2"),
+            Scenario("revised", revised_plans((1, 1, 0, 1), (0, 1, 1, 0), targets=(W1, W2, W2, W1)),
+                     strategy="a1"),
+            DISHONEST_FORKING[0],
+        ],
+        ids=["a2", "a1", "dishonest-bob"],
+    )
+    def test_branches_own_their_attack_and_coins(self, scenario):
+        branches = enumerate_branches(scenario)
+        assert len(branches) > 1
+        for owned in (
+            [b.attack for b in branches],
+            [b.attack.coins for b in branches],
+            [b.attack.coins.bit_generator for b in branches],
+            [b.attack.records for b in branches],
+            [b.attack.inferred for b in branches],
+        ):
+            assert len({id(x) for x in owned}) == len(branches)
+
+    def test_each_round_is_played_once_per_outcome_history(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].round_index)
+            return original_round(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "original_round", counting)
+        branches = enumerate_branches(
+            Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2")
+        )
+        # Siblings share the transcripts of their common rounds, so the
+        # distinct transcript objects are the distinct round-level
+        # outcome histories.  Replaying every branch from round 1 would
+        # take 32 x 6 = 192 calls.
+        histories = {id(t) for b in branches for t in b.transcripts}
+        assert len(branches) == 32
+        assert len(calls) == len(histories) == 53
+        assert calls.count(1) == 1
 
 
 class TestPlansBuilders:

@@ -9,6 +9,7 @@ keeps the earlier reshape-based kernels as a bit-for-bit reference.
 import numpy as np
 import pytest
 
+import ghzqss.qsim as qsim
 from ghzqss.qsim import (
     ATOL,
     MAX_QUBITS,
@@ -358,6 +359,34 @@ class TestComparison:
         st = tensor(basis_state([("a", 1)]), prepare_pair_qbar(1, ("x", "y")))
         shuffled = reorder(st, ("y", "a", "x"))
         assert equal_up_to_sign(st, shuffled)
+
+    def test_matching_label_orders_skip_the_reorder(self, monkeypatch):
+        real_reorder = qsim.reorder
+
+        def guarded(state, labels):
+            if tuple(labels) == state.labels:
+                raise AssertionError("reorder called on matching label orders")
+            return real_reorder(state, labels)
+
+        monkeypatch.setattr(qsim, "reorder", guarded)
+        st = ghz_carrier(("a", "b", "c"))
+        assert deviation_up_to_sign(st, st) == 0.0
+        assert equal_up_to_sign(st, reorder(st, ("c", "a", "b")))
+
+    def test_deviation_equals_the_reordering_path(self):
+        # Skipping the reorder must not change a single bit of the value.
+        rng = np.random.default_rng(115)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            a = _random_state(rng, n)
+            b = _random_state(rng, n)
+            aligned = reorder(b, a.labels)
+            want = min(
+                float(np.max(np.abs(a.amps - aligned.amps))),
+                float(np.max(np.abs(a.amps + aligned.amps))),
+            )
+            assert deviation_up_to_sign(a, b) == want
+            assert deviation_up_to_sign(a, a) == 0.0
 
     def test_label_set_mismatch_raises(self):
         with pytest.raises(ValueError, match="label sets differ"):
