@@ -31,6 +31,14 @@ them as fixed inputs rather than quantum forks.
 ``fork()`` returns an independent twin in the same state; the branch
 enumerator forks the attack once per outcome history instead of
 replaying the session from round 1.
+
+The round table of ``run_simulation`` replays recorded rounds without
+calling the hooks.  Each attack therefore names, in ``round_key``,
+everything its hooks read besides the world, and re-applies a recorded
+round to itself in ``replay_round``; the harness reads nothing else of
+it.  The table stores a round only if each of its quantum draws shows up
+as a record of weight 1/2, so a hook that measures without putting the
+record in ``records`` always plays on the statevector path.
 """
 
 from __future__ import annotations
@@ -70,6 +78,41 @@ class ChannelAttack:
     def take_round_notes(self) -> dict | None:
         notes, self._notes = self._notes, None
         return notes
+
+    def round_key(self, round_index: int):
+        """Hashable summary of what the hooks of round ``round_index`` read
+        from this attack's state; the world and the draws are not part of it."""
+        return ()
+
+    def round_mark(self) -> tuple[int, int]:
+        """Where the records and inferences of the next round will start."""
+        return len(self.records), len(self.inferred)
+
+    def recorded_round(self, mark: tuple[int, int], round_index: int) -> tuple:
+        """What the round since ``mark`` did to this attack, as a hashable value.
+
+        Inferences keep their round relative to ``round_index``, so the
+        record can be replayed at any round with the same ``round_key``.
+        """
+        n_records, n_inferred = mark
+        inferred = tuple((r - round_index, value, meaning) for r, value, meaning in self.inferred[n_inferred:])
+        return tuple(self.records[n_records:]), inferred, self._carried_state()
+
+    def replay_round(self, round_index: int, recorded: tuple) -> None:
+        """Apply a value from ``recorded_round`` as if the round had been played here."""
+        records, inferred, state = recorded
+        if records:
+            self.records.extend(records)
+        if inferred:
+            self.inferred.extend((round_index + dr, value, meaning) for dr, value, meaning in inferred)
+        self._restore_state(round_index, state)
+
+    def _carried_state(self):
+        """The state this attack carries into the next round."""
+        return None
+
+    def _restore_state(self, round_index: int, state) -> None:
+        pass
 
     def fork(self) -> "ChannelAttack":
         """An independent twin in the same state, for the branch enumerator.
@@ -115,6 +158,15 @@ class ProbeAttack(ChannelAttack):
     def __init__(self, coins: np.random.Generator | None = None) -> None:
         super().__init__(coins)
         self._probe_live = False
+
+    def round_key(self, round_index):
+        return self._probe_live
+
+    def _carried_state(self):
+        return self._probe_live
+
+    def _restore_state(self, round_index, state):
+        self._probe_live = state
 
     def intercept(self, world, round_index, rngs):
         if not self._probe_live:
@@ -176,17 +228,32 @@ class A2Attack(ChannelAttack):
         twin._live = list(self._live)
         return twin
 
+    def _check_order(self, round_index: int) -> None:
+        if round_index != self._next_round:
+            raise ValueError(
+                f"a2 schedule must see every round in order; expected round "
+                f"{self._next_round}, got {round_index}"
+            )
+
+    def round_key(self, round_index):
+        self._check_order(round_index)
+        position = round_index if round_index <= 2 else ("odd" if round_index % 2 else "even")
+        return position, tuple(self._live)
+
+    def _carried_state(self):
+        return tuple(self._live)
+
+    def _restore_state(self, round_index, state):
+        self._live = list(state)
+        self._next_round = round_index + 1
+
     def sync_hadamard(self, world):
         for lab in self._live:
             world = apply_h(world, lab)
         return world
 
     def intercept(self, world, round_index, rngs):
-        if round_index != self._next_round:
-            raise ValueError(
-                f"a2 schedule must see every round in order; expected round "
-                f"{self._next_round}, got {round_index}"
-            )
+        self._check_order(round_index)
         self._next_round += 1
 
         if round_index == 1:
@@ -253,6 +320,9 @@ class DishonestBobAttack(ChannelAttack):
         super().__init__(coins)
         self._sub: tuple[int, int] | None = None
         self._round = 0
+
+    def _restore_state(self, round_index, state):
+        self._round = round_index
 
     def intercept(self, world, round_index, rngs):
         b1 = int(self.coins.integers(0, 2))

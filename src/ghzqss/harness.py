@@ -15,7 +15,12 @@ of the outcomes taken), which turns Monte Carlo claims into closed-form
 numbers for small scenarios.
 
 ``run_simulation`` and the walk share ``_play_round``, the one per-round
-step of a session.
+step of a session.  ``run_simulation`` reaches it through ``ROUND_TABLE``,
+a bounded process-wide memo of recorded statevector rounds
+(``ghzqss.replay``): a round whose world, plan class, carrier parity and
+attacker state were seen before is replayed from the recording against
+the session's own streams, drawing exactly what the statevector play
+would draw.
 """
 
 from __future__ import annotations
@@ -38,13 +43,15 @@ from .protocol import (
     RoundPlan,
     RoundTranscript,
     SinglePair,
-    chi_state,
     check_phase,
+    check_size,
+    chi_state,
     hadamard_layer,
     original_round,
     revised_round,
 )
 from .qsim import PureState
+from .replay import RoundTable, Session
 
 VARIANTS = ("original", "revised")
 
@@ -203,19 +210,18 @@ def _play_round(
     return revised_round(world, plan, tracker, rngs, attack)
 
 
-def run_simulation(
-    cfg: SimConfig, transcripts_out: list[RoundTranscript] | None = None
-) -> SimReport:
-    """Play one full session followed by the check phase."""
+# A process-wide memo in front of ``_play_round`` for Monte Carlo sessions.
+ROUND_TABLE = RoundTable()
+
+
+def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[RoundTranscript]]:
+    """All rounds of one session: the final world, the attack and the transcripts."""
     alice = stream(cfg.seed, STREAM_ALICE)
-    rngs = Rngs(
-        bob=stream(cfg.seed, STREAM_BOB),
-        charlie=stream(cfg.seed, STREAM_CHARLIE),
-        attack=stream(cfg.seed, STREAM_ATTACK),
-    )
+    session = Session(stream(cfg.seed, STREAM_BOB), stream(cfg.seed, STREAM_CHARLIE), stream(cfg.seed, STREAM_ATTACK))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
-    attack = build_attack(cfg.strategy, coins=rngs.attack)
+    attack = build_attack(cfg.strategy, coins=session.rngs.attack)
+    table = ROUND_TABLE
 
     world = chi_state()
     tracker = CarrierTracker()
@@ -237,15 +243,20 @@ def run_simulation(
                 target = W1 if alice.random() < 0.5 else W2
                 mode = SinglePair(q1, q1 ^ secret, target)
             plan = RoundPlan(i, mode, alice_hadamard=coin)
-        world, t = _play_round(cfg.variant, world, plan, tracker, rngs, attack)
+        world, t = table.play(_play_round, session, cfg.variant, world, plan, tracker, attack)
         transcripts.append(t)
+    return world, attack, transcripts
 
+
+def run_simulation(
+    cfg: SimConfig, transcripts_out: list[RoundTranscript] | None = None
+) -> SimReport:
+    """Play one full session followed by the check phase."""
+    _, attack, transcripts = _play_session(cfg)
     error_rate, detected = check_phase(
         transcripts, cfg.check_fraction, stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
     )
-    checked = sum(
-        1 for t in transcripts if any(ev.get("event") == "check_announced" for ev in t.events)
-    )
+    checked = check_size(len(transcripts), cfg.check_fraction)
     if transcripts_out is not None:
         transcripts_out.extend(transcripts)
     return SimReport(

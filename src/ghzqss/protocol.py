@@ -164,6 +164,17 @@ class RoundPlan:
     def target(self) -> str | None:
         return self.mode.target if isinstance(self.mode, SinglePair) else None
 
+    @property
+    def round_class(self) -> tuple:
+        """Hashable summary of what a session round reads from this plan
+        besides ``round_index``.
+
+        The alternating variant also reads where the round sits: no
+        Hadamard layer precedes round 1, and odd and even rounds differ.
+        """
+        position = None if self.alice_hadamard is not None else (self.round_index == 1, self.round_index % 2)
+        return position, type(self.mode), *vars(self.mode).values(), self.alice_hadamard
+
 
 class CarrierTracker:
     """Classical record of which form the carrier should currently hold."""
@@ -555,6 +566,11 @@ def revised_round(
 # Check phase
 
 
+def check_size(rounds: int, check_fraction: float) -> int:
+    """How many of ``rounds`` rounds the check phase sacrifices (at least one)."""
+    return max(1, int(round(check_fraction * rounds)))
+
+
 def check_phase(
     transcripts: Sequence[RoundTranscript],
     check_fraction: float,
@@ -575,7 +591,7 @@ def check_phase(
     if not transcripts:
         raise ValueError("no rounds to check")
     n = len(transcripts)
-    k = max(1, int(round(check_fraction * n)))
+    k = check_size(n, check_fraction)
     chosen = np.sort(rng.choice(n, size=k, replace=False))
     errors = 0
     for i in chosen:

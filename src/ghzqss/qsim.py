@@ -251,13 +251,20 @@ def measure(state: PureState, label: str, rng) -> tuple[MeasurementRecord, PureS
     measured qubit stays in the register, now definite).  ``rng`` needs
     only a ``random()`` method returning a float in [0, 1); it is not
     consulted when one outcome has probability below ``ATOL``.
+
+    Born weights of Clifford circuits are 0, 1/2 or 1, and float drift
+    only moves their last bits.  A forced outcome records exactly 1.0,
+    and a weight within ``ATOL`` of 1/2 becomes exactly 0.5, so every
+    protocol fork draws against the same threshold whatever the drift.
     """
     p1 = probability_of_one(state, label)
     if p1 < ATOL:
-        outcome, prob = 0, 1.0 - p1
+        outcome, prob = 0, 1.0
     elif 1.0 - p1 < ATOL:
-        outcome, prob = 1, p1
+        outcome, prob = 1, 1.0
     else:
+        if abs(p1 - 0.5) < ATOL:
+            p1 = 0.5
         u = rng.random()
         outcome = 1 if u < p1 else 0
         prob = p1 if outcome == 1 else 1.0 - p1

@@ -98,6 +98,34 @@ class TestFork:
         assert attack.inferred == []
 
 
+class TestRoundReplay:
+    def test_a_recorded_round_replays_at_another_round_index(self):
+        attack = DishonestBobAttack(np.random.default_rng(3))
+        twin = attack.fork()
+        mark = attack.round_mark()
+        world = tensor(chi_state(), basis_state([(W1, 0), (W2, 1)]))
+        world, _, _ = attack.intercept(world, 4, _rngs())
+        attack.bob_decode(world, 0, W1, _rngs())
+        recorded = attack.recorded_round(mark, 4)
+        hash(recorded)
+        twin.replay_round(9, recorded)
+        assert [r for r, _, _ in attack.inferred] == [4]
+        assert twin.inferred == [(9, value, meaning) for _, value, meaning in attack.inferred]
+        assert twin.records == attack.records
+        assert twin._round == 9
+
+    def test_keys_name_what_the_next_round_reads(self):
+        probe = A1Attack()
+        assert probe.round_key(1) is False
+        probe.intercept(tensor(chi_state(), basis_state([(W1, 0), (W2, 0)])), 1, _rngs())
+        assert probe.round_key(2) is True
+        a2 = A2Attack()
+        assert a2.round_key(1) == (1, ())
+        a2.replay_round(4, ((), (), ("e1", "e2")))
+        assert [a2.round_key(5), a2._next_round] == [("odd", ("e1", "e2")), 5]
+        assert DishonestBobAttack().round_key(7) == ()
+
+
 class TestPersistentProbes:
     def test_probe_strategies_differ_only_in_what_they_copy(self):
         assert (A1Attack.copies, A2ProbeAttack.copies) == ((W1,), (W1, W2))
@@ -162,6 +190,8 @@ class TestFullSchedule:
     def test_rounds_must_arrive_in_order(self):
         attack = A2Attack()
         world = tensor(chi_state(), basis_state([(W1, 0), (W2, 0)]))
+        with pytest.raises(ValueError, match="in order"):
+            attack.round_key(2)
         with pytest.raises(ValueError, match="in order"):
             attack.intercept(world, 2, _rngs())
         attack.intercept(world, 1, _rngs())

@@ -2,11 +2,15 @@
 
 import copy
 import itertools
+import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import ghzqss.harness as harness
+from ghzqss.replay import MAX_TABLE_ENTRIES, RoundTable
 from ghzqss.attacks import ChannelAttack, build_attack
 from ghzqss.harness import (
     COMPATIBLE,
@@ -14,6 +18,7 @@ from ghzqss.harness import (
     Branch,
     Scenario,
     SimConfig,
+    SimReport,
     TapeDecider,
     derived_seed,
     enumerate_branches,
@@ -33,13 +38,14 @@ from ghzqss.protocol import (
     Rngs,
     RoundPlan,
     SinglePair,
+    check_phase,
     chi_state,
     hadamard_layer,
     original_round,
     revised_round,
     transcripts_to_jsonl,
 )
-from ghzqss.qsim import equal_up_to_sign
+from ghzqss.qsim import discard, equal_up_to_sign, measure, state_from_terms, tensor
 
 
 class TestSeeding:
@@ -493,3 +499,251 @@ class TestRunGrid:
             run_grid("revised", ["none"], [10], [0.5], 0, 0)
         with pytest.raises(ValueError, match="not defined"):
             run_grid("original", ["a1"], [10], [0.5], 1, 0)
+
+
+# --------------------------------------------------------------------------
+# Round table
+
+
+def _reference_session(cfg, make_attack=build_attack):
+    """Reference for ``run_simulation``: the plain session loop.
+
+    Every round is played by the round functions and the checked count
+    is scanned from the events.  Returns the report, the transcripts,
+    the attack and the final world.
+    """
+    alice = stream(cfg.seed, harness.STREAM_ALICE)
+    rngs = Rngs(
+        bob=stream(cfg.seed, harness.STREAM_BOB),
+        charlie=stream(cfg.seed, harness.STREAM_CHARLIE),
+        attack=stream(cfg.seed, harness.STREAM_ATTACK),
+    )
+    attack = make_attack(cfg.strategy, coins=rngs.attack)
+    world = chi_state()
+    tracker = CarrierTracker()
+    transcripts = []
+    for i in range(1, cfg.rounds + 1):
+        if cfg.secret_bits is not None:
+            secret = int(cfg.secret_bits[i - 1])
+        else:
+            secret = int(alice.integers(0, 2))
+        if cfg.variant == "original":
+            mode = ProductPair(secret) if i % 2 == 1 else EntangledPair(secret)
+            plan = RoundPlan(i, mode)
+            if i > 1:
+                world = hadamard_layer(world, CARRIER, tracker)
+                if attack is not None:
+                    world = attack.sync_hadamard(world)
+            world, t = original_round(world, plan, tracker, rngs, attack)
+        else:
+            coin = int(alice.random() < cfg.hadamard_bias)
+            if coin ^ tracker.hadamard_parity:
+                mode = EntangledPair(secret)
+            else:
+                q1 = int(alice.integers(0, 2))
+                target = W1 if alice.random() < 0.5 else W2
+                mode = SinglePair(q1, q1 ^ secret, target)
+            plan = RoundPlan(i, mode, alice_hadamard=coin)
+            world, t = revised_round(world, plan, tracker, rngs, attack)
+        transcripts.append(t)
+    error_rate, detected = check_phase(
+        transcripts, cfg.check_fraction, stream(cfg.seed, harness.STREAM_CHECK), cfg.detect_threshold
+    )
+    checked = sum(1 for t in transcripts if any(ev.get("event") == "check_announced" for ev in t.events))
+    report = SimReport(
+        variant=cfg.variant, strategy=cfg.strategy, rounds=cfg.rounds,
+        check_fraction=cfg.check_fraction, seed=cfg.seed, rounds_run=len(transcripts),
+        checked_rounds=checked, honest_error_rate=error_rate, detected=detected,
+        eve_accuracy=harness._score_eve(attack, transcripts),
+        mode_breakdown=harness._mode_breakdown(transcripts),
+    )
+    return report, transcripts, attack, world
+
+
+def _session_bytes(report, transcripts, attack, world):
+    return (
+        json.dumps(report.to_dict()),
+        transcripts_to_jsonl(transcripts),
+        repr([(t.records, t.eve_notes) for t in transcripts]),
+        None if attack is None else repr((attack.records, attack.inferred)),
+        world.labels,
+        world.amps.tobytes(),
+    )
+
+
+def _table_session(cfg, monkeypatch):
+    """``run_simulation`` with its attack and final world captured."""
+    played = []
+
+    def capture(cfg):
+        out = inner(cfg)
+        played.append(out)
+        return out
+
+    inner = harness._play_session
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_play_session", capture)
+        transcripts = []
+        report = run_simulation(cfg, transcripts)
+    world, attack, _ = played[0]
+    return report, transcripts, attack, world
+
+
+PAIRS = [(v, s) for v in ("original", "revised") for s in COMPATIBLE[v]]
+
+# Rounds, seed and plan inputs of the sessions each pair is compared on.
+TABLE_SESSIONS = [
+    dict(rounds=1, seed=0),
+    dict(rounds=2, seed=1),
+    dict(rounds=37, seed=2, hadamard_bias=0.3),
+    dict(rounds=300, seed=3, hadamard_bias=0.0),
+    dict(rounds=250, seed=4, hadamard_bias=1.0),
+    dict(rounds=16, seed=5, secret_bits="0110100110010110", check_fraction=1.0),
+    dict(rounds=3000, seed=7919),
+]
+
+
+@pytest.fixture
+def table(monkeypatch):
+    fresh = RoundTable()
+    monkeypatch.setattr(harness, "ROUND_TABLE", fresh)
+    return fresh
+
+
+class TestRoundTable:
+    @pytest.mark.parametrize("variant,strategy", PAIRS)
+    def test_sessions_match_the_statevector_loop_cold_and_warm(self, variant, strategy, table, monkeypatch):
+        for kwargs in TABLE_SESSIONS:
+            cfg = SimConfig(variant=variant, strategy=strategy, **kwargs)
+            want = _session_bytes(*_reference_session(cfg))
+            table.clear()
+            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", kwargs)
+            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", kwargs)
+        assert table.hits > 0 and table.entries <= MAX_TABLE_ENTRIES
+
+    def test_a_table_warmed_by_other_sessions_matches(self, table, monkeypatch):
+        for seed in range(3):
+            for variant, strategy in PAIRS:
+                cfg = SimConfig(variant=variant, strategy=strategy, rounds=400, seed=seed)
+                got = _session_bytes(*_table_session(cfg, monkeypatch))
+                assert got == _session_bytes(*_reference_session(cfg)), (variant, strategy, seed)
+        assert table.hits > 4 * table.misses
+
+    def _mismatches(self, monkeypatch, pairs, rounds=300, seeds=(0, 1)):
+        """Pairs whose sessions differ from the reference or fail one of its checks."""
+        bad = set()
+        for seed in seeds:
+            for variant, strategy in pairs:
+                cfg = SimConfig(variant=variant, strategy=strategy, rounds=rounds, seed=seed)
+                try:
+                    got = _session_bytes(*_table_session(cfg, monkeypatch))
+                except (AssertionError, RuntimeError, ValueError):
+                    got = None
+                if got != _session_bytes(*_reference_session(cfg)):
+                    bad.add((variant, strategy))
+        return bad
+
+    def test_a_key_without_the_amplitude_bytes_is_caught(self, table, monkeypatch):
+        monkeypatch.setattr(RoundTable, "_world_key", staticmethod(lambda world: world.labels))
+        assert self._mismatches(monkeypatch, PAIRS) == set(PAIRS)
+
+    def test_replayed_inferences_must_take_the_replayed_round(self, table, monkeypatch):
+        def recorded_round(self, mark, round_index):
+            n_records, n_inferred = mark
+            return tuple(self.records[n_records:]), tuple(self.inferred[n_inferred:]), self._carried_state()
+
+        def replay_round(self, round_index, recorded):
+            records, inferred, state = recorded
+            self.records.extend(records)
+            self.inferred.extend(inferred)
+            self._restore_state(round_index, state)
+
+        monkeypatch.setattr(ChannelAttack, "recorded_round", recorded_round)
+        monkeypatch.setattr(ChannelAttack, "replay_round", replay_round)
+        pairs = [("original", "a2"), ("revised", "dishonest-bob")]
+        assert self._mismatches(monkeypatch, pairs) == set(pairs)
+
+    def test_a_replay_that_shares_an_events_list_is_caught(self, monkeypatch):
+        class SharingTable(RoundTable):
+            def _replay(self, world, payload, plan, tracker, attack):
+                world, t = super()._replay(world, payload, plan, tracker, attack)
+                t.events = self.shared.setdefault(id(payload), t.events)
+                return world, t
+
+        sharing = SharingTable()
+        sharing.shared = {}
+        monkeypatch.setattr(harness, "ROUND_TABLE", sharing)
+        assert self._mismatches(monkeypatch, PAIRS) == set(PAIRS)
+
+    @pytest.mark.parametrize("fork", ["recorded", "unrecorded", "coin"])
+    def test_a_fork_at_another_weight_is_never_stored(self, fork, table, monkeypatch):
+        class TiltedProbe(ChannelAttack):
+            """Forks every round at weight 0.64 (a measurement of a qubit of
+            its own, with or without its record) or 1/4 (a four-way coin)."""
+
+            name = "tilted"
+
+            def intercept(self, world, round_index, rngs):
+                if fork == "coin":
+                    self._notes = {"coin": int(self.coins.integers(0, 4))}
+                    return world, W1, W2
+                world = tensor(world, state_from_terms(["t"], {"0": 0.6, "1": 0.8}))
+                rec, world = measure(world, "t", rngs.attack)
+                if fork == "recorded":
+                    self.records.append(rec)
+                return discard(world, "t"), W1, W2
+
+        def make_attack(strategy, coins=None):
+            return TiltedProbe(coins)
+
+        monkeypatch.setattr(harness, "build_attack", make_attack)
+        for seed in range(4):
+            cfg = SimConfig(strategy="a1", rounds=200, seed=seed, hadamard_bias=0.3)
+            got = _session_bytes(*_table_session(cfg, monkeypatch))
+            assert got == _session_bytes(*_reference_session(cfg, make_attack))
+        assert table.hits == 0
+        assert table.entries == table.unfair > 0
+
+    def test_entries_never_exceed_the_bound(self, monkeypatch):
+        small = RoundTable(max_entries=5)
+        monkeypatch.setattr(harness, "ROUND_TABLE", small)
+        for seed in range(2):
+            for variant, strategy in PAIRS:
+                cfg = SimConfig(variant=variant, strategy=strategy, rounds=200, seed=seed)
+                got = _session_bytes(*_table_session(cfg, monkeypatch))
+                assert got == _session_bytes(*_reference_session(cfg))
+                assert small.entries <= 5
+        assert small.entries == 5 and small.hits > 0
+
+    def test_sessions_in_threads_share_one_table(self, table, monkeypatch):
+        def rounds_bytes(world, attack, transcripts):
+            attack_part = None if attack is None else repr((attack.records, attack.inferred))
+            return transcripts_to_jsonl(transcripts), attack_part, world.amps.tobytes()
+
+        cfgs = [SimConfig(variant=v, strategy=s, rounds=120, seed=seed) for seed in range(3) for v, s in PAIRS]
+        monkeypatch.setattr(harness, "ROUND_TABLE", RoundTable(max_entries=0))
+        want = [rounds_bytes(*harness._play_session(cfg)) for cfg in cfgs]
+        monkeypatch.setattr(harness, "ROUND_TABLE", table)
+        got = {}
+
+        def work(first):
+            for i in range(first, len(cfgs), 4):
+                got[i] = rounds_bytes(*harness._play_session(cfgs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [got.get(i) for i in range(len(cfgs))] == want
+        assert table.hits > 0
+
+    def test_enumeration_bypasses_the_table(self, table):
+        enumerate_branches(Scenario("original", original_plans((1, 0, 1, 1)), strategy="a2"))
+        assert (table.entries, table.hits, table.misses) == (0, 0, 0)

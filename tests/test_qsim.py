@@ -444,10 +444,12 @@ def _ref_probability_of_one(amps, n, k):
 def _ref_measure(amps, n, k, rng):
     p1 = _ref_probability_of_one(amps, n, k)
     if p1 < ATOL:
-        outcome, prob = 0, 1.0 - p1
+        outcome, prob = 0, 1.0
     elif 1.0 - p1 < ATOL:
-        outcome, prob = 1, p1
+        outcome, prob = 1, 1.0
     else:
+        if abs(p1 - 0.5) < ATOL:
+            p1 = 0.5
         outcome = 1 if rng.random() < p1 else 0
         prob = p1 if outcome == 1 else 1.0 - p1
     v = _ref_split(amps, n, k)
