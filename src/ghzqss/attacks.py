@@ -81,8 +81,9 @@ class ChannelAttack:
 
     def round_key(self, round_index: int):
         """Hashable summary of what the hooks of round ``round_index`` read
-        from this attack's state; the world and the draws are not part of it."""
-        return ()
+        from this attack's state; the world and the draws are not part of it.
+        By default, the state carried from the last round."""
+        return self._carried_state()
 
     def round_mark(self) -> tuple[int, int]:
         """Where the records and inferences of the next round will start."""
@@ -158,9 +159,6 @@ class ProbeAttack(ChannelAttack):
     def __init__(self, coins: np.random.Generator | None = None) -> None:
         super().__init__(coins)
         self._probe_live = False
-
-    def round_key(self, round_index):
-        return self._probe_live
 
     def _carried_state(self):
         return self._probe_live
@@ -238,7 +236,7 @@ class A2Attack(ChannelAttack):
     def round_key(self, round_index):
         self._check_order(round_index)
         position = round_index if round_index <= 2 else ("odd" if round_index % 2 else "even")
-        return position, tuple(self._live)
+        return position, self._carried_state()
 
     def _carried_state(self):
         return tuple(self._live)
@@ -320,9 +318,6 @@ class DishonestBobAttack(ChannelAttack):
         super().__init__(coins)
         self._sub: tuple[int, int] | None = None
         self._round = 0
-
-    def _restore_state(self, round_index, state):
-        self._round = round_index
 
     def intercept(self, world, round_index, rngs):
         b1 = int(self.coins.integers(0, 2))

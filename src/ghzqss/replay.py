@@ -123,11 +123,10 @@ class RoundTable:
     walk already drew handed back first, and stores the path.  A key
     whose play forks at another weight, or uses a stream otherwise, is
     marked and always plays on the statevector path.  Once
-    ``max_entries`` keys are stored, new keys play there unstored.
+    ``MAX_TABLE_ENTRIES`` keys are stored, new keys play there unstored.
     """
 
-    def __init__(self, max_entries: int = MAX_TABLE_ENTRIES) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.clear()
 
@@ -228,7 +227,7 @@ class RoundTable:
 
     def _store(self, key, world, after, t, parity, recorded, fair, log):
         """Store the path ``log`` of a statevector play; returns its world and transcript."""
-        known = self._canonical(world, create=self.entries < self.max_entries)
+        known = self._canonical(world, create=self.entries < MAX_TABLE_ENTRIES)
         if known is None:
             return after, t
         slot = self._slots[id(known)]
@@ -236,7 +235,7 @@ class RoundTable:
         if root is _UNFAIR:  # marked by a session in another thread
             return after, t
         if root is None:
-            if self.entries >= self.max_entries:
+            if self.entries >= MAX_TABLE_ENTRIES:
                 return after, t
             self.entries += 1
             key = self._intern(tuple(self._intern(part) for part in key))

@@ -112,7 +112,6 @@ class TestRoundReplay:
         assert [r for r, _, _ in attack.inferred] == [4]
         assert twin.inferred == [(9, value, meaning) for _, value, meaning in attack.inferred]
         assert twin.records == attack.records
-        assert twin._round == 9
 
     def test_keys_name_what_the_next_round_reads(self):
         probe = A1Attack()
@@ -123,7 +122,7 @@ class TestRoundReplay:
         assert a2.round_key(1) == (1, ())
         a2.replay_round(4, ((), (), ("e1", "e2")))
         assert [a2.round_key(5), a2._next_round] == [("odd", ("e1", "e2")), 5]
-        assert DishonestBobAttack().round_key(7) == ()
+        assert DishonestBobAttack().round_key(7) is None
 
 
 class TestPersistentProbes:

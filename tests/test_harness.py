@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ghzqss.harness as harness
+import ghzqss.replay as replay
 from ghzqss.replay import MAX_TABLE_ENTRIES, RoundTable
 from ghzqss.attacks import ChannelAttack, build_attack
 from ghzqss.harness import (
@@ -704,16 +705,15 @@ class TestRoundTable:
         assert table.hits == 0
         assert table.entries == table.unfair > 0
 
-    def test_entries_never_exceed_the_bound(self, monkeypatch):
-        small = RoundTable(max_entries=5)
-        monkeypatch.setattr(harness, "ROUND_TABLE", small)
+    def test_entries_never_exceed_the_bound(self, table, monkeypatch):
+        monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", 5)
         for seed in range(2):
             for variant, strategy in PAIRS:
                 cfg = SimConfig(variant=variant, strategy=strategy, rounds=200, seed=seed)
                 got = _session_bytes(*_table_session(cfg, monkeypatch))
                 assert got == _session_bytes(*_reference_session(cfg))
-                assert small.entries <= 5
-        assert small.entries == 5 and small.hits > 0
+                assert table.entries <= 5
+        assert table.entries == 5 and table.hits > 0
 
     def test_sessions_in_threads_share_one_table(self, table, monkeypatch):
         def rounds_bytes(world, attack, transcripts):
@@ -721,14 +721,18 @@ class TestRoundTable:
             return transcripts_to_jsonl(transcripts), attack_part, world.amps.tobytes()
 
         cfgs = [SimConfig(variant=v, strategy=s, rounds=120, seed=seed) for seed in range(3) for v, s in PAIRS]
-        monkeypatch.setattr(harness, "ROUND_TABLE", RoundTable(max_entries=0))
-        want = [rounds_bytes(*harness._play_session(cfg)) for cfg in cfgs]
-        monkeypatch.setattr(harness, "ROUND_TABLE", table)
+        want = []
+        for cfg in cfgs:
+            _, transcripts, attack, world = _reference_session(cfg)
+            want.append(rounds_bytes(world, attack, transcripts))
         got = {}
 
         def work(first):
             for i in range(first, len(cfgs), 4):
-                got[i] = rounds_bytes(*harness._play_session(cfgs[i]))
+                cfg = cfgs[i]
+                world, attack, transcripts = harness._play_session(cfg)
+                check_phase(transcripts, cfg.check_fraction, stream(cfg.seed, harness.STREAM_CHECK), cfg.detect_threshold)
+                got[i] = rounds_bytes(world, attack, transcripts)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
