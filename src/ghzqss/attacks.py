@@ -28,17 +28,21 @@ announcements) come from the attack's own ``coins`` generator, kept
 separate from the quantum streams so that branch enumeration treats
 them as fixed inputs rather than quantum forks.
 
-``fork()`` returns an independent twin in the same state; the branch
-enumerator forks the attack once per outcome history instead of
-replaying the session from round 1.
+Whatever the hooks carry from one call to the next lives in one
+immutable value, ``state``; the other attributes only grow (``records``,
+``inferred``) or drain (the round notes).  ``fork()`` returns an
+independent twin in the same state; the branch enumerator forks the
+attack once per outcome history instead of replaying the session from
+round 1.
 
 The round table of ``run_simulation`` replays recorded rounds without
-calling the hooks.  Each attack therefore names, in ``round_key``,
-everything its hooks read besides the world, and re-applies a recorded
-round to itself in ``replay_round``; the harness reads nothing else of
-it.  The table stores a round only if each of its quantum draws shows up
-as a record of weight 1/2, so a hook that measures without putting the
-record in ``records`` always plays on the statevector path.
+calling the hooks.  ``round_key`` names everything the next round's
+hooks read besides the world, which is ``state`` (the full schedule adds
+its position), and ``replay_round`` re-applies a recorded round; the
+harness reads nothing else of an attack.  The table stores a round only
+if each of its quantum draws shows up as a record of weight 1/2, so a
+hook that measures without putting the record in ``records`` always
+plays on the statevector path.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ class ChannelAttack:
 
     name = "none"
     controls_bob = False
+    state = None  # what the hooks carry from one call to the next; immutable
 
     def __init__(self, coins: np.random.Generator | None = None) -> None:
         self.coins = coins if coins is not None else np.random.default_rng(0)
@@ -65,6 +70,26 @@ class ChannelAttack:
         # probabilities (decode-side measurements ride on transcripts).
         self.records: list[MeasurementRecord] = []
         self._notes: dict | None = None
+
+    @property
+    def coins(self) -> np.random.Generator:
+        """The generator of the attacker's classical coins.
+
+        A fork holds the generator state it was forked at, as a ``(bit
+        generator type, state)`` pair, and builds its own generator only
+        when it first draws.
+        """
+        coins = self._coins
+        if type(coins) is tuple:
+            kind, state = coins
+            bits = kind(0)  # seed 0 only spares reading OS entropy; the state is overwritten
+            bits.state = state
+            coins = self._coins = np.random.Generator(bits)
+        return coins
+
+    @coins.setter
+    def coins(self, coins) -> None:
+        self._coins = coins
 
     def sync_hadamard(self, world: PureState) -> PureState:
         return world
@@ -81,9 +106,9 @@ class ChannelAttack:
 
     def round_key(self, round_index: int):
         """Hashable summary of what the hooks of round ``round_index`` read
-        from this attack's state; the world and the draws are not part of it.
-        By default, the state carried from the last round."""
-        return self._carried_state()
+        from this attack; the world and the draws are not part of it.
+        By default, ``state``."""
+        return self.state
 
     def round_mark(self) -> tuple[int, int]:
         """Where the records and inferences of the next round will start."""
@@ -97,39 +122,31 @@ class ChannelAttack:
         """
         n_records, n_inferred = mark
         inferred = tuple((r - round_index, value, meaning) for r, value, meaning in self.inferred[n_inferred:])
-        return tuple(self.records[n_records:]), inferred, self._carried_state()
+        return tuple(self.records[n_records:]), inferred, self.state
 
     def replay_round(self, round_index: int, recorded: tuple) -> None:
         """Apply a value from ``recorded_round`` as if the round had been played here."""
-        records, inferred, state = recorded
+        records, inferred, self.state = recorded
         if records:
             self.records.extend(records)
         if inferred:
             self.inferred.extend((round_index + dr, value, meaning) for dr, value, meaning in inferred)
-        self._restore_state(round_index, state)
-
-    def _carried_state(self):
-        """The state this attack carries into the next round."""
-        return None
-
-    def _restore_state(self, round_index: int, state) -> None:
-        pass
 
     def fork(self) -> "ChannelAttack":
         """An independent twin in the same state, for the branch enumerator.
 
-        The twin gets its own copies of the mutable lists and its own
-        ``coins`` generator, set to the same state: sharing either would
-        let one branch's draws or records leak into its siblings.  The
-        records themselves are immutable and stay shared.
+        The twin gets its own copies of the record lists and of the coin
+        generator's state: sharing either would let one branch's draws or
+        records leak into its siblings.  ``state`` and the records
+        themselves are immutable and stay shared.
         """
         twin = copy.copy(self)
         twin.records = list(self.records)
         twin.inferred = list(self.inferred)
-        # Seed 0 only spares reading OS entropy; the state is overwritten.
-        bits = type(self.coins.bit_generator)(0)
-        bits.state = self.coins.bit_generator.state
-        twin.coins = np.random.Generator(bits)
+        coins = self._coins
+        if type(coins) is not tuple:
+            bits = coins.bit_generator
+            twin._coins = (type(bits), bits.state)
         return twin
 
 
@@ -155,21 +172,12 @@ class ProbeAttack(ChannelAttack):
     """
 
     copies: tuple[str, ...] = ()
-
-    def __init__(self, coins: np.random.Generator | None = None) -> None:
-        super().__init__(coins)
-        self._probe_live = False
-
-    def _carried_state(self):
-        return self._probe_live
-
-    def _restore_state(self, round_index, state):
-        self._probe_live = state
+    state = False  # whether the probe is in the world
 
     def intercept(self, world, round_index, rngs):
-        if not self._probe_live:
+        if not self.state:
             world = tensor(world, basis_state([("e", 0)]))
-            self._probe_live = True
+            self.state = True
         for lab in self.copies:
             world = apply_cnot(world, lab, "e")
         what = "transit qubit" if len(self.copies) == 1 else "both transit qubits"
@@ -215,53 +223,39 @@ class A2Attack(ChannelAttack):
     """
 
     name = "a2"
-
-    def __init__(self, coins: np.random.Generator | None = None) -> None:
-        super().__init__(coins)
-        self._live: list[str] = []
-        self._next_round = 1
-
-    def fork(self) -> "A2Attack":
-        twin = super().fork()
-        twin._live = list(self._live)
-        return twin
+    state = ()  # the probes installed so far
 
     def _check_order(self, round_index: int) -> None:
-        if round_index != self._next_round:
+        # Rounds 1 and 2 each install a probe and every later round
+        # leaves one inference, so these name the round played last.
+        expected = self.inferred[-1][0] + 1 if self.inferred else len(self.state) + 1
+        if round_index != expected:
             raise ValueError(
                 f"a2 schedule must see every round in order; expected round "
-                f"{self._next_round}, got {round_index}"
+                f"{expected}, got {round_index}"
             )
 
     def round_key(self, round_index):
         self._check_order(round_index)
         position = round_index if round_index <= 2 else ("odd" if round_index % 2 else "even")
-        return position, self._carried_state()
-
-    def _carried_state(self):
-        return tuple(self._live)
-
-    def _restore_state(self, round_index, state):
-        self._live = list(state)
-        self._next_round = round_index + 1
+        return position, self.state
 
     def sync_hadamard(self, world):
-        for lab in self._live:
+        for lab in self.state:
             world = apply_h(world, lab)
         return world
 
     def intercept(self, world, round_index, rngs):
         self._check_order(round_index)
-        self._next_round += 1
 
         if round_index == 1:
             world = tensor(world, basis_state([("e1", 0)]))
-            self._live.append("e1")
+            self.state = ("e1",)
             world = apply_cnot(world, W1, "e1")
             self._notes = {"action": "installed probe e1"}
         elif round_index == 2:
             world = tensor(world, basis_state([("e2", 0)]))
-            self._live.append("e2")
+            self.state = ("e1", "e2")
             world = apply_cnot(world, W1, "e2")
             world = apply_cnot(world, W2, "e2")
             world = apply_cnot(world, "e1", W1)
@@ -313,24 +307,20 @@ class DishonestBobAttack(ChannelAttack):
 
     name = "dishonest-bob"
     controls_bob = True
-
-    def __init__(self, coins: np.random.Generator | None = None) -> None:
-        super().__init__(coins)
-        self._sub: tuple[int, int] | None = None
-        self._round = 0
+    # From intercept to Bob's decode: the round and the substitute bits.
+    state: tuple[int, int, int] | None = None
 
     def intercept(self, world, round_index, rngs):
         b1 = int(self.coins.integers(0, 2))
         b2 = int(self.coins.integers(0, 2))
-        self._sub = (b1, b2)
-        self._round = round_index
+        self.state = (round_index, b1, b2)
         world = tensor(world, basis_state([("w1p", b1), ("w2p", b2)]))
         return world, W1, "w2p"
 
     def bob_decode(self, world, coin, target, rngs):
-        if self._sub is None:
+        if self.state is None:
             raise ValueError("bob_decode called before intercept")
-        q2p = self._sub[1]
+        round_index, q1p, q2p = self.state
         records: list[MeasurementRecord] = []
         if coin:
             world = apply_h(world, "b")
@@ -357,9 +347,9 @@ class DishonestBobAttack(ChannelAttack):
             inferred = rec1.outcome ^ rec2.outcome
             announced = inferred ^ q2p
         if inferred is not None:
-            self.inferred.append((self._round, inferred, "secret"))
-        self._notes = {"inferred_secret": inferred, "substitute_bits": self._sub}
-        self._sub = None
+            self.inferred.append((round_index, inferred, "secret"))
+        self._notes = {"inferred_secret": inferred, "substitute_bits": (q1p, q2p)}
+        self.state = None
         return world, announced, records
 
 

@@ -25,9 +25,11 @@ would draw.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .protocol import (
     RoundTranscript,
     SinglePair,
     check_phase,
+    check_plan,
     check_size,
     chi_state,
     hadamard_layer,
@@ -78,6 +81,15 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(entropy=tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
+def _require_int(name: str, value, least: int) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _validate_combo(variant: str, strategy: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; known: {', '.join(VARIANTS)}")
@@ -103,8 +115,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _validate_combo(self.variant, self.strategy)
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+        _require_int("rounds", self.rounds, 1)
+        _require_int("seed", self.seed, 0)
         if not 0.0 < self.check_fraction <= 1.0:
             raise ValueError("check_fraction must lie in (0, 1]")
         if not 0.0 <= self.hadamard_bias <= 1.0:
@@ -192,6 +204,50 @@ def _score_eve(attack, transcripts: Sequence[RoundTranscript]) -> float | None:
     return correct / len(transcripts)
 
 
+def _round_plans(
+    variant: str,
+    secret: Callable[[int], int],
+    coin: Callable[[int], int] | None = None,
+    q1: Callable[[int], int] | None = None,
+    target: Callable[[int], str] | None = None,
+) -> Iterator[RoundPlan]:
+    """Round plans from round 1 on, the one source of them.
+
+    Each callable takes the round index.  A round calls ``secret``, then
+    in the coin-flip variant ``coin``, and for a single encoding ``q1``
+    and ``target``, in this order: a session's draws from Alice's stream
+    keep that order.  The coin-flip variant picks the encoding per the
+    form rule; the carrier form is the XOR of the coins so far.
+    """
+    parity = 0
+    for i in itertools.count(1):
+        q = secret(i)
+        if variant == "original":
+            yield RoundPlan(i, ProductPair(q) if i % 2 else EntangledPair(q))
+            continue
+        c = coin(i)
+        if c ^ parity:
+            mode: EntangledPair | SinglePair = EntangledPair(q)
+        else:
+            b = q1(i)
+            mode = SinglePair(b, b ^ q, target(i))
+        yield RoundPlan(i, mode, alice_hadamard=c)
+        parity ^= c
+
+
+def _check_plans(variant: str, plans: Sequence[RoundPlan]) -> None:
+    """Raise ``ValueError`` unless ``plans`` is a session script of
+    ``variant`` from round 1 that ``check_plan`` accepts round by round."""
+    parity = 0
+    for pos, plan in enumerate(plans, start=1):
+        if plan.round_index != pos:
+            raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
+        if variant == "original" and pos > 1:
+            parity ^= 1  # the Hadamard layer before every later round
+        check_plan(plan, parity, variant == "revised")
+        parity ^= plan.alice_hadamard or 0
+
+
 def _play_round(
     variant: str, world: PureState, plan: RoundPlan, tracker: CarrierTracker, rngs: Rngs, attack
 ) -> tuple[PureState, RoundTranscript]:
@@ -222,27 +278,19 @@ def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[RoundTranscri
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=session.rngs.attack)
     table = ROUND_TABLE
+    bits, bias = cfg.secret_bits, cfg.hadamard_bias
+    plans = _round_plans(
+        cfg.variant,
+        secret=(lambda i: int(alice.integers(0, 2))) if bits is None else (lambda i: int(bits[i - 1])),
+        coin=lambda i: int(alice.random() < bias),
+        q1=lambda i: int(alice.integers(0, 2)),
+        target=lambda i: W1 if alice.random() < 0.5 else W2,
+    )
 
     world = chi_state()
     tracker = CarrierTracker()
     transcripts: list[RoundTranscript] = []
-    for i in range(1, cfg.rounds + 1):
-        if cfg.secret_bits is not None:
-            secret = int(cfg.secret_bits[i - 1])
-        else:
-            secret = int(alice.integers(0, 2))
-        if cfg.variant == "original":
-            mode = ProductPair(secret) if i % 2 == 1 else EntangledPair(secret)
-            plan = RoundPlan(i, mode)
-        else:
-            coin = int(alice.random() < cfg.hadamard_bias)
-            if coin ^ tracker.hadamard_parity:
-                mode = EntangledPair(secret)
-            else:
-                q1 = int(alice.integers(0, 2))
-                target = W1 if alice.random() < 0.5 else W2
-                mode = SinglePair(q1, q1 ^ secret, target)
-            plan = RoundPlan(i, mode, alice_hadamard=coin)
+    for plan in itertools.islice(plans, cfg.rounds):
         world, t = table.play(_play_round, session, cfg.variant, world, plan, tracker, attack)
         transcripts.append(t)
     return world, attack, transcripts
@@ -320,25 +368,8 @@ class Scenario:
             raise ValueError("scenario needs at least one round plan")
         if len(self.plans) > MAX_ENUM_ROUNDS:
             raise ValueError(f"enumeration is capped at {MAX_ENUM_ROUNDS} rounds")
-        for pos, plan in enumerate(self.plans, start=1):
-            if plan.round_index != pos:
-                raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
-        parity = 0
-        for plan in self.plans:
-            if self.variant == "original":
-                want_odd = plan.round_index % 2 == 1
-                if want_odd != isinstance(plan.mode, ProductPair):
-                    raise ValueError("alternating variant plans must alternate product/pair")
-            else:
-                coin = plan.alice_hadamard
-                if coin is None:
-                    raise ValueError("coin-flip variant plans need alice_hadamard")
-                is_pair = isinstance(plan.mode, EntangledPair)
-                if is_pair != bool(coin ^ parity):
-                    raise ValueError(
-                        f"round {plan.round_index} pairs mode and coin against the carrier form"
-                    )
-                parity ^= coin
+        _check_plans(self.variant, self.plans)
+        _require_int("attack_seed", self.attack_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -420,11 +451,9 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
 
 def original_plans(secrets: Sequence[int]) -> tuple[RoundPlan, ...]:
     """Alternating-variant plans for the given per-round secrets."""
-    plans = []
-    for i, q in enumerate(secrets, start=1):
-        mode = ProductPair(int(q)) if i % 2 == 1 else EntangledPair(int(q))
-        plans.append(RoundPlan(i, mode))
-    return tuple(plans)
+    plans = tuple(itertools.islice(_round_plans("original", lambda i: int(secrets[i - 1])), len(secrets)))
+    _check_plans("original", plans)
+    return plans
 
 
 def revised_plans(
@@ -440,19 +469,18 @@ def revised_plans(
     """
     if len(coins) != len(secrets):
         raise ValueError("coins and secrets must have equal length")
-    parity = 0
-    plans = []
-    for i, (coin, q) in enumerate(zip(coins, secrets), start=1):
-        coin, q = int(coin), int(q)
-        if coin ^ parity:
-            mode: EntangledPair | SinglePair = EntangledPair(q)
-        else:
-            q1 = int(q1_bits[i - 1]) if q1_bits is not None else 0
-            target = targets[i - 1] if targets is not None else W1
-            mode = SinglePair(q1, q1 ^ q, target)
-        plans.append(RoundPlan(i, mode, alice_hadamard=coin))
-        parity ^= coin
-    return tuple(plans)
+    for name, steer in (("q1_bits", q1_bits), ("targets", targets)):
+        if steer is not None and len(steer) < len(coins):
+            raise ValueError(f"{name} has {len(steer)} entries for {len(coins)} rounds")
+    plans = tuple(itertools.islice(_round_plans(
+        "revised",
+        secret=lambda i: int(secrets[i - 1]),
+        coin=lambda i: int(coins[i - 1]),
+        q1=(lambda i: 0) if q1_bits is None else lambda i: int(q1_bits[i - 1]),
+        target=(lambda i: W1) if targets is None else lambda i: targets[i - 1],
+    ), len(coins)))
+    _check_plans("revised", plans)
+    return plans
 
 
 def run_grid(

@@ -29,8 +29,10 @@ must satisfy
     entangled pair  iff  coin XOR parity == 1
     basis singles   iff  coin XOR parity == 0
 
-and ``revised_round`` rejects plans that violate this.  The same rule
-with ``coin == 0`` reproduces the alternation of the original variant.
+The same rule with ``coin == 0`` reproduces the alternation of the
+original variant.  ``check_plan`` holds it for both variants, and both
+play one round body: encode, intercept, announce, Bob's block, Charlie's
+block, finish.
 
 Channel attacks plug in through a small hook interface (see
 ``ghzqss.attacks``); honest rounds pass ``attack=None``.  All quantum
@@ -312,37 +314,6 @@ def _assert_carrier(world: PureState, tracker: CarrierTracker) -> None:
         raise AssertionError(f"carrier failed to return to its {tracker.expected_form} form")
 
 
-def _finish_round(
-    world: PureState,
-    plan: RoundPlan,
-    tracker: CarrierTracker,
-    attack,
-    bob_bit: int,
-    charlie_bit: int,
-    recovered: int,
-    events: list[dict],
-    records: list[MeasurementRecord],
-) -> tuple[PureState, RoundTranscript]:
-    world = _cleanup_transit(world)
-    if attack is None:
-        _assert_carrier(world, tracker)
-    notes = attack.take_round_notes() if attack is not None else None
-    transcript = RoundTranscript(
-        round_index=plan.round_index,
-        mode=plan.mode_name,
-        hadamard=plan.alice_hadamard,
-        target=plan.target,
-        secret=plan.secret,
-        bob=bob_bit,
-        charlie=charlie_bit,
-        recovered=recovered,
-        events=events,
-        records=records,
-        eve_notes=notes,
-    )
-    return world, transcript
-
-
 # --------------------------------------------------------------------------
 # Hadamard layer (alternating variant)
 
@@ -359,98 +330,144 @@ def hadamard_layer(
 
 
 # --------------------------------------------------------------------------
-# Alternating variant rounds
+# Rounds
 
 
-def original_odd_round(
+def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
+    """Raise ``ValueError`` unless ``plan`` decodes exactly when played
+    against the carrier form ``parity`` in the given variant.
+
+    The alternating variant has no coin and plays ``ProductPair`` in odd
+    rounds against ``chi`` and ``EntangledPair`` in even rounds against
+    ``g``; the coin-flip variant pairs encoding, coin and form per the
+    rule in the module docstring.  Every payload bit must be 0 or 1.
+    """
+    mode, coin = plan.mode, plan.alice_hadamard
+    kind = type(mode)
+    if coin_flip:
+        if coin not in (0, 1):
+            raise ValueError("coin-flip variant plans need alice_hadamard 0 or 1")
+        if kind is ProductPair:
+            raise ValueError("the coin-flip variant does not use the product encoding")
+        if (kind is EntangledPair) != (coin ^ parity == 1):
+            raise ValueError(
+                f"plan for round {plan.round_index} pairs "
+                f"{'the entangled' if kind is EntangledPair else 'the single'} encoding with coin={coin} "
+                f"against the carrier form {'g' if parity else 'chi'}; decode would not be exact"
+            )
+    else:
+        if coin is not None:
+            raise ValueError("the alternating variant has no per-round coin")
+        odd = plan.round_index % 2
+        if kind is not (ProductPair if odd else EntangledPair):
+            raise ValueError(
+                "alternating variant plans must alternate product/pair: "
+                + ("odd rounds use ProductPair" if odd else "even rounds use EntangledPair")
+            )
+        if parity == odd:
+            raise ValueError(f"{'odd' if odd else 'even'} rounds require the {'chi' if odd else 'g'} carrier form")
+    bits = (mode.q1, mode.q2) if kind is SinglePair else (mode.q,)
+    if any(bit not in (0, 1) for bit in bits):
+        raise ValueError(f"payload bits of round {plan.round_index} must be 0 or 1, got {bits}")
+
+
+def _play(
     world: PureState,
     plan: RoundPlan,
     tracker: CarrierTracker,
     rngs: Rngs,
-    attack=None,
+    attack,
+    coin_flip: bool,
 ) -> tuple[PureState, RoundTranscript]:
-    """Odd round: product encoding ``|q,q>`` against the ``chi`` form.
+    """The round of both variants: encode, intercept, announce, Bob's
+    block, Charlie's block, finish.
 
-    Both receivers CNOT from their carrier qubit onto their received
-    qubit and measure; each obtains the secret directly, so nothing is
-    announced beyond receipt.  ``recovered`` is defined as Bob's
-    outcome.
+    The variants differ only in the encoding and in the coin, which is
+    ``None`` in the alternating variant.
     """
-    if plan.round_index % 2 != 1:
-        raise ValueError(f"round {plan.round_index} is not odd")
-    if not isinstance(plan.mode, ProductPair):
-        raise ValueError("odd rounds of the alternating variant use ProductPair")
-    if plan.alice_hadamard is not None:
-        raise ValueError("the alternating variant has no per-round coin")
-    if tracker.hadamard_parity != 0:
-        raise ValueError("odd rounds require the chi carrier form")
+    check_plan(plan, tracker.hadamard_parity, coin_flip)
     _require_clean_world(world)
+    mode, coin = plan.mode, plan.alice_hadamard
+    kind = type(mode)
+    single = kind is SinglePair
 
-    q = plan.mode.q
-    world = tensor(world, basis_state([(W1, q), (W2, q)]))
-    world = apply_cnot(world, "a", W1)
-    world = apply_cnot(world, "a", W2)
+    # Encode: Alice applies H to her carrier qubit iff her coin is 1,
+    # prepares the transit qubits and CNOTs from her carrier qubit.
+    if coin:
+        world = apply_h(world, "a")
+    if kind is EntangledPair:
+        world = tensor(world, prepare_pair_qbar(mode.q))
+        world = apply_cnot(world, "a", W1)
+    elif single:
+        world = tensor(world, basis_state([(W1, mode.q1), (W2, mode.q2)]))
+        world = apply_cnot(world, "a", mode.target)
+    else:
+        world = tensor(world, basis_state([(W1, mode.q), (W2, mode.q)]))
+        world = apply_cnot(world, "a", W1)
+        world = apply_cnot(world, "a", W2)
 
+    # The transit qubits travel; attacks act here.
     to_bob, to_charlie = W1, W2
     if attack is not None:
         world, to_bob, to_charlie = attack.intercept(world, plan.round_index, rngs)
+
+    # Receipt is confirmed, then Alice announces her coin and, for the
+    # single encoding, the CNOT target.
     events = [ev_receipt()]
+    if coin is not None:
+        events.append(ev_hadamard(coin))
+    if single:
+        events.append(ev_target(mode.target))
 
-    world = apply_cnot(world, "b", to_bob)
-    world = apply_cnot(world, "c", to_charlie)
-    rec_b, world = measure(world, to_bob, rngs.bob)
+    # Bob's block.  A dishonest receiver replaces it.
+    if attack is not None and attack.controls_bob:
+        world, bob_bit, bob_records = attack.bob_decode(world, coin, plan.target, rngs)
+        records = list(bob_records)
+    else:
+        if coin:
+            world = apply_h(world, "b")
+        if not single or mode.target == W1:
+            world = apply_cnot(world, "b", to_bob)
+        rec_b, world = measure(world, to_bob, rngs.bob)
+        bob_bit = rec_b.outcome
+        records = [rec_b]
+
+    # Charlie's block.
+    if coin:
+        world = apply_h(world, "c")
+    if not single or mode.target == W2:
+        world = apply_cnot(world, "c", to_charlie)
     rec_c, world = measure(world, to_charlie, rngs.charlie)
+    records.append(rec_c)
 
-    return _finish_round(
-        world, plan, tracker, attack,
-        bob_bit=rec_b.outcome, charlie_bit=rec_c.outcome, recovered=rec_b.outcome,
-        events=events, records=[rec_b, rec_c],
+    # Finish.  A product pair gives each receiver the secret directly:
+    # nothing is announced beyond receipt and Bob's outcome is the
+    # recovered bit.  Otherwise Bob announces his outcome and the
+    # recovered bit is the XOR of the two.
+    if kind is ProductPair:
+        recovered = bob_bit
+    else:
+        events.append(ev_measurement("bob", bob_bit))
+        recovered = bob_bit ^ rec_c.outcome
+    if coin:
+        tracker.toggle()
+    world = _cleanup_transit(world)
+    if attack is None:
+        _assert_carrier(world, tracker)
+    transcript = RoundTranscript(
+        round_index=plan.round_index,
+        mode=plan.mode_name,
+        hadamard=coin,
+        target=plan.target,
+        secret=plan.secret,
+        bob=bob_bit,
+        charlie=rec_c.outcome,
+        recovered=recovered,
+        events=events,
+        records=records,
+        eve_notes=attack.take_round_notes() if attack is not None else None,
     )
-
-
-def original_even_round(
-    world: PureState,
-    plan: RoundPlan,
-    tracker: CarrierTracker,
-    rngs: Rngs,
-    attack=None,
-) -> tuple[PureState, RoundTranscript]:
-    """Even round: correlated-pair encoding against the ``g`` form.
-
-    Alice entangles the pair with her carrier qubit, each receiver CNOTs
-    from their carrier qubit onto their received qubit and measures, Bob
-    announces his outcome and the secret is the XOR of the two outcomes.
-    """
-    if plan.round_index % 2 != 0:
-        raise ValueError(f"round {plan.round_index} is not even")
-    if not isinstance(plan.mode, EntangledPair):
-        raise ValueError("even rounds of the alternating variant use EntangledPair")
-    if plan.alice_hadamard is not None:
-        raise ValueError("the alternating variant has no per-round coin")
-    if tracker.hadamard_parity != 1:
-        raise ValueError("even rounds require the g carrier form")
-    _require_clean_world(world)
-
-    world = tensor(world, prepare_pair_qbar(plan.mode.q))
-    world = apply_cnot(world, "a", W1)
-
-    to_bob, to_charlie = W1, W2
-    if attack is not None:
-        world, to_bob, to_charlie = attack.intercept(world, plan.round_index, rngs)
-    events = [ev_receipt()]
-
-    world = apply_cnot(world, "b", to_bob)
-    world = apply_cnot(world, "c", to_charlie)
-    rec_b, world = measure(world, to_bob, rngs.bob)
-    rec_c, world = measure(world, to_charlie, rngs.charlie)
-    events.append(ev_measurement("bob", rec_b.outcome))
-    recovered = rec_b.outcome ^ rec_c.outcome
-
-    return _finish_round(
-        world, plan, tracker, attack,
-        bob_bit=rec_b.outcome, charlie_bit=rec_c.outcome, recovered=recovered,
-        events=events, records=[rec_b, rec_c],
-    )
+    return world, transcript
 
 
 def original_round(
@@ -460,14 +477,16 @@ def original_round(
     rngs: Rngs,
     attack=None,
 ) -> tuple[PureState, RoundTranscript]:
-    """Dispatch to the odd or even round of the alternating variant."""
-    if plan.round_index % 2 == 1:
-        return original_odd_round(world, plan, tracker, rngs, attack)
-    return original_even_round(world, plan, tracker, rngs, attack)
+    """One round of the alternating variant.
 
-
-# --------------------------------------------------------------------------
-# Coin-flip variant round
+    Odd rounds send the product pair ``|q,q>`` against the ``chi`` form:
+    each receiver CNOTs from their carrier qubit onto their qubit,
+    measures and obtains the secret directly.  Even rounds send the
+    correlated pair against the ``g`` form, Bob announces his outcome
+    and the secret is the XOR of the two outcomes.  The caller applies
+    the Hadamard layer between rounds (``hadamard_layer``).
+    """
+    return _play(world, plan, tracker, rngs, attack, coin_flip=False)
 
 
 def revised_round(
@@ -479,87 +498,14 @@ def revised_round(
 ) -> tuple[PureState, RoundTranscript]:
     """One round of the coin-flip variant.
 
-    Order of operations, identical in every round:
-
-    1. Alice applies H to her carrier qubit iff her coin is 1.
-    2. She prepares the transit qubits (correlated pair, or two basis
-       qubits for the single encoding) and CNOTs from her carrier qubit
-       onto the pair's first qubit, or onto the announced target.
-    3. The transit qubits travel (attacks act here).
-    4. Receipt is confirmed, then Alice announces the coin, and for the
-       single encoding also the CNOT target.
-    5. Bob and Charlie apply H to their carrier qubits iff the coin is 1,
-       run their decode CNOTs, and measure.  Bob announces his outcome;
-       the recovered bit is the XOR of the two outcomes.
-
-    The plan must pair the encoding with the carrier form per the rule
-    in the module docstring, otherwise the decode would not be exact.
+    Alice applies H to her carrier qubit iff her coin is 1 and encodes.
+    After receipt she announces the coin, and the CNOT target of the
+    single encoding.  Bob, then Charlie, apply H to their carrier qubits
+    iff the coin is 1, run their decode CNOTs and measure.  The plan
+    must pair the encoding with the carrier form per the rule in the
+    module docstring, otherwise the decode would not be exact.
     """
-    coin = plan.alice_hadamard
-    if coin not in (0, 1):
-        raise ValueError("the coin-flip variant requires alice_hadamard 0 or 1")
-    if isinstance(plan.mode, ProductPair):
-        raise ValueError("the coin-flip variant does not use the product encoding")
-    is_pair = isinstance(plan.mode, EntangledPair)
-    if is_pair != (coin ^ tracker.hadamard_parity == 1):
-        raise ValueError(
-            f"plan for round {plan.round_index} pairs "
-            f"{'the entangled' if is_pair else 'the single'} encoding with coin={coin} "
-            f"while the carrier form is {tracker.expected_form}; decode would not be exact"
-        )
-    _require_clean_world(world)
-
-    if coin:
-        world = apply_h(world, "a")
-    if is_pair:
-        world = tensor(world, prepare_pair_qbar(plan.mode.q))
-        world = apply_cnot(world, "a", W1)
-    else:
-        world = tensor(world, basis_state([(W1, plan.mode.q1), (W2, plan.mode.q2)]))
-        world = apply_cnot(world, "a", plan.mode.target)
-
-    to_bob, to_charlie = W1, W2
-    if attack is not None:
-        world, to_bob, to_charlie = attack.intercept(world, plan.round_index, rngs)
-
-    events = [ev_receipt(), ev_hadamard(coin)]
-    if not is_pair:
-        events.append(ev_target(plan.mode.target))
-
-    records: list[MeasurementRecord] = []
-
-    # Bob's side.  A dishonest receiver replaces this whole block.
-    if attack is not None and getattr(attack, "controls_bob", False):
-        world, bob_bit, bob_records = attack.bob_decode(world, coin, plan.target, rngs)
-        records.extend(bob_records)
-    else:
-        if coin:
-            world = apply_h(world, "b")
-        if is_pair or plan.target == W1:
-            world = apply_cnot(world, "b", to_bob)
-        rec_b, world = measure(world, to_bob, rngs.bob)
-        records.append(rec_b)
-        bob_bit = rec_b.outcome
-
-    # Charlie's side.
-    if coin:
-        world = apply_h(world, "c")
-    if is_pair or plan.target == W2:
-        world = apply_cnot(world, "c", to_charlie)
-    rec_c, world = measure(world, to_charlie, rngs.charlie)
-    records.append(rec_c)
-
-    events.append(ev_measurement("bob", bob_bit))
-    recovered = bob_bit ^ rec_c.outcome
-
-    if coin:
-        tracker.toggle()
-
-    return _finish_round(
-        world, plan, tracker, attack,
-        bob_bit=bob_bit, charlie_bit=rec_c.outcome, recovered=recovered,
-        events=events, records=records,
-    )
+    return _play(world, plan, tracker, rngs, attack, coin_flip=True)
 
 
 # --------------------------------------------------------------------------

@@ -82,12 +82,30 @@ class TestFork:
         attack.intercept(tensor(chi_state(), basis_state([(W1, 0), (W2, 0)])), 1, _rngs())
         twin = attack.fork()
         assert type(twin) is A2Attack
-        assert twin._next_round == attack._next_round == 2
-        for name in ("records", "inferred", "_live"):
+        assert twin.state == attack.state == ("e1",)
+        assert twin.round_key(2) == attack.round_key(2) == (2, ("e1",))
+        for name in ("records", "inferred"):
             assert getattr(twin, name) == getattr(attack, name)
             assert getattr(twin, name) is not getattr(attack, name)
         assert twin.coins.bit_generator is not attack.coins.bit_generator
         assert list(twin.coins.integers(0, 1 << 30, size=4)) == list(attack.coins.integers(0, 1 << 30, size=4))
+
+    @pytest.mark.parametrize("cls", [A1Attack, A2Attack, A2ProbeAttack])
+    def test_forks_that_never_draw_build_no_bit_generator(self, cls):
+        class CountingBits(np.random.PCG64):
+            built = 0
+
+            def __init__(self, seed):
+                CountingBits.built += 1
+                super().__init__(seed)
+
+        attack = cls(np.random.Generator(CountingBits(5)))
+        world = tensor(chi_state(), basis_state([(W1, 0), (W2, 0)]))
+        twin = attack.fork()
+        twin.intercept(world, 1, _rngs())
+        twin.fork().fork()
+        attack.fork()
+        assert CountingBits.built == 1
 
     def test_twin_draws_do_not_advance_the_original(self):
         attack = DishonestBobAttack(np.random.default_rng(8))
@@ -120,8 +138,10 @@ class TestRoundReplay:
         assert probe.round_key(2) is True
         a2 = A2Attack()
         assert a2.round_key(1) == (1, ())
-        a2.replay_round(4, ((), (), ("e1", "e2")))
-        assert [a2.round_key(5), a2._next_round] == [("odd", ("e1", "e2")), 5]
+        a2.replay_round(4, ((), ((0, 1, "xor_with_round2_secret"),), ("e1", "e2")))
+        assert [a2.round_key(5), a2.state] == [("odd", ("e1", "e2")), ("e1", "e2")]
+        with pytest.raises(ValueError, match="expected round 5"):
+            a2.round_key(6)
         assert DishonestBobAttack().round_key(7) is None
 
 
@@ -201,7 +221,7 @@ class TestFullSchedule:
         attack = A2Attack()
         some = tensor(basis_state([("e1", 0)]), basis_state([("x", 1)]))
         assert attack.sync_hadamard(some) is some
-        attack._live.append("e1")
+        attack.state = ("e1",)
         out = attack.sync_hadamard(some)
         assert equal_up_to_sign(out, apply_h(some, "e1"))
 

@@ -129,6 +129,15 @@ class TestRunCommand:
             assert record["recovered"] == record["secret"]
             assert list(record)[0] == "round"
 
+    def test_bad_seed_leaves_an_existing_transcript_file_intact(self, capsys, tmp_path):
+        path = tmp_path / "existing.jsonl"
+        path.write_bytes(b'{"round":1}\n')
+        code, out, err = _run(capsys, ["run", "--seed", "-1", "--transcripts", str(path)])
+        assert code == 2
+        assert "seed" in err
+        assert out == ""
+        assert path.read_bytes() == b'{"round":1}\n'
+
     def test_unwritable_transcript_path_fails_before_simulating(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -244,3 +253,12 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rounds_run"] == 15
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        import ghzqss
+
+        assert len(set(ghzqss.__all__)) == len(ghzqss.__all__)
+        missing = [name for name in ghzqss.__all__ if not hasattr(ghzqss, name)]
+        assert missing == []

@@ -82,6 +82,9 @@ class TestSimConfigValidation:
             (dict(detect_threshold=float("nan")), "detect_threshold"),
             (dict(detect_threshold=float("inf")), "detect_threshold"),
             (dict(detect_threshold=-1.0), "detect_threshold"),
+            (dict(seed=-1), "seed must be at least 0"),
+            (dict(seed=1.5), "seed must be an integer"),
+            (dict(rounds=2.5), "rounds must be an integer"),
         ],
     )
     def test_bad_configs_are_rejected(self, kwargs, match):
@@ -256,6 +259,22 @@ class TestEnumeration:
         wrong_alt = (RoundPlan(1, EntangledPair(0)),)
         with pytest.raises(ValueError, match="alternate"):
             Scenario("original", wrong_alt)
+        with pytest.raises(ValueError, match="attack_seed must be at least 0"):
+            Scenario("original", original_plans((0,)), attack_seed=-1)
+
+    @pytest.mark.parametrize(
+        "plans",
+        [
+            (RoundPlan(1, ProductPair(2)),),
+            (RoundPlan(1, ProductPair(0)), RoundPlan(2, EntangledPair(-1))),
+            (RoundPlan(1, EntangledPair(3), alice_hadamard=1),),
+            (RoundPlan(1, SinglePair(0, 2, W1), alice_hadamard=0),),
+        ],
+    )
+    def test_scenarios_reject_payload_bits_outside_0_and_1(self, plans):
+        variant = "revised" if plans[0].alice_hadamard is not None else "original"
+        with pytest.raises(ValueError, match="payload bits"):
+            Scenario(variant, plans)
 
     def test_monte_carlo_agrees_with_exact_probabilities(self):
         # Two-round sessions, coin forced to 1 both rounds: a pair round
@@ -481,6 +500,18 @@ class TestPlansBuilders:
         with pytest.raises(ValueError, match="equal length"):
             revised_plans((0, 1), (1,))
 
+    def test_builders_reject_bad_inputs(self):
+        with pytest.raises(ValueError, match="payload bits"):
+            original_plans([2])
+        with pytest.raises(ValueError, match="payload bits"):
+            revised_plans((1,), (3,))
+        with pytest.raises(ValueError, match="payload bits"):
+            revised_plans((0,), (1,), q1_bits=(2,))
+        with pytest.raises(ValueError, match="q1_bits has 1 entries for 2 rounds"):
+            revised_plans((0, 0), (1, 1), q1_bits=(0,))
+        with pytest.raises(ValueError, match="targets has 0 entries for 1 rounds"):
+            revised_plans((0,), (1,), targets=())
+
 
 class TestRunGrid:
     def test_grid_shape_and_determinism(self):
@@ -651,13 +682,12 @@ class TestRoundTable:
     def test_replayed_inferences_must_take_the_replayed_round(self, table, monkeypatch):
         def recorded_round(self, mark, round_index):
             n_records, n_inferred = mark
-            return tuple(self.records[n_records:]), tuple(self.inferred[n_inferred:]), self._carried_state()
+            return tuple(self.records[n_records:]), tuple(self.inferred[n_inferred:]), self.state
 
         def replay_round(self, round_index, recorded):
-            records, inferred, state = recorded
+            records, inferred, self.state = recorded
             self.records.extend(records)
             self.inferred.extend(inferred)
-            self._restore_state(round_index, state)
 
         monkeypatch.setattr(ChannelAttack, "recorded_round", recorded_round)
         monkeypatch.setattr(ChannelAttack, "replay_round", replay_round)

@@ -20,8 +20,6 @@ from ghzqss.protocol import (
     chi_state,
     g_state,
     hadamard_layer,
-    original_even_round,
-    original_odd_round,
     original_round,
     revised_round,
     transcripts_to_jsonl,
@@ -256,10 +254,6 @@ class TestOriginalRounds:
         assert [ev["event"] for ev in t.events] == ["receipt_confirmed"]
 
     def test_round_index_and_mode_must_agree(self):
-        with pytest.raises(ValueError, match="not odd"):
-            original_odd_round(chi_state(), RoundPlan(2, EntangledPair(0)), CarrierTracker(), _rngs())
-        with pytest.raises(ValueError, match="not even"):
-            original_even_round(g_state(), RoundPlan(1, ProductPair(0)), CarrierTracker(1), _rngs())
         with pytest.raises(ValueError, match="ProductPair"):
             original_round(chi_state(), RoundPlan(1, EntangledPair(0)), CarrierTracker(), _rngs())
         with pytest.raises(ValueError, match="EntangledPair"):
