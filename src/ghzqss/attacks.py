@@ -47,12 +47,10 @@ plays on the statevector path.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .protocol import W1, W2
-from .qsim import MeasurementRecord, PureState, apply_cnot, apply_h, basis_state, discard, measure, prepare_pair_qbar, tensor
+from .qsim import MeasurementRecord, PureState, apply_cnot, apply_h, basis_state, measure, prepare_pair_qbar, tensor
 
 
 class ChannelAttack:
@@ -140,7 +138,8 @@ class ChannelAttack:
         records leak into its siblings.  ``state`` and the records
         themselves are immutable and stay shared.
         """
-        twin = copy.copy(self)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
         twin.records = list(self.records)
         twin.inferred = list(self.inferred)
         coins = self._coins
@@ -273,13 +272,11 @@ class A2Attack(ChannelAttack):
             self._notes = {"inferred_value": rec.outcome, "relative_to_round": 1}
         else:
             world = apply_cnot(world, "e2", W1)
-            rec1, world = measure(world, W1, rngs.attack)
-            rec2, world = measure(world, W2, rngs.attack)
+            rec1, world = measure(world, W1, rngs.attack, drop=True)
+            rec2, world = measure(world, W2, rngs.attack, drop=True)
             self.records += [rec1, rec2]
             value = rec1.outcome ^ rec2.outcome
             self.inferred.append((round_index, value, "xor_with_round2_secret"))
-            world = discard(world, W1)
-            world = discard(world, W2)
             world = tensor(world, prepare_pair_qbar(value))
             world = apply_cnot(world, "e2", W1)
             world = apply_cnot(world, "e1", W1)
@@ -327,22 +324,22 @@ class DishonestBobAttack(ChannelAttack):
         if target is None:
             # Entangled pair: his lone decode collapses junk.
             world = apply_cnot(world, "b", W1)
-            rec1, world = measure(world, W1, rngs.attack)
-            rec2, world = measure(world, W2, rngs.attack)
+            rec1, world = measure(world, W1, rngs.attack, drop=True)
+            rec2, world = measure(world, W2, rngs.attack, drop=True)
             records += [rec1, rec2]
             inferred: int | None = None
             announced = int(self.coins.integers(0, 2))
         elif target == W1:
             world = apply_cnot(world, "b", W1)
-            rec1, world = measure(world, W1, rngs.attack)
-            rec2, world = measure(world, W2, rngs.attack)
+            rec1, world = measure(world, W1, rngs.attack, drop=True)
+            rec2, world = measure(world, W2, rngs.attack, drop=True)
             records += [rec1, rec2]
             inferred = rec1.outcome ^ rec2.outcome
             announced = inferred ^ q2p
         else:
-            rec1, world = measure(world, W1, rngs.attack)
+            rec1, world = measure(world, W1, rngs.attack, drop=True)
             world = apply_cnot(world, "b", W2)
-            rec2, world = measure(world, W2, rngs.attack)
+            rec2, world = measure(world, W2, rngs.attack, drop=True)
             records += [rec1, rec2]
             inferred = rec1.outcome ^ rec2.outcome
             announced = inferred ^ q2p

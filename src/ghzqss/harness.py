@@ -449,9 +449,18 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     return branches
 
 
+def _script_ints(name: str, entries: Sequence[int]) -> tuple[int, ...]:
+    """Script entries as ints; a float is an error, never truncated."""
+    try:
+        return tuple(operator.index(e) for e in entries)
+    except TypeError:
+        raise ValueError(f"{name} entries must be integers, got {tuple(entries)!r}") from None
+
+
 def original_plans(secrets: Sequence[int]) -> tuple[RoundPlan, ...]:
     """Alternating-variant plans for the given per-round secrets."""
-    plans = tuple(itertools.islice(_round_plans("original", lambda i: int(secrets[i - 1])), len(secrets)))
+    secrets = _script_ints("secrets", secrets)
+    plans = tuple(itertools.islice(_round_plans("original", lambda i: secrets[i - 1]), len(secrets)))
     _check_plans("original", plans)
     return plans
 
@@ -465,18 +474,22 @@ def revised_plans(
     """Coin-flip-variant plans with the encoding picked per the form rule.
 
     ``q1_bits`` and ``targets`` steer the single-encoding rounds and
-    default to 0 and ``w1``; entries for pair rounds are ignored.
+    default to 0 and ``w1``; entries for pair rounds are ignored.  Every
+    coin, secret and ``q1_bits`` entry must be an integer.
     """
     if len(coins) != len(secrets):
         raise ValueError("coins and secrets must have equal length")
     for name, steer in (("q1_bits", q1_bits), ("targets", targets)):
         if steer is not None and len(steer) < len(coins):
             raise ValueError(f"{name} has {len(steer)} entries for {len(coins)} rounds")
+    coins, secrets = _script_ints("coins", coins), _script_ints("secrets", secrets)
+    if q1_bits is not None:
+        q1_bits = _script_ints("q1_bits", q1_bits)
     plans = tuple(itertools.islice(_round_plans(
         "revised",
-        secret=lambda i: int(secrets[i - 1]),
-        coin=lambda i: int(coins[i - 1]),
-        q1=(lambda i: 0) if q1_bits is None else lambda i: int(q1_bits[i - 1]),
+        secret=lambda i: secrets[i - 1],
+        coin=lambda i: coins[i - 1],
+        q1=(lambda i: 0) if q1_bits is None else lambda i: q1_bits[i - 1],
         target=(lambda i: W1) if targets is None else lambda i: targets[i - 1],
     ), len(coins)))
     _check_plans("revised", plans)

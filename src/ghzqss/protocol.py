@@ -301,6 +301,12 @@ def _require_clean_world(world: PureState) -> None:
 
 
 def _cleanup_transit(world: PureState) -> PureState:
+    """Discard the transit qubits left in the world.
+
+    Measured qubits were dropped by their measurement, so only qubits
+    nobody measured remain, such as a substitute a dishonest receiver
+    kept; ``discard`` checks that each is definite.
+    """
     for lab in TRANSIT_LABELS:
         if lab in world.labels:
             world = discard(world, lab)
@@ -428,7 +434,7 @@ def _play(
             world = apply_h(world, "b")
         if not single or mode.target == W1:
             world = apply_cnot(world, "b", to_bob)
-        rec_b, world = measure(world, to_bob, rngs.bob)
+        rec_b, world = measure(world, to_bob, rngs.bob, drop=True)
         bob_bit = rec_b.outcome
         records = [rec_b]
 
@@ -437,7 +443,7 @@ def _play(
         world = apply_h(world, "c")
     if not single or mode.target == W2:
         world = apply_cnot(world, "c", to_charlie)
-    rec_c, world = measure(world, to_charlie, rngs.charlie)
+    rec_c, world = measure(world, to_charlie, rngs.charlie, drop=True)
     records.append(rec_c)
 
     # Finish.  A product pair gives each receiver the secret directly:

@@ -12,7 +12,9 @@ draws a single uniform float from the supplied generator, except when
 one outcome carries probability below ``ATOL`` in which case the other
 outcome is forced and the generator is not consulted at all.  That rule
 is what makes deterministic protocol branches reproducible independent
-of how many rng draws happened earlier.
+of how many rng draws happened earlier.  ``measure(..., drop=True)``
+also removes the measured qubit from the register in the same gather;
+``discard`` is left for qubits that were never measured.
 """
 
 from __future__ import annotations
@@ -244,19 +246,28 @@ def probability_of_one(state: PureState, label: str) -> float:
     return float(np.einsum("ij,ij->", hi, hi))
 
 
-def measure(state: PureState, label: str, rng) -> tuple[MeasurementRecord, PureState]:
+def measure(state: PureState, label: str, rng, *, drop: bool = False) -> tuple[MeasurementRecord, PureState]:
     """Measure one qubit in the computational basis.
 
-    Returns the record and the renormalized post-measurement state (the
-    measured qubit stays in the register, now definite).  ``rng`` needs
-    only a ``random()`` method returning a float in [0, 1); it is not
-    consulted when one outcome has probability below ``ATOL``.
+    Returns the record and the renormalized post-measurement state.
+    ``rng`` needs only a ``random()`` method returning a float in [0, 1);
+    it is not consulted when one outcome has probability below ``ATOL``.
 
     Born weights of Clifford circuits are 0, 1/2 or 1, and float drift
     only moves their last bits.  A forced outcome records exactly 1.0,
     and a weight within ``ATOL`` of 1/2 becomes exactly 0.5, so every
     protocol fork draws against the same threshold whatever the drift.
+
+    By default the measured qubit stays in the register, now definite.
+    With ``drop=True`` the one gather of the outcome's half is already
+    the reduced state, and the qubit leaves the register: the result is
+    byte for byte ``discard`` of the default result, without
+    ``discard``'s second Born weight.  Dropping the last qubit raises
+    before any draw.
     """
+    n = state.num_qubits
+    if drop and n == 1:
+        raise ValueError("cannot drop the last qubit")
     p1 = probability_of_one(state, label)
     if p1 < ATOL:
         outcome, prob = 0, 1.0
@@ -268,10 +279,17 @@ def measure(state: PureState, label: str, rng) -> tuple[MeasurementRecord, PureS
         u = rng.random()
         outcome = 1 if u < p1 else 0
         prob = p1 if outcome == 1 else 1.0 - p1
-    kept = _axis_table(state.num_qubits, state.axis(label))[outcome]  # lo or hi
+    record = MeasurementRecord(label, outcome, float(prob))
+    k = state.axis(label)
+    kept = _axis_table(n, k)[outcome]  # lo or hi
+    if drop:
+        # Both divisions of the measure-then-discard pair, in its order.
+        half = state.amps[kept] / math.sqrt(prob)
+        half /= math.sqrt(np.dot(half, half))
+        return record, _wrap(state.labels[:k] + state.labels[k + 1 :], half)
     out = np.zeros(state.amps.size)
     out[kept] = state.amps[kept] / math.sqrt(prob)
-    return MeasurementRecord(label, outcome, float(prob)), _wrap(state.labels, out)
+    return record, _wrap(state.labels, out)
 
 
 def tensor(left: PureState, right: PureState) -> PureState:
@@ -291,7 +309,8 @@ def discard(state: PureState, label: str) -> PureState:
 
     Discarding a qubit still in superposition, or one entangled with the
     rest of the register, is an error: that would silently turn a pure
-    state into a mixture.
+    state into a mixture.  ``measure(..., drop=True)`` measures and drops
+    in one pass.
     """
     if state.num_qubits == 1:
         raise ValueError("cannot discard the last qubit")

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ghzqss import attacks, protocol, qsim
 from ghzqss.attacks import (
     A1Attack,
     A2Attack,
@@ -23,7 +24,18 @@ from ghzqss.attacks import (
     eve_reconstruct,
 )
 from ghzqss.harness import Scenario, enumerate_branches, original_plans, revised_plans
-from ghzqss.protocol import W1, W2, EntangledPair, Rngs, RoundPlan, SinglePair, chi_state
+from ghzqss.protocol import (
+    CARRIER,
+    W1,
+    W2,
+    CarrierTracker,
+    EntangledPair,
+    Rngs,
+    RoundPlan,
+    SinglePair,
+    chi_state,
+    revised_round,
+)
 from ghzqss.qsim import apply_cnot, apply_h, basis_state, equal_up_to_sign, state_from_terms, tensor
 
 RH = 1.0 / np.sqrt(2.0)
@@ -360,3 +372,56 @@ class TestPersistentProbeDynamics:
             assert abs(buckets.pop(()) - 0.5) < 1e-9
             assert len(buckets) == 1
             assert abs(next(iter(buckets.values())) - 0.5) < 1e-9
+
+
+class TestMeasureAndDrop:
+    """Measured transit qubits leave the world with their measurement;
+    only qubits nobody measured go through ``discard``, which keeps its
+    definiteness check."""
+
+    @pytest.fixture
+    def discarded(self, monkeypatch):
+        labels = []
+        real = qsim.discard
+
+        def counting(state, label):
+            labels.append(label)
+            return real(state, label)
+
+        for module in (qsim, protocol, attacks):
+            monkeypatch.setattr(module, "discard", counting, raising=False)
+        return labels
+
+    PLANS = (
+        RoundPlan(1, EntangledPair(1), alice_hadamard=1),
+        RoundPlan(1, SinglePair(1, 0, W1), alice_hadamard=0),
+        RoundPlan(1, SinglePair(0, 1, W2), alice_hadamard=0),
+    )
+
+    def test_honest_rounds_discard_nothing(self, discarded):
+        for plan in self.PLANS:
+            world, t = revised_round(chi_state(), plan, CarrierTracker(), _rngs())
+            assert world.labels == CARRIER and t.recovered == t.secret
+        assert discarded == []
+
+    def test_a_gate2_scenario_discards_nothing(self, discarded):
+        branches = enumerate_branches(Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2"))
+        assert len(branches) == 32 and all(b.errors == 0 for b in branches)
+        assert discarded == []
+
+    def test_a_dishonest_round_discards_only_the_kept_substitute(self, discarded):
+        for plan in self.PLANS:
+            discarded.clear()
+            world, _ = revised_round(chi_state(), plan, CarrierTracker(), _rngs(), DishonestBobAttack())
+            assert world.labels == CARRIER
+            assert discarded == ["w1p"]
+
+    def test_an_entangled_substitute_is_still_refused(self):
+        class EntanglingBob(DishonestBobAttack):
+            def intercept(self, world, round_index, rngs):
+                world, to_bob, to_charlie = super().intercept(world, round_index, rngs)
+                return apply_cnot(world, "a", "w1p"), to_bob, to_charlie
+
+        plan = RoundPlan(1, SinglePair(1, 0, W1), alice_hadamard=0)
+        with pytest.raises(ValueError, match="'w1p' is not definite"):
+            revised_round(chi_state(), plan, CarrierTracker(), _rngs(), EntanglingBob())

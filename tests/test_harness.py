@@ -511,6 +511,13 @@ class TestPlansBuilders:
             revised_plans((0, 0), (1, 1), q1_bits=(0,))
         with pytest.raises(ValueError, match="targets has 0 entries for 1 rounds"):
             revised_plans((0,), (1,), targets=())
+        # Floats are rejected, not truncated to a valid bit.
+        with pytest.raises(ValueError, match="secrets entries must be integers"):
+            original_plans([1.9, 0.4])
+        with pytest.raises(ValueError, match="coins entries must be integers"):
+            revised_plans((0.6,), (True,))
+        with pytest.raises(ValueError, match="q1_bits entries must be integers"):
+            revised_plans((0,), (1,), q1_bits=(1.7,))
 
 
 class TestRunGrid:

@@ -466,12 +466,14 @@ def _ref_discard(amps, n, k):
 
 
 class _Draw:
-    """Measurement rng that returns one fixed value."""
+    """Measurement rng that returns one fixed value and counts its draws."""
 
     def __init__(self, u):
         self.u = u
+        self.calls = 0
 
     def random(self):
+        self.calls += 1
         return self.u
 
 
@@ -515,6 +517,27 @@ class TestReferenceKernels:
                     if n > 1:
                         got = discard(post, f"q{k}").amps
                         assert got.tobytes() == _ref_discard(amps, n, k).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_measure_and_drop_matches_reference_then_discard(self, n):
+        rng = np.random.default_rng(970 + n)
+        for st in self._states(rng, n):
+            for k in range(n):
+                label = f"q{k}"
+                for u in (float(rng.random()), _ref_probability_of_one(st.amps, n, k)):
+                    ref_draw, draw = _Draw(u), _Draw(u)
+                    outcome, prob, amps = _ref_measure(st.amps, n, k, ref_draw)
+                    want = discard(PureState(st.labels, amps), label)
+                    rec, got = measure(st, label, draw, drop=True)
+                    assert rec == MeasurementRecord(label, outcome, prob)
+                    assert got.labels == want.labels
+                    assert got.amps.tobytes() == want.amps.tobytes()
+                    assert draw.calls == ref_draw.calls
+
+    def test_dropping_the_last_qubit_raises_before_any_draw(self):
+        st = apply_h(basis_state([("q0", 0)]), "q0")
+        with pytest.raises(ValueError, match="last qubit"):
+            measure(st, "q0", _NoDraw(), drop=True)
 
 
 def test_measurement_record_is_immutable():
