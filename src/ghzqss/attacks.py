@@ -28,6 +28,12 @@ announcements) come from the attack's own ``coins`` generator, kept
 separate from the quantum streams so that branch enumeration treats
 them as fixed inputs rather than quantum forks.
 
+``ATTACKS`` is the strategy table: it maps each strategy name to its
+class, whose attributes state the session variant the strategy is
+defined against (``variant``) and how its inferences are scored
+(``readout``).  ``STRATEGIES``, ``build_attack`` and
+``harness.COMPATIBLE`` derive from it.
+
 Whatever the hooks carry from one call to the next lives in one
 immutable value, ``state``; the other attributes only grow (``records``,
 ``inferred``) or drain (the round notes).  ``fork()`` returns an
@@ -57,6 +63,11 @@ class ChannelAttack:
     """Base class: a passive channel that delivers qubits untouched."""
 
     name = "none"
+    variant: str | None = None  # the session variant the strategy is defined against
+    # What ``inferred`` holds for scoring: nothing (``None``), values
+    # relative to the secrets of rounds 1 and 2 (``"relative"``, anchored
+    # by announced secrets), or the secrets themselves (``"absolute"``).
+    readout: str | None = None
     controls_bob = False
     state = None  # what the hooks carry from one call to the next; immutable
 
@@ -170,6 +181,7 @@ class ProbeAttack(ChannelAttack):
       nothing.
     """
 
+    variant = "revised"
     copies: tuple[str, ...] = ()
     state = False  # whether the probe is in the world
 
@@ -222,6 +234,8 @@ class A2Attack(ChannelAttack):
     """
 
     name = "a2"
+    variant = "original"
+    readout = "relative"
     state = ()  # the probes installed so far
 
     def _check_order(self, round_index: int) -> None:
@@ -303,6 +317,8 @@ class DishonestBobAttack(ChannelAttack):
     """
 
     name = "dishonest-bob"
+    variant = "revised"
+    readout = "absolute"
     controls_bob = True
     # From intercept to Bob's decode: the round and the substitute bits.
     state: tuple[int, int, int] | None = None
@@ -318,36 +334,25 @@ class DishonestBobAttack(ChannelAttack):
         if self.state is None:
             raise ValueError("bob_decode called before intercept")
         round_index, q1p, q2p = self.state
-        records: list[MeasurementRecord] = []
         if coin:
             world = apply_h(world, "b")
+        if target != W2:
+            world = apply_cnot(world, "b", W1)
+        rec1, world = measure(world, W1, rngs.attack, drop=True)
+        if target == W2:
+            world = apply_cnot(world, "b", W2)
+        rec2, world = measure(world, W2, rngs.attack, drop=True)
         if target is None:
             # Entangled pair: his lone decode collapses junk.
-            world = apply_cnot(world, "b", W1)
-            rec1, world = measure(world, W1, rngs.attack, drop=True)
-            rec2, world = measure(world, W2, rngs.attack, drop=True)
-            records += [rec1, rec2]
-            inferred: int | None = None
+            inferred = None
             announced = int(self.coins.integers(0, 2))
-        elif target == W1:
-            world = apply_cnot(world, "b", W1)
-            rec1, world = measure(world, W1, rngs.attack, drop=True)
-            rec2, world = measure(world, W2, rngs.attack, drop=True)
-            records += [rec1, rec2]
-            inferred = rec1.outcome ^ rec2.outcome
-            announced = inferred ^ q2p
         else:
-            rec1, world = measure(world, W1, rngs.attack, drop=True)
-            world = apply_cnot(world, "b", W2)
-            rec2, world = measure(world, W2, rngs.attack, drop=True)
-            records += [rec1, rec2]
             inferred = rec1.outcome ^ rec2.outcome
-            announced = inferred ^ q2p
-        if inferred is not None:
             self.inferred.append((round_index, inferred, "secret"))
+            announced = inferred ^ q2p
         self._notes = {"inferred_secret": inferred, "substitute_bits": (q1p, q2p)}
         self.state = None
-        return world, announced, records
+        return world, announced, [rec1, rec2]
 
 
 def eve_reconstruct(
@@ -400,19 +405,17 @@ def eve_reconstruct(
     return guesses, tuple(missing)
 
 
-STRATEGIES = ("none", "a1", "a2", "a2-probe", "dishonest-bob")
+# The strategy table: every strategy by name, ``"none"`` (no attack) first.
+ATTACKS: dict[str, type[ChannelAttack] | None] = {
+    "none": None, **{cls.name: cls for cls in (A1Attack, A2Attack, A2ProbeAttack, DishonestBobAttack)}
+}
+STRATEGIES = tuple(ATTACKS)
 
 
 def build_attack(strategy: str, coins: np.random.Generator | None = None) -> ChannelAttack | None:
     """Instantiate a strategy by name; ``"none"`` maps to ``None``."""
-    if strategy == "none":
-        return None
-    if strategy == "a1":
-        return A1Attack(coins)
-    if strategy == "a2":
-        return A2Attack(coins)
-    if strategy == "a2-probe":
-        return A2ProbeAttack(coins)
-    if strategy == "dishonest-bob":
-        return DishonestBobAttack(coins)
-    raise ValueError(f"unknown strategy {strategy!r}; known: {', '.join(STRATEGIES)}")
+    try:
+        cls = ATTACKS[strategy]
+    except KeyError:
+        raise ValueError(f"unknown strategy {strategy!r}; known: {', '.join(STRATEGIES)}") from None
+    return None if cls is None else cls(coins)

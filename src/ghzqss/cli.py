@@ -19,7 +19,7 @@ from contextlib import nullcontext
 
 from .attacks import STRATEGIES
 from .corpus import IDENTITY_IDS, verify_equation_corpus
-from .harness import SimConfig, SimReport, run_grid, run_simulation
+from .harness import VARIANTS, SimConfig, SimReport, run_grid, run_simulation
 from .protocol import transcripts_to_jsonl
 
 CSV_HEADER = (
@@ -28,12 +28,15 @@ CSV_HEADER = (
 )
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed`` if given, else ``QSS_SEED``, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("QSS_SEED", "0")
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"QSS_SEED must be an integer, got {raw!r}") from None
 
 
 def _fmt_float(v: float | None) -> str:
@@ -103,7 +106,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         variant=args.protocol,
         strategy=args.attack,
         rounds=args.rounds,
-        seed=args.seed,
+        seed=_seed(args),
         check_fraction=args.check_fraction,
         hadamard_bias=args.hadamard_bias,
         secret_bits=args.secrets,
@@ -133,7 +136,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rounds_list = [int(x) for x in args.rounds.split(",") if x]
     fractions = [float(x) for x in args.check_fractions.split(",") if x]
     reports = run_grid(
-        args.protocol, strategies, rounds_list, fractions, args.repeats, args.seed
+        args.protocol, strategies, rounds_list, fractions, args.repeats, _seed(args)
     )
     _emit_reports(reports, args.format)
     return 0
@@ -186,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="play one session and report it")
-    run.add_argument("--protocol", choices=("original", "revised"), default="revised")
+    run.add_argument("--protocol", choices=VARIANTS, default="revised")
     run.add_argument("--attack", choices=STRATEGIES, default="none")
     run.add_argument("--rounds", type=int, default=100)
-    run.add_argument("--seed", type=int, default=_default_seed())
+    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--check-fraction", type=float, default=0.25)
     run.add_argument("--hadamard-bias", type=float, default=0.5,
                      help="probability of Alice's per-round coin (revised variant)")
@@ -204,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a grid of sessions")
-    sweep.add_argument("--protocol", choices=("original", "revised"), default="revised")
+    sweep.add_argument("--protocol", choices=VARIANTS, default="revised")
     sweep.add_argument("--attacks", default="none",
                        help="comma-separated strategies")
     sweep.add_argument("--rounds", default="100",
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated check fractions")
     sweep.add_argument("--repeats", type=int, default=1,
                        help="independent seeds per grid point")
-    sweep.add_argument("--seed", type=int, default=_default_seed())
+    sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--format", choices=("csv", "json", "human"), default="csv")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -25,15 +25,15 @@ would draw.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .attacks import build_attack, eve_reconstruct
+from .attacks import ATTACKS, build_attack, eve_reconstruct
 from .protocol import (
     CARRIER,
     W1,
@@ -47,7 +47,7 @@ from .protocol import (
     SinglePair,
     check_phase,
     check_plan,
-    check_size,
+    check_settings,
     chi_state,
     hadamard_layer,
     original_round,
@@ -58,10 +58,11 @@ from .replay import RoundTable, Session
 
 VARIANTS = ("original", "revised")
 
-# Which channel strategies are defined against which session variant.
+# Which channel strategies are defined against which session variant: no
+# attack against both, every other strategy against its class's ``variant``.
 COMPATIBLE = {
-    "original": ("none", "a2"),
-    "revised": ("none", "a1", "a2-probe", "dishonest-bob"),
+    variant: tuple(name for name, cls in ATTACKS.items() if cls is None or cls.variant == variant)
+    for variant in VARIANTS
 }
 
 # Named sub-streams derived from the session seed.
@@ -117,12 +118,9 @@ class SimConfig:
         _validate_combo(self.variant, self.strategy)
         _require_int("rounds", self.rounds, 1)
         _require_int("seed", self.seed, 0)
-        if not 0.0 < self.check_fraction <= 1.0:
-            raise ValueError("check_fraction must lie in (0, 1]")
+        check_settings(self.check_fraction, self.detect_threshold, "detect_threshold")
         if not 0.0 <= self.hadamard_bias <= 1.0:
             raise ValueError("hadamard_bias must lie in [0, 1]")
-        if not (math.isfinite(self.detect_threshold) and self.detect_threshold >= 0.0):
-            raise ValueError("detect_threshold must be a finite number >= 0")
         if self.secret_bits is not None:
             if set(self.secret_bits) - {"0", "1"}:
                 raise ValueError("secret_bits must contain only 0 and 1")
@@ -149,19 +147,7 @@ class SimReport:
     mode_breakdown: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "strategy": self.strategy,
-            "rounds": self.rounds,
-            "check_fraction": self.check_fraction,
-            "seed": self.seed,
-            "rounds_run": self.rounds_run,
-            "checked_rounds": self.checked_rounds,
-            "honest_error_rate": self.honest_error_rate,
-            "detected": self.detected,
-            "eve_accuracy": self.eve_accuracy,
-            "mode_breakdown": self.mode_breakdown,
-        }
+        return dataclasses.asdict(self)
 
 
 def _mode_key(t: RoundTranscript) -> str:
@@ -181,24 +167,23 @@ def _mode_breakdown(transcripts: Sequence[RoundTranscript]) -> dict[str, dict[st
     return out
 
 
-def _score_eve(attack, transcripts: Sequence[RoundTranscript]) -> float | None:
+def _score_eve(attack, transcripts: Sequence[RoundTranscript], checked: Sequence[int]) -> float | None:
     """Fraction of round secrets the attacker can name correctly.
 
-    Only strategies that actually produce readouts are scored: the full
-    schedule is anchored by announced check secrets plus the session's
-    first two secrets (announced during the public comparison), and the
-    dishonest receiver scores his direct inferences.  Passive probes
-    without a modeled readout return ``None``.
+    Only strategies that produce readouts are scored (``attack.readout``).
+    A relative readout is anchored by the secrets of the ``checked``
+    rounds, which the check phase announced, plus the session's first
+    two secrets (announced during the public comparison); an absolute
+    one scores the inferences alone.  Without a modeled readout the
+    score is ``None``.
     """
-    if attack is None or attack.name in ("a1", "a2-probe"):
+    if attack is None or attack.readout is None:
         return None
     announced = {}
-    if attack.name == "a2":
-        for t in transcripts[:2]:
-            announced[t.round_index] = t.secret
-        for t in transcripts:
-            if any(ev.get("event") == "check_announced" for ev in t.events):
-                announced[t.round_index] = t.secret
+    if attack.readout == "relative":
+        announced = {t.round_index: t.secret for t in transcripts[:2]}
+        # A session's transcripts hold rounds 1, 2, ... in order.
+        announced.update((r, transcripts[r - 1].secret) for r in checked)
     guesses, _ = eve_reconstruct(attack.inferred, announced)
     correct = sum(1 for t in transcripts if guesses.get(t.round_index) == t.secret)
     return correct / len(transcripts)
@@ -240,11 +225,11 @@ def _check_plans(variant: str, plans: Sequence[RoundPlan]) -> None:
     ``variant`` from round 1 that ``check_plan`` accepts round by round."""
     parity = 0
     for pos, plan in enumerate(plans, start=1):
-        if plan.round_index != pos:
-            raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
         if variant == "original" and pos > 1:
             parity ^= 1  # the Hadamard layer before every later round
         check_plan(plan, parity, variant == "revised")
+        if plan.round_index != pos:
+            raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
         parity ^= plan.alice_hadamard or 0
 
 
@@ -301,10 +286,9 @@ def run_simulation(
 ) -> SimReport:
     """Play one full session followed by the check phase."""
     _, attack, transcripts = _play_session(cfg)
-    error_rate, detected = check_phase(
+    error_rate, detected, checked = check_phase(
         transcripts, cfg.check_fraction, stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
     )
-    checked = check_size(len(transcripts), cfg.check_fraction)
     if transcripts_out is not None:
         transcripts_out.extend(transcripts)
     return SimReport(
@@ -314,10 +298,10 @@ def run_simulation(
         check_fraction=cfg.check_fraction,
         seed=cfg.seed,
         rounds_run=len(transcripts),
-        checked_rounds=checked,
+        checked_rounds=len(checked),
         honest_error_rate=error_rate,
         detected=detected,
-        eve_accuracy=_score_eve(attack, transcripts),
+        eve_accuracy=_score_eve(attack, transcripts, checked),
         mode_breakdown=_mode_breakdown(transcripts),
     )
 
@@ -505,8 +489,7 @@ def run_grid(
     master_seed: int,
 ) -> list[SimReport]:
     """Cartesian sweep; each grid point gets ``repeats`` derived seeds."""
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    _require_int("repeats", repeats, 1)
     if not (strategies and rounds_list and check_fractions):
         raise ValueError("sweep grid is empty")
     reports = []

@@ -43,6 +43,7 @@ reproducible and so the branch enumerator can take over the draws.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
@@ -111,10 +112,6 @@ class SinglePair:
     q2: int
     target: str
 
-    def __post_init__(self) -> None:
-        if self.target not in (W1, W2):
-            raise ValueError(f"target must be {W1!r} or {W2!r}, got {self.target!r}")
-
     @property
     def secret(self) -> int:
         return self.q1 ^ self.q2
@@ -141,18 +138,13 @@ class RoundPlan:
     """Alice's private plan for one round.
 
     ``alice_hadamard`` is the coin of the coin-flip variant and must be
-    ``None`` for the alternating variant, which has no coin.
+    ``None`` for the alternating variant, which has no coin.  A plan is
+    not checked when it is built but where it is played (``check_plan``).
     """
 
     round_index: int
     mode: Mode
     alice_hadamard: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.round_index < 1:
-            raise ValueError("round_index starts at 1")
-        if self.alice_hadamard not in (None, 0, 1):
-            raise ValueError("alice_hadamard must be None, 0 or 1")
 
     @property
     def secret(self) -> int:
@@ -346,10 +338,15 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
     The alternating variant has no coin and plays ``ProductPair`` in odd
     rounds against ``chi`` and ``EntangledPair`` in even rounds against
     ``g``; the coin-flip variant pairs encoding, coin and form per the
-    rule in the module docstring.  Every payload bit must be 0 or 1.
+    rule in the module docstring.  Rounds count from 1, a single
+    encoding targets ``w1`` or ``w2``, and every payload bit is 0 or 1.
     """
     mode, coin = plan.mode, plan.alice_hadamard
     kind = type(mode)
+    if plan.round_index < 1:
+        raise ValueError("round_index starts at 1")
+    if kind is SinglePair and mode.target not in (W1, W2):
+        raise ValueError(f"target must be {W1!r} or {W2!r}, got {mode.target!r}")
     if coin_flip:
         if coin not in (0, 1):
             raise ValueError("coin-flip variant plans need alice_hadamard 0 or 1")
@@ -518,9 +515,13 @@ def revised_round(
 # Check phase
 
 
-def check_size(rounds: int, check_fraction: float) -> int:
-    """How many of ``rounds`` rounds the check phase sacrifices (at least one)."""
-    return max(1, int(round(check_fraction * rounds)))
+def check_settings(check_fraction: float, threshold: float, threshold_name: str = "threshold") -> None:
+    """Raise ``ValueError`` unless the check phase can run with this
+    fraction of checked rounds and this detection threshold."""
+    if not 0.0 < check_fraction <= 1.0:
+        raise ValueError("check_fraction must lie in (0, 1]")
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"{threshold_name} must be a finite number >= 0")
 
 
 def check_phase(
@@ -528,28 +529,27 @@ def check_phase(
     check_fraction: float,
     rng: np.random.Generator,
     threshold: float = 0.0,
-) -> tuple[float, bool]:
+) -> tuple[float, bool, tuple[int, ...]]:
     """Sacrifice a random subset of rounds to estimate the error rate.
 
     Alice draws ``round(check_fraction * n)`` distinct rounds (at least
     one), announces their secrets, and the receivers compare against
-    their recovered bits.  Returns ``(error_rate, detected)`` where
-    ``detected`` is true when the error rate among checked rounds
-    exceeds ``threshold``.  A ``check_announced`` event is appended to
-    each sacrificed round's transcript.
+    their recovered bits.  Returns ``(error_rate, detected, announced)``
+    where ``detected`` is true when the error rate among checked rounds
+    exceeds ``threshold`` and ``announced`` holds the checked rounds'
+    indices in order.  A ``check_announced`` event is appended to each
+    sacrificed round's transcript.
     """
-    if not 0.0 < check_fraction <= 1.0:
-        raise ValueError("check_fraction must lie in (0, 1]")
+    check_settings(check_fraction, threshold)
     if not transcripts:
         raise ValueError("no rounds to check")
     n = len(transcripts)
-    k = check_size(n, check_fraction)
-    chosen = np.sort(rng.choice(n, size=k, replace=False))
+    k = max(1, int(round(check_fraction * n)))
+    checked = [transcripts[int(i)] for i in np.sort(rng.choice(n, size=k, replace=False))]
     errors = 0
-    for i in chosen:
-        t = transcripts[int(i)]
+    for t in checked:
         t.events.append(ev_check(t.round_index, t.secret))
         if t.recovered != t.secret:
             errors += 1
     error_rate = errors / k
-    return error_rate, error_rate > threshold
+    return error_rate, error_rate > threshold, tuple(t.round_index for t in checked)

@@ -160,9 +160,18 @@ class TestRunCommand:
         assert json.loads(out)["seed"] == 123
         _, out, _ = _run(capsys, ["run", "--rounds", "5", "--seed", "9", "--format", "json"])
         assert json.loads(out)["seed"] == 9
-        monkeypatch.setenv("QSS_SEED", "not-a-number")
-        _, out, _ = _run(capsys, ["run", "--rounds", "5", "--format", "json"])
-        assert json.loads(out)["seed"] == 0
+        for bad in ("not-a-number", "1.5"):
+            monkeypatch.setenv("QSS_SEED", bad)
+            code, out, err = _run(capsys, ["run", "--rounds", "5", "--format", "json"])
+            assert code == 2
+            assert "QSS_SEED" in err
+            assert out == ""
+            code, out, _ = _run(capsys, ["sweep", "--rounds", "5"])
+            assert code == 2
+            # An explicit --seed does not read QSS_SEED.
+            code, out, _ = _run(capsys, ["run", "--rounds", "5", "--seed", "9", "--format", "json"])
+            assert code == 0
+            assert json.loads(out)["seed"] == 9
 
 
 class TestSweepCommand:

@@ -5,6 +5,7 @@ import itertools
 import json
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from ghzqss.protocol import (
     ProductPair,
     Rngs,
     RoundPlan,
+    RoundTranscript,
     SinglePair,
     check_phase,
     chi_state,
@@ -159,6 +161,18 @@ class TestRunSimulation:
         report = run_simulation(SimConfig(strategy="a2-probe", rounds=30, seed=1))
         assert report.eve_accuracy is None
 
+    def test_eve_is_scored_against_the_announced_rounds(self):
+        # Secrets 0, 1, 1.  Rounds 1 and 2 anchor a relative readout, and
+        # an announced round is known outright even where the readout is
+        # wrong; an absolute readout scores its inferences alone.
+        ts = [RoundTranscript(i, "pair", 1, None, q, 0, q, q) for i, q in ((1, 0), (2, 1), (3, 1))]
+        relative = types.SimpleNamespace(readout="relative", inferred=[(3, 0, "xor_with_round1_secret")])
+        assert harness._score_eve(relative, ts, ()) == 2 / 3
+        assert harness._score_eve(relative, ts, (3,)) == 1.0
+        absolute = types.SimpleNamespace(readout="absolute", inferred=[(1, 0, "secret")])
+        assert harness._score_eve(absolute, ts, (2, 3)) == 1 / 3
+        assert harness._score_eve(types.SimpleNamespace(readout=None), ts, (1,)) is None
+
     def test_dishonest_receiver_profile(self):
         cfg = SimConfig(strategy="dishonest-bob", rounds=900, seed=5, check_fraction=1.0)
         report = run_simulation(cfg)
@@ -261,6 +275,26 @@ class TestEnumeration:
             Scenario("original", wrong_alt)
         with pytest.raises(ValueError, match="attack_seed must be at least 0"):
             Scenario("original", original_plans((0,)), attack_seed=-1)
+
+    @pytest.mark.parametrize(
+        "match,original,revised",
+        [
+            ("starts at 1", RoundPlan(0, ProductPair(0)), RoundPlan(0, SinglePair(0, 1, W1), alice_hadamard=0)),
+            ("target", RoundPlan(1, SinglePair(0, 1, "w3")), RoundPlan(1, SinglePair(0, 1, "w3"), alice_hadamard=0)),
+        ],
+    )
+    def test_every_plan_consumer_checks_the_plan(self, match, original, revised):
+        # Plans are not checked when built, so each consumer must check them.
+        rngs = Rngs(*(np.random.default_rng(k) for k in range(3)))
+        consumers = (
+            lambda: original_round(chi_state(), original, CarrierTracker(), rngs),
+            lambda: revised_round(chi_state(), revised, CarrierTracker(), rngs),
+            lambda: Scenario("original", (original,)),
+            lambda: Scenario("revised", (revised,)),
+        )
+        for consume in consumers:
+            with pytest.raises(ValueError, match=match):
+                consume()
 
     @pytest.mark.parametrize(
         "plans",
@@ -511,6 +545,8 @@ class TestPlansBuilders:
             revised_plans((0, 0), (1, 1), q1_bits=(0,))
         with pytest.raises(ValueError, match="targets has 0 entries for 1 rounds"):
             revised_plans((0,), (1,), targets=())
+        with pytest.raises(ValueError, match="target must be"):
+            revised_plans((0,), (1,), targets=("w3",))
         # Floats are rejected, not truncated to a valid bit.
         with pytest.raises(ValueError, match="secrets entries must be integers"):
             original_plans([1.9, 0.4])
@@ -536,6 +572,8 @@ class TestRunGrid:
             run_grid("revised", [], [10], [0.5], 1, 0)
         with pytest.raises(ValueError, match="repeats"):
             run_grid("revised", ["none"], [10], [0.5], 0, 0)
+        with pytest.raises(ValueError, match="repeats"):
+            run_grid("revised", ["none"], [10], [0.5], 1.5, 0)
         with pytest.raises(ValueError, match="not defined"):
             run_grid("original", ["a1"], [10], [0.5], 1, 0)
 
@@ -585,15 +623,15 @@ def _reference_session(cfg, make_attack=build_attack):
             plan = RoundPlan(i, mode, alice_hadamard=coin)
             world, t = revised_round(world, plan, tracker, rngs, attack)
         transcripts.append(t)
-    error_rate, detected = check_phase(
+    error_rate, detected, _ = check_phase(
         transcripts, cfg.check_fraction, stream(cfg.seed, harness.STREAM_CHECK), cfg.detect_threshold
     )
-    checked = sum(1 for t in transcripts if any(ev.get("event") == "check_announced" for ev in t.events))
+    checked = [t.round_index for t in transcripts if any(ev.get("event") == "check_announced" for ev in t.events)]
     report = SimReport(
         variant=cfg.variant, strategy=cfg.strategy, rounds=cfg.rounds,
         check_fraction=cfg.check_fraction, seed=cfg.seed, rounds_run=len(transcripts),
-        checked_rounds=checked, honest_error_rate=error_rate, detected=detected,
-        eve_accuracy=harness._score_eve(attack, transcripts),
+        checked_rounds=len(checked), honest_error_rate=error_rate, detected=detected,
+        eve_accuracy=harness._score_eve(attack, transcripts, checked),
         mode_breakdown=harness._mode_breakdown(transcripts),
     )
     return report, transcripts, attack, world

@@ -17,6 +17,7 @@ from ghzqss.protocol import (
     RoundTranscript,
     SinglePair,
     check_phase,
+    check_plan,
     chi_state,
     g_state,
     hadamard_layer,
@@ -85,13 +86,13 @@ class TestCarrierForms:
 class TestPlans:
     def test_round_plan_validation(self):
         with pytest.raises(ValueError, match="starts at 1"):
-            RoundPlan(0, ProductPair(0))
+            check_plan(RoundPlan(0, ProductPair(0)), 0, coin_flip=False)
         with pytest.raises(ValueError, match="alice_hadamard"):
-            RoundPlan(1, EntangledPair(0), alice_hadamard=2)
+            check_plan(RoundPlan(1, EntangledPair(0), alice_hadamard=2), 1, coin_flip=True)
 
     def test_single_pair_target_validation(self):
         with pytest.raises(ValueError, match="target"):
-            SinglePair(0, 1, "w3")
+            check_plan(RoundPlan(1, SinglePair(0, 1, "w3"), alice_hadamard=0), 0, coin_flip=True)
 
     def test_secrets_and_names(self):
         assert EntangledPair(1).secret == 1
@@ -307,32 +308,39 @@ class TestCheckPhase:
         with pytest.raises(ValueError, match="no rounds"):
             check_phase([], 0.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_threshold_bounds(self, bad):
+        ts = [_fake_transcript(1, 0, 0)]
+        with pytest.raises(ValueError, match="threshold"):
+            check_phase(ts, 1.0, np.random.default_rng(0), threshold=bad)
+
     @pytest.mark.parametrize(
         "fraction,n,expected",
         [(0.25, 100, 25), (0.25, 2, 1), (1.0, 7, 7), (0.01, 10, 1), (0.5, 5, 2)],
     )
     def test_sample_size_rule(self, fraction, n, expected):
         ts = [_fake_transcript(i + 1, 0, 0) for i in range(n)]
-        check_phase(ts, fraction, np.random.default_rng(3))
-        checked = sum(
-            1 for t in ts if any(ev["event"] == "check_announced" for ev in t.events)
+        _, _, announced = check_phase(ts, fraction, np.random.default_rng(3))
+        checked = tuple(
+            t.round_index for t in ts if any(ev["event"] == "check_announced" for ev in t.events)
         )
-        assert checked == expected
+        assert len(checked) == expected
+        assert announced == checked
 
     def test_error_rate_counts_only_checked_rounds(self):
         # One bad round among four; with full checking the rate is 1/4.
         ts = [_fake_transcript(i, 0, int(i == 2)) for i in range(1, 5)]
-        rate, detected = check_phase(ts, 1.0, np.random.default_rng(0))
+        rate, detected, _ = check_phase(ts, 1.0, np.random.default_rng(0))
         assert rate == 0.25
         assert detected
 
     def test_threshold_semantics(self):
         ts = [_fake_transcript(i, 0, int(i == 1)) for i in range(1, 5)]
-        rate, detected = check_phase(ts, 1.0, np.random.default_rng(0), threshold=0.25)
+        rate, detected, _ = check_phase(ts, 1.0, np.random.default_rng(0), threshold=0.25)
         assert rate == 0.25
         assert not detected
         ts2 = [_fake_transcript(i, 0, int(i <= 2)) for i in range(1, 5)]
-        rate2, detected2 = check_phase(ts2, 1.0, np.random.default_rng(0), threshold=0.25)
+        rate2, detected2, _ = check_phase(ts2, 1.0, np.random.default_rng(0), threshold=0.25)
         assert rate2 == 0.5
         assert detected2
 
@@ -340,7 +348,7 @@ class TestCheckPhase:
         picks = []
         for _ in range(2):
             ts = [_fake_transcript(i + 1, 0, 0) for i in range(50)]
-            check_phase(ts, 0.2, np.random.default_rng(12))
+            _, _, announced = check_phase(ts, 0.2, np.random.default_rng(12))
             picks.append(
                 tuple(
                     t.round_index
@@ -348,6 +356,7 @@ class TestCheckPhase:
                     if any(ev["event"] == "check_announced" for ev in t.events)
                 )
             )
+            assert announced == picks[-1]
         assert picks[0] == picks[1]
 
     def test_check_event_reveals_the_secret(self):
