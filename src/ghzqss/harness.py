@@ -54,7 +54,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState
-from .replay import RoundTable, Session
+from .replay import PCG64Stream, RoundTable, Session
 
 VARIANTS = ("original", "revised")
 
@@ -79,7 +79,7 @@ def stream(seed: int, k: int) -> np.random.Generator:
 
 def derived_seed(*parts: int) -> int:
     """Stable scalar seed derived from a tuple (used by sweeps)."""
-    return int(np.random.SeedSequence(entropy=tuple(int(p) for p in parts)).generate_state(1)[0])
+    return int(np.random.SeedSequence(entropy=tuple(operator.index(p) for p in parts)).generate_state(1)[0])
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -257,8 +257,8 @@ ROUND_TABLE = RoundTable()
 
 def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[RoundTranscript]]:
     """All rounds of one session: the final world, the attack and the transcripts."""
-    alice = stream(cfg.seed, STREAM_ALICE)
-    session = Session(stream(cfg.seed, STREAM_BOB), stream(cfg.seed, STREAM_CHARLIE), stream(cfg.seed, STREAM_ATTACK))
+    alice = PCG64Stream(stream(cfg.seed, STREAM_ALICE))
+    session = Session(*(PCG64Stream(stream(cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=session.rngs.attack)
@@ -490,6 +490,7 @@ def run_grid(
 ) -> list[SimReport]:
     """Cartesian sweep; each grid point gets ``repeats`` derived seeds."""
     _require_int("repeats", repeats, 1)
+    _require_int("seed", master_seed, 0)
     if not (strategies and rounds_list and check_fractions):
         raise ValueError("sweep grid is empty")
     reports = []

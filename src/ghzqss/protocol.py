@@ -271,7 +271,9 @@ class Rngs:
     separate guarantees that inserting an attack never perturbs the
     honest parties' draw sequence.  Each stream only needs a
     ``random()`` method, which is how the branch enumerator substitutes
-    scripted outcomes for all three at once.
+    scripted outcomes for all three at once.  Monte Carlo sessions pass
+    ``replay.PCG64Stream``s, which return numpy's own draws decoded from
+    raw PCG64 words, behind the round table's logging taps.
     """
 
     bob: object

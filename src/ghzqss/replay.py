@@ -9,6 +9,11 @@ only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
 statevector play would draw, so sessions stay byte-identical.
 
+A warm round draws only random numbers, so the session streams are
+``PCG64Stream``s: they decode numpy's own ``random()`` and
+``integers(0, 2)`` values from raw PCG64 words (O'Neill 2014) fetched in
+blocks, without a numpy call per draw.
+
 ``harness.run_simulation`` keeps one table for the whole process
 (``harness.ROUND_TABLE``).  Exact enumeration does not use it.
 """
@@ -27,6 +32,87 @@ MAX_TABLE_ENTRIES = 4096
 # A key some of whose plays fork at a Born weight other than 1/2: its
 # rounds always play on the statevector path.
 _UNFAIR = "unfair"
+
+# Raw words a PCG64Stream fetches at a time.
+BLOCK_WORDS = 64
+
+
+class PCG64Stream:
+    """A numpy PCG64 ``Generator`` whose scalar ``random()`` and
+    ``integers(0, 2)`` draws are decoded in Python from raw 64-bit words.
+
+    The values are numpy's own.  A double is ``(w >> 11) * 2**-53`` of the
+    next word.  ``integers(0, 2)`` is Lemire's bounded draw (Lemire 2019)
+    for a range of two, which is the top bit of the next 32-bit half-word;
+    half-words come low half first, then high half, and a pending high
+    half waits across ``random()`` calls, as PCG64's ``next_uint32`` does.
+    Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``.
+
+    Any other use (other bounds, ``size=``, another method or attribute)
+    switches the stream for good to a numpy ``Generator`` on the same bit
+    generator, rebuilt at the exact position: the state at construction,
+    advanced by the words consumed, with the pending half-word.
+    """
+
+    __slots__ = ("_bits", "_start", "_words", "_pos", "_spent", "_half", "_gen")
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        bits = gen.bit_generator
+        if type(bits) is not np.random.PCG64:
+            raise TypeError(f"a PCG64Stream needs a PCG64 bit generator, got {type(bits).__name__}")
+        self._bits = bits
+        self._start = bits.state
+        self._words: list[int] = []
+        self._pos = 0  # next word of the block
+        self._spent = 0  # words of earlier blocks
+        self._half = self._start["uinteger"] if self._start["has_uint32"] else None
+        self._gen: np.random.Generator | None = None
+
+    def _word(self) -> int:
+        pos, words = self._pos, self._words
+        if pos == len(words):
+            self._spent += pos
+            words = self._words = self._bits.random_raw(BLOCK_WORDS).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return words[pos]
+
+    def random(self, *args, **kwargs):
+        if args or kwargs or self._gen is not None:
+            return self.generator().random(*args, **kwargs)
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, *args, **kwargs):
+        if args != (0, 2) or kwargs or self._gen is not None:
+            return self.generator().integers(*args, **kwargs)
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return (word >> 31) & 1
+        self._half = None
+        return half >> 31
+
+    def generator(self) -> np.random.Generator:
+        """The stream as a numpy ``Generator`` at its exact position; every
+        later draw goes through it."""
+        gen = self._gen
+        if gen is None:
+            bits = self._bits
+            bits.state = self._start
+            bits.advance(self._spent + self._pos)
+            if self._half is not None:
+                state = bits.state
+                state["has_uint32"], state["uinteger"] = 1, self._half
+                bits.state = state
+            gen = self._gen = np.random.Generator(bits)
+            self._words = None
+        return gen
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.generator(), name)
 
 
 class _Draws:
@@ -67,7 +153,7 @@ class _Tap:
 
     __slots__ = ("_gen", "_code", "_draws")
 
-    def __init__(self, gen: np.random.Generator, index: int, draws: _Draws) -> None:
+    def __init__(self, gen: PCG64Stream, index: int, draws: _Draws) -> None:
         self._gen = gen
         self._code = 2 * index
         self._draws = draws
@@ -94,11 +180,15 @@ class _Tap:
 
 class Session:
     """The three quantum streams of one session (Bob, Charlie, attack), raw
-    for table walks and tapped in ``rngs`` for statevector plays."""
+    for table walks and tapped in ``rngs`` for statevector plays.
+
+    ``harness`` passes ``PCG64Stream``s, so table walks, statevector plays
+    and the attacker's coins all decode their draws from raw words.
+    """
 
     __slots__ = ("gens", "draws", "rngs")
 
-    def __init__(self, bob: np.random.Generator, charlie: np.random.Generator, attack: np.random.Generator) -> None:
+    def __init__(self, bob: PCG64Stream, charlie: PCG64Stream, attack: PCG64Stream) -> None:
         self.gens = (bob, charlie, attack)
         self.draws = _Draws()
         self.rngs = Rngs(*(_Tap(gen, k, self.draws) for k, gen in enumerate(self.gens)))

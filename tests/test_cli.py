@@ -200,6 +200,12 @@ class TestSweepCommand:
         assert code == 2
         assert "not defined" in err
 
+    def test_negative_seed_is_usage_error_naming_the_seed(self, capsys):
+        code, out, err = _run(capsys, ["sweep", "--rounds", "5", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be at least 0" in err
+        assert out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = _run(
             capsys, ["sweep", "--attacks", "none", "--rounds", "15", "--format", "json"]

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import random
 import sys
 import threading
 import types
@@ -12,7 +13,7 @@ import pytest
 
 import ghzqss.harness as harness
 import ghzqss.replay as replay
-from ghzqss.replay import MAX_TABLE_ENTRIES, RoundTable
+from ghzqss.replay import BLOCK_WORDS, MAX_TABLE_ENTRIES, PCG64Stream, RoundTable
 from ghzqss.attacks import ChannelAttack, build_attack
 from ghzqss.harness import (
     COMPATIBLE,
@@ -62,6 +63,74 @@ class TestSeeding:
     def test_derived_seed_is_stable(self):
         assert derived_seed(1, 2, 3) == derived_seed(1, 2, 3)
         assert derived_seed(1, 2, 3) != derived_seed(1, 2, 4)
+
+
+def _mixed_draws(rnd, n):
+    """``n`` scalar draws, "r" for ``random()`` and "c" for ``integers(0, 2)``,
+    at a coin share that is itself random."""
+    share = rnd.random()
+    return ["c" if rnd.random() < share else "r" for _ in range(n)]
+
+
+def _draw(gen, kind):
+    return gen.random() if kind == "r" else gen.integers(0, 2)
+
+
+def _position(gen):
+    """Where a PCG64 generator stands: its state and any pending half-word."""
+    state = gen.bit_generator.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+# Uses of a stream that a PCG64Stream does not decode.
+FOREIGN = {
+    "normal()": lambda gen: gen.normal(),
+    "integers(0, 4)": lambda gen: gen.integers(0, 4),
+    "random(3)": lambda gen: gen.random(3),
+    "integers(0, 2, size=3)": lambda gen: gen.integers(0, 2, size=3),
+    "bit_generator.random_raw()": lambda gen: gen.bit_generator.random_raw(),
+}
+
+
+class TestPCG64Stream:
+    def test_mixed_draws_equal_numpy_across_blocks(self):
+        rnd = random.Random(20140905)
+        for _ in range(60):
+            seed = rnd.randrange(2 ** 64)
+            kinds = _mixed_draws(rnd, rnd.randrange(1, 6 * BLOCK_WORDS))
+            want = np.random.default_rng(seed)
+            got = PCG64Stream(np.random.default_rng(seed))
+            assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
+            assert _position(got.generator()) == _position(want)
+
+    def test_a_half_word_pending_at_construction_comes_first(self):
+        want, gen = np.random.default_rng(3), np.random.default_rng(3)
+        want.integers(0, 2)
+        gen.integers(0, 2)
+        got = PCG64Stream(gen)
+        kinds = ["r", "c", "r", "c", "c"]
+        assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds]
+
+    @pytest.mark.parametrize("foreign", FOREIGN)
+    def test_a_foreign_use_at_any_position_switches_exactly(self, foreign):
+        rnd = random.Random(foreign)
+        call = FOREIGN[foreign]
+        for _ in range(4):
+            seed = rnd.randrange(2 ** 64)
+            # Long enough to cross a block; a position after an odd number
+            # of coins has a half-word pending.
+            kinds = _mixed_draws(rnd, 2 * BLOCK_WORDS)
+            tail = _mixed_draws(rnd, 12)
+            for pos in range(len(kinds) + 1):
+                want = np.random.default_rng(seed)
+                got = PCG64Stream(np.random.default_rng(seed))
+                assert [_draw(got, k) for k in kinds[:pos]] == [_draw(want, k) for k in kinds[:pos]]
+                np.testing.assert_array_equal(call(got), call(want))
+                assert [_draw(got, k) for k in tail] == [_draw(want, k) for k in tail], (seed, pos)
+
+    def test_only_pcg64_is_decoded(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            PCG64Stream(np.random.Generator(np.random.MT19937(1)))
 
 
 class TestSimConfigValidation:
@@ -576,6 +645,10 @@ class TestRunGrid:
             run_grid("revised", ["none"], [10], [0.5], 1.5, 0)
         with pytest.raises(ValueError, match="not defined"):
             run_grid("original", ["a1"], [10], [0.5], 1, 0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_grid("revised", ["none"], [10], [0.5], 1, 1.5)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            run_grid("revised", ["none"], [10], [0.5], 1, -1)
 
 
 # --------------------------------------------------------------------------
@@ -821,6 +894,31 @@ class TestRoundTable:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert [got.get(i) for i in range(len(cfgs))] == want
+        assert table.hits > 0
+
+    def test_sessions_make_no_scalar_numpy_draw(self, table, monkeypatch):
+        class RawOnly:
+            """A session stream that lends its bit generator and refuses scalar draws."""
+
+            def __init__(self, gen):
+                self.bit_generator = gen.bit_generator
+
+            def random(self, *args, **kwargs):
+                raise AssertionError("a session drew a scalar through numpy")
+
+            integers = random
+
+        def no_switch(self):
+            raise AssertionError("a session stream switched to a numpy Generator")
+
+        real = harness.stream
+        monkeypatch.setattr(harness, "stream", lambda seed, k: real(seed, k) if k == harness.STREAM_CHECK else RawOnly(real(seed, k)))
+        monkeypatch.setattr(PCG64Stream, "generator", no_switch)
+        for variant, strategy in PAIRS:
+            cfg = SimConfig(variant=variant, strategy=strategy, rounds=500, seed=11)
+            want = _session_bytes(*_reference_session(cfg))
+            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", variant, strategy)
+            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", variant, strategy)
         assert table.hits > 0
 
     def test_enumeration_bypasses_the_table(self, table):
