@@ -7,20 +7,20 @@ and attacks never disturb the honest parties' draw sequences.
 ``enumerate_branches`` walks the outcome tree of a short scripted
 scenario depth first.  Each node is a round boundary: the world, the
 carrier parity, a fork of the attack and the transcripts so far.  A
-round is played once per distinct outcome history, with a scripted
-decider standing in for every quantum rng to take each of its forks in
-turn, and the walk descends into the next round once per outcome.  Each
-branch reports its exact probability (the product of the Born weights
-of the outcomes taken), which turns Monte Carlo claims into closed-form
-numbers for small scenarios.
+round is played once per distinct outcome history, with a
+``replay.Script`` without live streams standing in for the quantum rngs
+to take each of its forks in turn, and the walk descends into the next
+round once per outcome.  Each branch reports its exact probability (the
+product of the Born weights of the outcomes taken), which turns Monte
+Carlo claims into closed-form numbers for small scenarios.
 
 ``run_simulation`` and the walk share ``_play_round``, the one per-round
-step of a session.  ``run_simulation`` reaches it through ``ROUND_TABLE``,
-a bounded process-wide memo of recorded statevector rounds
-(``ghzqss.replay``): a round whose world, plan class, carrier parity and
-attacker state were seen before is replayed from the recording against
-the session's own streams, drawing exactly what the statevector play
-would draw.
+step of a session, and both script its draws with a ``replay.Script``.
+``run_simulation`` reaches it through ``ROUND_TABLE``, a bounded
+process-wide memo of recorded statevector rounds (``ghzqss.replay``): a
+round whose world, plan class, carrier parity and attacker state were
+seen before is replayed from the recording against the session's own
+streams, drawing exactly what the statevector play would draw.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState
-from .replay import PCG64Stream, RoundTable, Session
+from .replay import PCG64Stream, RoundTable, Script
 
 VARIANTS = ("original", "revised")
 
@@ -84,6 +84,8 @@ def derived_seed(*parts: int) -> int:
 
 def _require_int(name: str, value, least: int) -> None:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -173,9 +175,10 @@ def _score_eve(attack, transcripts: Sequence[RoundTranscript], checked: Sequence
     Only strategies that produce readouts are scored (``attack.readout``).
     A relative readout is anchored by the secrets of the ``checked``
     rounds, which the check phase announced, plus the session's first
-    two secrets (announced during the public comparison); an absolute
-    one scores the inferences alone.  Without a modeled readout the
-    score is ``None``.
+    two secrets.  Those two are assumed announced, although no
+    transcript event announces them, so a2's score is 1.0 at any check
+    fraction.  An absolute readout scores the inferences alone.  Without
+    a modeled readout the score is ``None``.
     """
     if attack is None or attack.readout is None:
         return None
@@ -258,10 +261,10 @@ ROUND_TABLE = RoundTable()
 def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[RoundTranscript]]:
     """All rounds of one session: the final world, the attack and the transcripts."""
     alice = PCG64Stream(stream(cfg.seed, STREAM_ALICE))
-    session = Session(*(PCG64Stream(stream(cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
+    script = Script(tuple(PCG64Stream(stream(cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
-    attack = build_attack(cfg.strategy, coins=session.rngs.attack)
+    attack = build_attack(cfg.strategy, coins=script.rngs.attack)
     table = ROUND_TABLE
     bits, bias = cfg.secret_bits, cfg.hadamard_bias
     plans = _round_plans(
@@ -276,7 +279,7 @@ def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[RoundTranscri
     tracker = CarrierTracker()
     transcripts: list[RoundTranscript] = []
     for plan in itertools.islice(plans, cfg.rounds):
-        world, t = table.play(_play_round, session, cfg.variant, world, plan, tracker, attack)
+        world, t = table.play(_play_round, script, cfg.variant, world, plan, tracker, attack)
         transcripts.append(t)
     return world, attack, transcripts
 
@@ -308,28 +311,6 @@ def run_simulation(
 
 # --------------------------------------------------------------------------
 # Exact branch enumeration
-
-
-class TapeDecider:
-    """Scripted stand-in for every quantum rng during one play of a round.
-
-    Supplies ``random()`` values that force measurement outcomes: a tape
-    bit of 1 forces outcome 1 (by returning 0.0), a bit of 0 forces
-    outcome 0 (by returning 1.0, which no Born weight reaches).
-    Degenerate measurements never consult the rng, so only genuine forks
-    consume tape bits; drawing past the scripted prefix extends the tape
-    with zeros, which is what lets the enumerator walk all of a round's
-    forks in binary-counter order.
-    """
-
-    def __init__(self, prefix: Sequence[int]) -> None:
-        self.consumed: list[int] = []
-        self._prefix = list(prefix)
-
-    def random(self) -> float:
-        bit = self._prefix[len(self.consumed)] if len(self.consumed) < len(self._prefix) else 0
-        self.consumed.append(bit)
-        return 0.0 if bit else 1.0
 
 
 @dataclass(frozen=True)
@@ -378,14 +359,16 @@ class Branch:
 
 
 def _walk(
-    scenario: Scenario, world: PureState, parity: int, attack,
+    scenario: Scenario, script: Script, world: PureState, parity: int, attack,
     transcripts: tuple[RoundTranscript, ...], branches: list[Branch], max_branches: int,
 ) -> None:
     """Append every branch below one round boundary to ``branches``.
 
-    A ``TapeDecider`` counts through the next round's own forks in
-    binary; each play starts from this node with a fresh fork of its
-    attack, and the walk descends once per play.
+    ``script`` (no live streams) counts through the next round's own
+    forks in binary: a play takes outcome 0 past its prefix, and the next
+    prefix turns the last outcome 0 of its log to 1 (by the round table's
+    rule, a ``random()`` below 0.5).  Each play starts from this node with
+    a fresh fork of its attack, and the walk descends once per play.
     """
     k = len(transcripts)
     if k == len(scenario.plans):
@@ -401,21 +384,20 @@ def _walk(
             raise RuntimeError(f"scenario exceeded {max_branches} branches")
         return
     plan = scenario.plans[k]
-    tape: list[int] = []
+    rngs = script.rngs
+    drawn: list = []
     while True:
-        decider = TapeDecider(tape)
+        script.reset(drawn)  # the play logs into ``drawn``
         tracker = CarrierTracker(parity)
         twin = attack.fork() if attack is not None else None
-        rngs = Rngs(bob=decider, charlie=decider, attack=decider)
         after, t = _play_round(scenario.variant, world, plan, tracker, rngs, twin)
-        _walk(scenario, after, tracker.hadamard_parity, twin, transcripts + (t,), branches, max_branches)
-        consumed = decider.consumed
-        i = len(consumed) - 1
-        while i >= 0 and consumed[i] == 1:
+        _walk(scenario, script, after, tracker.hadamard_parity, twin, transcripts + (t,), branches, max_branches)
+        i = len(drawn) - 1
+        while i >= 0 and drawn[i][1] < 0.5:
             i -= 1
         if i < 0:
             return
-        tape = consumed[:i] + [1]
+        drawn = drawn[:i] + [(drawn[i][0], 0.0)]
 
 
 def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES) -> list[Branch]:
@@ -429,7 +411,7 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     """
     attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
     branches: list[Branch] = []
-    _walk(scenario, chi_state(), 0, attack, (), branches, max_branches)
+    _walk(scenario, Script(), chi_state(), 0, attack, (), branches, max_branches)
     return branches
 
 

@@ -37,7 +37,8 @@ block, finish.
 Channel attacks plug in through a small hook interface (see
 ``ghzqss.attacks``); honest rounds pass ``attack=None``.  All quantum
 randomness flows through the ``Rngs`` streams so that transcripts are
-reproducible and so the branch enumerator can take over the draws.
+reproducible and so one ``replay.Script`` can script the draws of the
+round table's recordings and of the branch enumerator.
 """
 
 from __future__ import annotations
@@ -270,10 +271,10 @@ class Rngs:
     ``attack`` feeds any measurement an attacker performs.  Keeping them
     separate guarantees that inserting an attack never perturbs the
     honest parties' draw sequence.  Each stream only needs a
-    ``random()`` method, which is how the branch enumerator substitutes
-    scripted outcomes for all three at once.  Monte Carlo sessions pass
-    ``replay.PCG64Stream``s, which return numpy's own draws decoded from
-    raw PCG64 words, behind the round table's logging taps.
+    ``random()`` method.  Sessions and the branch enumerator pass the
+    three taps of a ``replay.Script``, which log every draw: a session's
+    draw from its ``replay.PCG64Stream``s, the enumerator's return
+    scripted outcomes.
     """
 
     bob: object

@@ -9,6 +9,11 @@ only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
 statevector play would draw, so sessions stay byte-identical.
 
+``Script`` scripts the draws of every statevector round play: a miss
+logs the outcome path it records through the session's script, and the
+branch enumerator (``harness._walk``) counts through a round's forks
+with a script that has no live streams.
+
 A warm round draws only random numbers, so the session streams are
 ``PCG64Stream``s: they decode numpy's own ``random()`` and
 ``integers(0, 2)`` values from raw PCG64 words (O'Neill 2014) fetched in
@@ -115,20 +120,32 @@ class PCG64Stream:
         return getattr(self.generator(), name)
 
 
-class _Draws:
-    """The draws of one statevector play, shared by a session's three taps.
+class Script:
+    """The draws of one statevector round play, through the taps of ``rngs``.
 
     ``log`` holds ``(code, value)`` pairs, where ``code`` is twice the
-    stream index plus 1 for an ``integers(0, 2)`` coin and 0 for a
-    ``random()``.  A play first gets back, in order, the values a table
-    walk already drew, then draws live and logs each draw.  ``foreign``
-    notes any other use of a stream, which a fork tree cannot replay.
+    stream index (Bob, Charlie, attack) plus 1 for an ``integers(0, 2)``
+    coin and 0 for a ``random()``.  A play first gets back, in order, the
+    values it was ``reset`` to; past them each draw comes from the
+    ``live`` streams and is logged.  ``foreign`` notes any other use of a
+    live stream, which a fork tree cannot replay.  Without live streams
+    (the branch enumerator's script) a ``random()`` returns 1.0, which
+    forces outcome 0, and a coin or any other use raises ``TypeError``: a
+    coin leaves no measurement record for a branch's weight.
     """
 
-    __slots__ = ("log", "pos", "foreign")
+    __slots__ = ("live", "log", "pos", "foreign")
 
-    def __init__(self) -> None:
+    def __init__(self, live: tuple[PCG64Stream, PCG64Stream, PCG64Stream] | None = None) -> None:
+        self.live = live
         self.reset([])
+
+    @property
+    def rngs(self) -> Rngs:
+        """New taps on this script, one per stream.  The script does not
+        keep them: a script and its taps form no reference cycle, so a
+        session's script is freed when it ends, not by the cyclic GC."""
+        return Rngs(*(_Tap(self, k) for k in range(3)))
 
     def reset(self, drawn: list) -> None:
         self.log = drawn
@@ -149,49 +166,38 @@ class _Draws:
 
 
 class _Tap:
-    """One session stream as a statevector play sees it: every draw is logged."""
+    """One stream of a ``Script``: every ``random()`` and coin goes through the script."""
 
-    __slots__ = ("_gen", "_code", "_draws")
+    __slots__ = ("_script", "_gen", "_code", "_random")
 
-    def __init__(self, gen: PCG64Stream, index: int, draws: _Draws) -> None:
+    def __init__(self, script: Script, index: int) -> None:
+        gen = None if script.live is None else script.live[index]
+        self._script = script
         self._gen = gen
         self._code = 2 * index
-        self._draws = draws
+        self._random = (lambda: 1.0) if gen is None else gen.random
 
     def random(self, *args, **kwargs):
         if not (args or kwargs):
-            return self._draws.take(self._code, self._gen.random)
-        self._draws.foreign = True
-        return self._gen.random(*args, **kwargs)
+            return self._script.take(self._code, self._random)
+        return self._foreign().random(*args, **kwargs)
 
     def integers(self, *args, **kwargs):
-        if args == (0, 2) and not kwargs:
-            return self._draws.take(self._code + 1, self._coin)
-        self._draws.foreign = True
-        return self._gen.integers(*args, **kwargs)
+        if args == (0, 2) and not kwargs and self._gen is not None:
+            return self._script.take(self._code + 1, self._coin)
+        return self._foreign().integers(*args, **kwargs)
 
     def _coin(self):
         return self._gen.integers(0, 2)
 
+    def _foreign(self) -> PCG64Stream:
+        if self._gen is None:
+            raise TypeError("a script without live streams hands out only random()")
+        self._script.foreign = True
+        return self._gen
+
     def __getattr__(self, name):
-        self._draws.foreign = True
-        return getattr(self._gen, name)
-
-
-class Session:
-    """The three quantum streams of one session (Bob, Charlie, attack), raw
-    for table walks and tapped in ``rngs`` for statevector plays.
-
-    ``harness`` passes ``PCG64Stream``s, so table walks, statevector plays
-    and the attacker's coins all decode their draws from raw words.
-    """
-
-    __slots__ = ("gens", "draws", "rngs")
-
-    def __init__(self, bob: PCG64Stream, charlie: PCG64Stream, attack: PCG64Stream) -> None:
-        self.gens = (bob, charlie, attack)
-        self.draws = _Draws()
-        self.rngs = Rngs(*(_Tap(gen, k, self.draws) for k, gen in enumerate(self.gens)))
+        return getattr(self._foreign(), name)
 
 
 class RoundTable:
@@ -201,7 +207,7 @@ class RoundTable:
     attacker key) under the exact labels and amplitude bytes of the
     world.  Its value is the round's fork tree, built one outcome path at
     a time and flattened into one tuple in preorder: a fork is its
-    ``_Draws`` code and the length of its outcome-0 subtree, followed by
+    ``Script`` code and the length of its outcome-0 subtree, followed by
     both subtrees; a leaf is the next world and a payload of everything
     the round produced, with the round index left out; ``None`` is an
     outcome not yet recorded.  Replaying a tree draws from the session's
@@ -209,11 +215,12 @@ class RoundTable:
     fork of a stored key is a coin or a Born weight of exactly 1/2
     (``qsim.measure``).
 
-    A miss plays the round on the statevector path, with the values the
-    walk already drew handed back first, and stores the path.  A key
-    whose play forks at another weight, or uses a stream otherwise, is
-    marked and always plays on the statevector path.  Once
-    ``MAX_TABLE_ENTRIES`` keys are stored, new keys play there unstored.
+    A miss plays the round on the statevector path through the session's
+    ``Script``, which hands back first the values the walk already drew,
+    and stores the path it logged.  A key whose play forks at another
+    weight, or uses a stream otherwise, is marked and always plays on the
+    statevector path.  Once ``MAX_TABLE_ENTRIES`` keys are stored, new
+    keys play there unstored.
     """
 
     def __init__(self) -> None:
@@ -250,12 +257,13 @@ class RoundTable:
         return self._interned.setdefault(value, value)
 
     def play(
-        self, play_round, session: Session, variant: str, world: PureState, plan: RoundPlan,
+        self, play_round, session: Script, variant: str, world: PureState, plan: RoundPlan,
         tracker: CarrierTracker, attack,
     ) -> tuple[PureState, RoundTranscript]:
-        """One session round: replayed when recorded, else played by
-        ``play_round`` (the statevector round, ``harness._play_round``)
-        and recorded."""
+        """One session round: replayed from the live streams of
+        ``session``, the session's ``Script``, when recorded, else played
+        through it by ``play_round`` (the statevector round,
+        ``harness._play_round``) and recorded."""
         attack_key = attack.round_key(plan.round_index) if attack is not None else None
         key = (variant, tracker.hadamard_parity, plan.round_class, type(attack), attack_key)
         slot = self._slots.get(id(world))
@@ -265,7 +273,7 @@ class RoundTable:
         tree = slot.get(key)
         drawn = []
         if type(tree) is tuple:
-            gens = session.gens
+            gens = session.live
             i = 0
             head = tree[0]
             while type(head) is int:
@@ -295,25 +303,24 @@ class RoundTable:
         )
         return world, transcript
 
-    def _record(self, play_round, session, drawn, storable, key, variant, world, plan, tracker, attack):
+    def _record(self, play_round, script, drawn, storable, key, variant, world, plan, tracker, attack):
         self.misses += 1
-        draws = session.draws
-        draws.reset(drawn)
+        script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
-        after, t = play_round(variant, world, plan, tracker, session.rngs, attack)
-        if draws.pos != len(draws.log):
+        after, t = play_round(variant, world, plan, tracker, script.rngs, attack)
+        if script.pos != len(script.log):
             raise RuntimeError("a round drew less than its recording: the round table key misses state")
         if not storable:
             return after, t
         recorded = attack.recorded_round(mark, plan.round_index) if attack is not None else None
         forks = [r.probability for r in (*t.records, *(recorded[0] if recorded else ())) if r.probability != 1.0]
-        coins = sum(code & 1 for code, _ in draws.log)
-        fair = not draws.foreign and len(forks) == len(draws.log) - coins and all(p == 0.5 for p in forks)
+        coins = sum(code & 1 for code, _ in script.log)
+        fair = not script.foreign and len(forks) == len(script.log) - coins and all(p == 0.5 for p in forks)
         # Sessions in other threads may store at the same time; interning
         # a world twice would leave a slot under the id of a world the
         # table does not keep alive.
         with self._lock:
-            return self._store(key, world, after, t, tracker.hadamard_parity, recorded, fair, draws.log)
+            return self._store(key, world, after, t, tracker.hadamard_parity, recorded, fair, script.log)
 
     def _store(self, key, world, after, t, parity, recorded, fair, log):
         """Store the path ``log`` of a statevector play; returns its world and transcript."""

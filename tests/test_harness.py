@@ -1,6 +1,7 @@
 """Session driver tests: Monte Carlo reproducibility, enumeration, sweeps."""
 
 import copy
+import gc
 import itertools
 import json
 import random
@@ -13,7 +14,7 @@ import pytest
 
 import ghzqss.harness as harness
 import ghzqss.replay as replay
-from ghzqss.replay import BLOCK_WORDS, MAX_TABLE_ENTRIES, PCG64Stream, RoundTable
+from ghzqss.replay import BLOCK_WORDS, MAX_TABLE_ENTRIES, PCG64Stream, RoundTable, Script
 from ghzqss.attacks import ChannelAttack, build_attack
 from ghzqss.harness import (
     COMPATIBLE,
@@ -22,7 +23,6 @@ from ghzqss.harness import (
     Scenario,
     SimConfig,
     SimReport,
-    TapeDecider,
     derived_seed,
     enumerate_branches,
     original_plans,
@@ -156,6 +156,8 @@ class TestSimConfigValidation:
             (dict(seed=-1), "seed must be at least 0"),
             (dict(seed=1.5), "seed must be an integer"),
             (dict(rounds=2.5), "rounds must be an integer"),
+            (dict(seed=True), "seed must be an integer"),
+            (dict(rounds=True), "rounds must be an integer"),
         ],
     )
     def test_bad_configs_are_rejected(self, kwargs, match):
@@ -264,13 +266,95 @@ class TestRunSimulation:
         assert not report.detected
 
 
-class TestTapeDecider:
-    def test_tape_semantics(self):
-        decider = TapeDecider([1, 0])
-        assert decider.random() == 0.0  # forces outcome 1
-        assert decider.random() == 1.0  # forces outcome 0
-        assert decider.random() == 1.0  # past the prefix: forced 0
-        assert decider.consumed == [1, 0, 0]
+def _live_streams(seed, wrap):
+    return tuple(wrap(np.random.default_rng(seed + k)) for k in range(3))
+
+
+class TestScript:
+    def test_without_live_streams_the_prefix_comes_back_then_outcome_0(self):
+        script = Script()
+        script.reset([(0, 0.0), (4, 1.0)])
+        rngs = script.rngs
+        assert rngs.bob.random() == 0.0  # forces outcome 1
+        assert rngs.attack.random() == 1.0  # forces outcome 0
+        assert rngs.charlie.random() == 1.0  # past the prefix: forced 0
+        assert rngs.bob.random() == 1.0
+        assert script.log == [(0, 0.0), (4, 1.0), (2, 1.0), (0, 1.0)]
+        assert script.pos == 4 and not script.foreign
+
+    @pytest.mark.parametrize("wrap", [lambda gen: gen, PCG64Stream], ids=["Generator", "PCG64Stream"])
+    def test_live_draws_past_the_prefix_equal_numpy_and_are_logged(self, wrap):
+        prefix = [(1, 1), (0, 0.25)]
+        script = Script(_live_streams(40, wrap))
+        script.reset(list(prefix))
+        rngs = (script.rngs.bob, script.rngs.charlie, script.rngs.attack)
+        assert rngs[0].integers(0, 2) == 1 and rngs[0].random() == 0.25
+        want = _live_streams(40, lambda gen: gen)
+        pick = random.Random(3)
+        expected = []
+        for _ in range(300):
+            k, coin = pick.randrange(3), pick.random() < 0.5
+            got = rngs[k].integers(0, 2) if coin else rngs[k].random()
+            value = want[k].integers(0, 2) if coin else want[k].random()
+            assert got == value
+            expected.append((2 * k + coin, value))
+        assert script.log == prefix + expected
+        assert not script.foreign
+
+    def test_a_prefix_in_another_order_raises(self):
+        for live in (None, _live_streams(5, PCG64Stream)):
+            script = Script(live)
+            script.reset([(1, 0)])
+            with pytest.raises(RuntimeError, match="another order"):
+                script.rngs.bob.random()
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda gen: gen.random(3),
+            lambda gen: gen.random(size=2),
+            lambda gen: gen.integers(0, 4),
+            lambda gen: gen.integers(0, 2, size=3),
+            lambda gen: gen.standard_normal(),
+        ],
+        ids=["random-n", "random-size", "integers-0-4", "integers-size", "other-method"],
+    )
+    def test_a_foreign_use_is_noted_and_passed_through(self, use):
+        script = Script(_live_streams(9, PCG64Stream))
+        want = _live_streams(9, lambda gen: gen)
+        assert script.rngs.charlie.random() == want[1].random()
+        np.testing.assert_array_equal(use(script.rngs.charlie), use(want[1]))
+        assert script.foreign
+        assert [code for code, _ in script.log] == [2]  # the foreign use is not logged
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda gen: gen.integers(0, 2),
+            lambda gen: gen.random(3),
+            lambda gen: gen.integers(0, 4),
+            lambda gen: gen.standard_normal(),
+        ],
+        ids=["coin", "random-n", "integers-0-4", "other-method"],
+    )
+    def test_without_live_streams_only_random_is_handed_out(self, use):
+        script = Script()
+        with pytest.raises(TypeError, match="only random"):
+            use(script.rngs.attack)
+        assert script.log == []
+
+    def test_sessions_leave_no_reference_cycle(self, table):
+        # A script kept alive by a cycle with its taps would leave every
+        # session's streams to the cyclic GC, which then runs about four
+        # times as often in a sweep of short sessions.
+        gc.collect()
+        gc.disable()
+        try:
+            for variant, strategy in PAIRS:
+                run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=40, seed=3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEnumeration:
@@ -344,6 +428,8 @@ class TestEnumeration:
             Scenario("original", wrong_alt)
         with pytest.raises(ValueError, match="attack_seed must be at least 0"):
             Scenario("original", original_plans((0,)), attack_seed=-1)
+        with pytest.raises(ValueError, match="attack_seed must be an integer"):
+            Scenario("original", original_plans((0,)), attack_seed=True)
 
     @pytest.mark.parametrize(
         "match,original,revised",
@@ -413,6 +499,25 @@ class TestEnumeration:
                 errs += int(transcripts[1].recovered != transcripts[1].secret)
             sigma = np.sqrt(exact * (1 - exact) / n)
             assert abs(errs / n - exact) <= 3 * sigma
+
+
+class TapeDecider:
+    """Scripted stand-in for every quantum rng during one replay of a
+    scenario, for ``_replay_branches`` only.
+
+    A tape bit of 1 forces outcome 1 (by returning 0.0), a bit of 0 forces
+    outcome 0 (by returning 1.0, which no Born weight reaches).  Drawing
+    past the scripted prefix extends the tape with zeros.
+    """
+
+    def __init__(self, prefix):
+        self.consumed = []
+        self._prefix = list(prefix)
+
+    def random(self):
+        bit = self._prefix[len(self.consumed)] if len(self.consumed) < len(self._prefix) else 0
+        self.consumed.append(bit)
+        return 0.0 if bit else 1.0
 
 
 def _replay_branches(scenario):
@@ -649,6 +754,10 @@ class TestRunGrid:
             run_grid("revised", ["none"], [10], [0.5], 1, 1.5)
         with pytest.raises(ValueError, match="seed must be at least 0"):
             run_grid("revised", ["none"], [10], [0.5], 1, -1)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_grid("revised", ["none"], [10], [0.5], 1, True)
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            run_grid("revised", ["none"], [10], [0.5], True, 0)
 
 
 # --------------------------------------------------------------------------
