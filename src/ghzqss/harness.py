@@ -26,6 +26,7 @@ streams, drawing exactly what the statevector play would draw.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -51,6 +52,7 @@ from .protocol import (
     chi_state,
     hadamard_layer,
     original_round,
+    require_number,
     revised_round,
 )
 from .qsim import PureState
@@ -121,11 +123,12 @@ class SimConfig:
         _require_int("rounds", self.rounds, 1)
         _require_int("seed", self.seed, 0)
         check_settings(self.check_fraction, self.detect_threshold, "detect_threshold")
+        require_number("hadamard_bias", self.hadamard_bias)
         if not 0.0 <= self.hadamard_bias <= 1.0:
             raise ValueError("hadamard_bias must lie in [0, 1]")
         if self.secret_bits is not None:
-            if set(self.secret_bits) - {"0", "1"}:
-                raise ValueError("secret_bits must contain only 0 and 1")
+            if not isinstance(self.secret_bits, str) or set(self.secret_bits) - {"0", "1"}:
+                raise ValueError("secret_bits must be a string of only 0 and 1")
             if len(self.secret_bits) != self.rounds:
                 raise ValueError(
                     f"secret_bits has {len(self.secret_bits)} bits for {self.rounds} rounds"
@@ -152,24 +155,26 @@ class SimReport:
         return dataclasses.asdict(self)
 
 
-def _mode_key(t: RoundTranscript) -> str:
-    if t.mode == "single":
-        return f"single_{t.target}"
-    return t.mode
+def _outcome(row) -> tuple[int, int, int, str, str | None]:
+    """A transcript, or a compact row: ``(round_index, secret, recovered, mode, target)``."""
+    if type(row) is tuple:
+        return row
+    return row.round_index, row.secret, row.recovered, row.mode, row.target
 
 
-def _mode_breakdown(transcripts: Sequence[RoundTranscript]) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    for t in transcripts:
-        slot = out.setdefault(_mode_key(t), {"rounds": 0, "errors": 0})
-        slot["rounds"] += 1
-        slot["errors"] += int(t.recovered != t.secret)
-    for slot in out.values():
-        slot["error_rate"] = slot["errors"] / slot["rounds"]
-    return out
+def _mode_breakdown(rows: Sequence) -> dict[str, dict[str, float]]:
+    counts: dict[str, list[int]] = {}
+    for _, secret, recovered, mode, target in map(_outcome, rows):
+        key = f"single_{target}" if mode == "single" else mode
+        slot = counts.get(key)
+        if slot is None:
+            slot = counts[key] = [0, 0]
+        slot[0] += 1
+        slot[1] += recovered != secret
+    return {key: {"rounds": n, "errors": e, "error_rate": e / n} for key, (n, e) in counts.items()}
 
 
-def _score_eve(attack, transcripts: Sequence[RoundTranscript], checked: Sequence[int]) -> float | None:
+def _score_eve(attack, rows: Sequence, checked: Sequence[int]) -> float | None:
     """Fraction of round secrets the attacker can name correctly.
 
     Only strategies that produce readouts are scored (``attack.readout``).
@@ -182,14 +187,33 @@ def _score_eve(attack, transcripts: Sequence[RoundTranscript], checked: Sequence
     """
     if attack is None or attack.readout is None:
         return None
+    outcomes = list(map(_outcome, rows))
     announced = {}
     if attack.readout == "relative":
-        announced = {t.round_index: t.secret for t in transcripts[:2]}
-        # A session's transcripts hold rounds 1, 2, ... in order.
-        announced.update((r, transcripts[r - 1].secret) for r in checked)
+        announced = {r: q for r, q, *_ in outcomes[:2]}
+        # A session's rows hold rounds 1, 2, ... in order.
+        announced.update((r, outcomes[r - 1][1]) for r in checked)
     guesses, _ = eve_reconstruct(attack.inferred, announced)
-    correct = sum(1 for t in transcripts if guesses.get(t.round_index) == t.secret)
-    return correct / len(transcripts)
+    correct = sum(1 for r, q, *_ in outcomes if guesses.get(r) == q)
+    return correct / len(outcomes)
+
+
+class PlanClass:
+    """A round plan without its round index, interned by ``_plan_class``:
+    the round table keys a replayed round on the object and builds a
+    ``RoundPlan`` only for a round it plays on the statevector path.
+    ``position`` tells round 1 and odd and even rounds of the alternating
+    variant apart, and is ``None`` in the coin-flip variant."""
+
+    __slots__ = ("mode", "coin", "position", "mode_name", "target", "secret")
+
+    def __init__(self, kind: type, fields: tuple, coin: int | None, position: tuple | None) -> None:
+        plan = RoundPlan(0, kind(*fields), coin)
+        self.mode, self.coin, self.position = plan.mode, coin, position
+        self.mode_name, self.target, self.secret = plan.mode_name, plan.target, plan.secret
+
+
+_plan_class = functools.lru_cache(maxsize=64)(PlanClass)
 
 
 def _round_plans(
@@ -198,34 +222,31 @@ def _round_plans(
     coin: Callable[[int], int] | None = None,
     q1: Callable[[int], int] | None = None,
     target: Callable[[int], str] | None = None,
-) -> Iterator[RoundPlan]:
-    """Round plans from round 1 on, the one source of them.
-
-    Each callable takes the round index.  A round calls ``secret``, then
-    in the coin-flip variant ``coin``, and for a single encoding ``q1``
-    and ``target``, in this order: a session's draws from Alice's stream
-    keep that order.  The coin-flip variant picks the encoding per the
-    form rule; the carrier form is the XOR of the coins so far.
-    """
+) -> Iterator[tuple[int, PlanClass]]:
+    """``(round index, plan class)`` pairs from round 1 on, the one source
+    of round plans.  Each callable takes the round index.  A round calls
+    ``secret``, then in the coin-flip variant ``coin``, and for a single
+    encoding ``q1`` and ``target``, in the order a session draws them from
+    Alice's stream.  The coin-flip variant picks the encoding per the form
+    rule; the carrier form is the XOR of the coins so far."""
     parity = 0
     for i in itertools.count(1):
         q = secret(i)
         if variant == "original":
-            yield RoundPlan(i, ProductPair(q) if i % 2 else EntangledPair(q))
+            yield i, _plan_class(ProductPair if i % 2 else EntangledPair, (q,), None, (i == 1, i % 2))
             continue
         c = coin(i)
         if c ^ parity:
-            mode: EntangledPair | SinglePair = EntangledPair(q)
+            yield i, _plan_class(EntangledPair, (q,), c, None)
         else:
             b = q1(i)
-            mode = SinglePair(b, b ^ q, target(i))
-        yield RoundPlan(i, mode, alice_hadamard=c)
+            yield i, _plan_class(SinglePair, (b, b ^ q, target(i)), c, None)
         parity ^= c
 
 
-def _check_plans(variant: str, plans: Sequence[RoundPlan]) -> None:
-    """Raise ``ValueError`` unless ``plans`` is a session script of
-    ``variant`` from round 1 that ``check_plan`` accepts round by round."""
+def _check_plans(variant: str, plans: Sequence[RoundPlan]) -> tuple[RoundPlan, ...]:
+    """``plans`` as a tuple if a session script of ``variant`` from round 1
+    that ``check_plan`` accepts round by round, else ``ValueError``."""
     parity = 0
     for pos, plan in enumerate(plans, start=1):
         if variant == "original" and pos > 1:
@@ -234,6 +255,7 @@ def _check_plans(variant: str, plans: Sequence[RoundPlan]) -> None:
         if plan.round_index != pos:
             raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
         parity ^= plan.alice_hadamard or 0
+    return tuple(plans)
 
 
 def _play_round(
@@ -258,8 +280,9 @@ def _play_round(
 ROUND_TABLE = RoundTable()
 
 
-def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[RoundTranscript]]:
-    """All rounds of one session: the final world, the attack and the transcripts."""
+def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
+    """All rounds of one session: the final world, the attack and per round
+    its transcript or, if replayed without ``transcribe``, a compact row."""
     alice = PCG64Stream(stream(cfg.seed, STREAM_ALICE))
     script = Script(tuple(PCG64Stream(stream(cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
     # Classical attacker coins share the attack stream object, so they
@@ -277,35 +300,38 @@ def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[RoundTranscri
 
     world = chi_state()
     tracker = CarrierTracker()
-    transcripts: list[RoundTranscript] = []
-    for plan in itertools.islice(plans, cfg.rounds):
-        world, t = table.play(_play_round, script, cfg.variant, world, plan, tracker, attack)
-        transcripts.append(t)
-    return world, attack, transcripts
+    rows: list = []
+    for i, plan_class in itertools.islice(plans, cfg.rounds):
+        world, leaf = table.play(_play_round, script, cfg.variant, world, (i, plan_class), tracker, attack, transcribe)
+        if type(leaf) is not RoundTranscript:
+            leaf = (i, plan_class.secret, leaf, plan_class.mode_name, plan_class.target)
+        rows.append(leaf)
+    return world, attack, rows
 
 
 def run_simulation(
     cfg: SimConfig, transcripts_out: list[RoundTranscript] | None = None
 ) -> SimReport:
-    """Play one full session followed by the check phase."""
-    _, attack, transcripts = _play_session(cfg)
+    """Play one full session followed by the check phase; transcripts
+    are built only if ``transcripts_out`` asks for them."""
+    _, attack, rows = _play_session(cfg, transcripts_out is not None)
     error_rate, detected, checked = check_phase(
-        transcripts, cfg.check_fraction, stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
+        rows, cfg.check_fraction, stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
     )
     if transcripts_out is not None:
-        transcripts_out.extend(transcripts)
+        transcripts_out.extend(rows)
     return SimReport(
         variant=cfg.variant,
         strategy=cfg.strategy,
         rounds=cfg.rounds,
         check_fraction=cfg.check_fraction,
         seed=cfg.seed,
-        rounds_run=len(transcripts),
+        rounds_run=len(rows),
         checked_rounds=len(checked),
         honest_error_rate=error_rate,
         detected=detected,
-        eve_accuracy=_score_eve(attack, transcripts, checked),
-        mode_breakdown=_mode_breakdown(transcripts),
+        eve_accuracy=_score_eve(attack, rows, checked),
+        mode_breakdown=_mode_breakdown(rows),
     )
 
 
@@ -426,9 +452,8 @@ def _script_ints(name: str, entries: Sequence[int]) -> tuple[int, ...]:
 def original_plans(secrets: Sequence[int]) -> tuple[RoundPlan, ...]:
     """Alternating-variant plans for the given per-round secrets."""
     secrets = _script_ints("secrets", secrets)
-    plans = tuple(itertools.islice(_round_plans("original", lambda i: secrets[i - 1]), len(secrets)))
-    _check_plans("original", plans)
-    return plans
+    plans = itertools.islice(_round_plans("original", lambda i: secrets[i - 1]), len(secrets))
+    return _check_plans("original", [RoundPlan(i, c.mode, c.coin) for i, c in plans])
 
 
 def revised_plans(
@@ -451,15 +476,14 @@ def revised_plans(
     coins, secrets = _script_ints("coins", coins), _script_ints("secrets", secrets)
     if q1_bits is not None:
         q1_bits = _script_ints("q1_bits", q1_bits)
-    plans = tuple(itertools.islice(_round_plans(
+    plans = itertools.islice(_round_plans(
         "revised",
         secret=lambda i: secrets[i - 1],
         coin=lambda i: coins[i - 1],
         q1=(lambda i: 0) if q1_bits is None else lambda i: q1_bits[i - 1],
         target=(lambda i: W1) if targets is None else lambda i: targets[i - 1],
-    ), len(coins)))
-    _check_plans("revised", plans)
-    return plans
+    ), len(coins))
+    return _check_plans("revised", [RoundPlan(i, c.mode, c.coin) for i, c in plans])
 
 
 def run_grid(
@@ -476,18 +500,9 @@ def run_grid(
     if not (strategies and rounds_list and check_fractions):
         raise ValueError("sweep grid is empty")
     reports = []
-    gi = 0
-    for strategy in strategies:
-        for rounds in rounds_list:
-            for frac in check_fractions:
-                for rep in range(repeats):
-                    cfg = SimConfig(
-                        variant=variant,
-                        strategy=strategy,
-                        rounds=rounds,
-                        seed=derived_seed(master_seed, gi, rep),
-                        check_fraction=frac,
-                    )
-                    reports.append(run_simulation(cfg))
-                gi += 1
+    for gi, (strategy, rounds, frac) in enumerate(itertools.product(strategies, rounds_list, check_fractions)):
+        for rep in range(repeats):
+            seed = derived_seed(master_seed, gi, rep)
+            cfg = SimConfig(variant=variant, strategy=strategy, rounds=rounds, seed=seed, check_fraction=frac)
+            reports.append(run_simulation(cfg))
     return reports

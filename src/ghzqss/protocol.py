@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
@@ -158,17 +159,6 @@ class RoundPlan:
     @property
     def target(self) -> str | None:
         return self.mode.target if isinstance(self.mode, SinglePair) else None
-
-    @property
-    def round_class(self) -> tuple:
-        """Hashable summary of what a session round reads from this plan
-        besides ``round_index``.
-
-        The alternating variant also reads where the round sits: no
-        Hadamard layer precedes round 1, and odd and even rounds differ.
-        """
-        position = None if self.alice_hadamard is not None else (self.round_index == 1, self.round_index % 2)
-        return position, type(self.mode), *vars(self.mode).values(), self.alice_hadamard
 
 
 class CarrierTracker:
@@ -518,9 +508,17 @@ def revised_round(
 # Check phase
 
 
+def require_number(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number but no bool."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def check_settings(check_fraction: float, threshold: float, threshold_name: str = "threshold") -> None:
     """Raise ``ValueError`` unless the check phase can run with this
     fraction of checked rounds and this detection threshold."""
+    require_number("check_fraction", check_fraction)
+    require_number(threshold_name, threshold)
     if not 0.0 < check_fraction <= 1.0:
         raise ValueError("check_fraction must lie in (0, 1]")
     if not (math.isfinite(threshold) and threshold >= 0.0):
@@ -528,7 +526,7 @@ def check_settings(check_fraction: float, threshold: float, threshold_name: str 
 
 
 def check_phase(
-    transcripts: Sequence[RoundTranscript],
+    transcripts: Sequence[RoundTranscript] | Sequence[tuple],
     check_fraction: float,
     rng: np.random.Generator,
     threshold: float = 0.0,
@@ -541,18 +539,24 @@ def check_phase(
     where ``detected`` is true when the error rate among checked rounds
     exceeds ``threshold`` and ``announced`` holds the checked rounds'
     indices in order.  A ``check_announced`` event is appended to each
-    sacrificed round's transcript.
+    sacrificed round's transcript.  A round may instead come as a view that
+    needs no transcript: a tuple starting with index, secret, recovered bit.
     """
     check_settings(check_fraction, threshold)
     if not transcripts:
         raise ValueError("no rounds to check")
     n = len(transcripts)
     k = max(1, int(round(check_fraction * n)))
-    checked = [transcripts[int(i)] for i in np.sort(rng.choice(n, size=k, replace=False))]
     errors = 0
-    for t in checked:
-        t.events.append(ev_check(t.round_index, t.secret))
-        if t.recovered != t.secret:
-            errors += 1
+    announced = []
+    for i in np.sort(rng.choice(n, size=k, replace=False)):
+        t = transcripts[int(i)]
+        if type(t) is tuple:
+            index, secret, recovered = t[:3]
+        else:
+            index, secret, recovered = t.round_index, t.secret, t.recovered
+            t.events.append(ev_check(index, secret))
+        errors += recovered != secret
+        announced.append(index)
     error_rate = errors / k
-    return error_rate, error_rate > threshold, tuple(t.round_index for t in checked)
+    return error_rate, error_rate > threshold, tuple(announced)

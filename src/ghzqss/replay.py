@@ -257,15 +257,16 @@ class RoundTable:
         return self._interned.setdefault(value, value)
 
     def play(
-        self, play_round, session: Script, variant: str, world: PureState, plan: RoundPlan,
-        tracker: CarrierTracker, attack,
-    ) -> tuple[PureState, RoundTranscript]:
-        """One session round: replayed from the live streams of
-        ``session``, the session's ``Script``, when recorded, else played
-        through it by ``play_round`` (the statevector round,
-        ``harness._play_round``) and recorded."""
-        attack_key = attack.round_key(plan.round_index) if attack is not None else None
-        key = (variant, tracker.hadamard_parity, plan.round_class, type(attack), attack_key)
+        self, play_round, session: Script, variant: str, world: PureState, plan: tuple,
+        tracker: CarrierTracker, attack, transcribe: bool,
+    ) -> tuple[PureState, RoundTranscript | int]:
+        """Round ``plan``, a (round index, plan class) pair, of the session whose ``Script`` is
+        ``session``: replayed from its live streams when recorded, else played through it by
+        ``play_round`` (the statevector round, ``harness._play_round``) and recorded.  Returns
+        the next world and the transcript, or, on a replay without ``transcribe``, the recovered bit."""
+        round_index, plan_class = plan
+        attack_key = attack.round_key(round_index) if attack is not None else None
+        key = (variant, tracker.hadamard_parity, plan_class, type(attack), attack_key)
         slot = self._slots.get(id(world))
         if slot is None:
             known = self._canonical(world, create=False)
@@ -288,16 +289,23 @@ class RoundTable:
                 head = tree[i]
             if head is not None:
                 self.hits += 1
-                return self._replay(head, tree[i + 1], plan, tracker, attack)
+                if transcribe:
+                    return self._replay(head, tree[i + 1], plan, tracker, attack)
+                tracker.hadamard_parity, _, _, recovered, _, _, _, recorded = tree[i + 1]
+                if attack is not None:
+                    attack.replay_round(round_index, recorded)
+                return head, recovered
         return self._record(play_round, session, drawn, tree is not _UNFAIR, key, variant, world, plan, tracker, attack)
 
-    def _replay(self, world: PureState, payload: tuple, plan: RoundPlan, tracker: CarrierTracker, attack):
+    def _replay(self, world: PureState, payload: tuple, plan: tuple, tracker: CarrierTracker, attack):
+        """The world and transcript of a replayed round, the one place that builds a transcript from a payload."""
+        round_index, plan_class = plan
         parity, bob, charlie, recovered, events, records, notes, recorded = payload
         tracker.hadamard_parity = parity
         if attack is not None:
-            attack.replay_round(plan.round_index, recorded)
+            attack.replay_round(round_index, recorded)
         transcript = RoundTranscript(
-            plan.round_index, plan.mode_name, plan.alice_hadamard, plan.target, plan.secret,
+            round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
             bob, charlie, recovered,
             [dict(event) for event in events], list(records), None if notes is None else dict(notes),
         )
@@ -307,12 +315,14 @@ class RoundTable:
         self.misses += 1
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
+        round_index, plan_class = plan
+        plan = RoundPlan(round_index, plan_class.mode, plan_class.coin)
         after, t = play_round(variant, world, plan, tracker, script.rngs, attack)
         if script.pos != len(script.log):
             raise RuntimeError("a round drew less than its recording: the round table key misses state")
         if not storable:
             return after, t
-        recorded = attack.recorded_round(mark, plan.round_index) if attack is not None else None
+        recorded = attack.recorded_round(mark, round_index) if attack is not None else None
         forks = [r.probability for r in (*t.records, *(recorded[0] if recorded else ())) if r.probability != 1.0]
         coins = sum(code & 1 for code, _ in script.log)
         fair = not script.foreign and len(forks) == len(script.log) - coins and all(p == 0.5 for p in forks)

@@ -158,6 +158,12 @@ class TestSimConfigValidation:
             (dict(rounds=2.5), "rounds must be an integer"),
             (dict(seed=True), "seed must be an integer"),
             (dict(rounds=True), "rounds must be an integer"),
+            (dict(check_fraction=True), "check_fraction must be a number"),
+            (dict(hadamard_bias=True), "hadamard_bias must be a number"),
+            (dict(detect_threshold=True), "detect_threshold must be a number"),
+            (dict(check_fraction="0.5"), "check_fraction must be a number"),
+            (dict(hadamard_bias="0.5"), "hadamard_bias must be a number"),
+            (dict(rounds=1, secret_bits=1), "secret_bits must be a string"),
         ],
     )
     def test_bad_configs_are_rejected(self, kwargs, match):
@@ -834,8 +840,8 @@ def _table_session(cfg, monkeypatch):
     """``run_simulation`` with its attack and final world captured."""
     played = []
 
-    def capture(cfg):
-        out = inner(cfg)
+    def capture(*args):
+        out = inner(*args)
         played.append(out)
         return out
 
@@ -878,6 +884,11 @@ class TestRoundTable:
             table.clear()
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", kwargs)
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", kwargs)
+            # A session that asks for no transcripts reports the same from
+            # its compact rows.
+            table.clear()
+            assert json.dumps(run_simulation(cfg).to_dict()) == want[0], ("compact cold", kwargs)
+            assert json.dumps(run_simulation(cfg).to_dict()) == want[0], ("compact warm", kwargs)
         assert table.hits > 0 and table.entries <= MAX_TABLE_ENTRIES
 
     def test_a_table_warmed_by_other_sessions_matches(self, table, monkeypatch):
@@ -977,19 +988,30 @@ class TestRoundTable:
             attack_part = None if attack is None else repr((attack.records, attack.inferred))
             return transcripts_to_jsonl(transcripts), attack_part, world.amps.tobytes()
 
+        # Every session runs twice: with transcripts, and with compact rows
+        # that give the report's figures.
         cfgs = [SimConfig(variant=v, strategy=s, rounds=120, seed=seed) for seed in range(3) for v, s in PAIRS]
+        inputs = [(cfg, transcribe) for cfg in cfgs for transcribe in (True, False)]
         want = []
         for cfg in cfgs:
-            _, transcripts, attack, world = _reference_session(cfg)
-            want.append(rounds_bytes(world, attack, transcripts))
+            r, transcripts, attack, world = _reference_session(cfg)
+            transcribed = rounds_bytes(world, attack, transcripts)
+            figures = repr((r.honest_error_rate, r.detected, r.checked_rounds, r.eve_accuracy, r.mode_breakdown))
+            want += [transcribed, (figures, *transcribed[1:])]
         got = {}
 
         def work(first):
-            for i in range(first, len(cfgs), 4):
-                cfg = cfgs[i]
-                world, attack, transcripts = harness._play_session(cfg)
-                check_phase(transcripts, cfg.check_fraction, stream(cfg.seed, harness.STREAM_CHECK), cfg.detect_threshold)
-                got[i] = rounds_bytes(world, attack, transcripts)
+            for i in range(first, len(inputs), 4):
+                cfg, transcribe = inputs[i]
+                world, attack, rows = harness._play_session(cfg, transcribe)
+                rate, detected, checked = check_phase(
+                    rows, cfg.check_fraction, stream(cfg.seed, harness.STREAM_CHECK), cfg.detect_threshold
+                )
+                got[i] = rounds_bytes(world, attack, rows if transcribe else [])
+                if not transcribe:
+                    eve = harness._score_eve(attack, rows, checked)
+                    figures = repr((rate, detected, len(checked), eve, harness._mode_breakdown(rows)))
+                    got[i] = (figures, *got[i][1:])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1002,7 +1024,7 @@ class TestRoundTable:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        assert [got.get(i) for i in range(len(cfgs))] == want
+        assert [got.get(i) for i in range(len(inputs))] == want
         assert table.hits > 0
 
     def test_sessions_make_no_scalar_numpy_draw(self, table, monkeypatch):
@@ -1029,6 +1051,27 @@ class TestRoundTable:
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", variant, strategy)
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", variant, strategy)
         assert table.hits > 0
+
+    @pytest.mark.parametrize("variant,strategy", PAIRS)
+    def test_a_warm_session_builds_no_plan_and_transcripts_only_on_request(
+        self, variant, strategy, table, monkeypatch
+    ):
+        built = {RoundPlan: 0, RoundTranscript: 0}
+        for cls in built:
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        cfg = SimConfig(variant=variant, strategy=strategy, rounds=500, seed=3)
+        run_simulation(cfg)  # records every round the session plays
+        for transcripts in (None, []):
+            built.update({RoundPlan: 0, RoundTranscript: 0})
+            misses = table.misses
+            run_simulation(cfg, transcripts)
+            assert table.misses == misses  # every round is replayed
+            assert built[RoundPlan] == 0
+            assert built[RoundTranscript] == (0 if transcripts is None else 500)
 
     def test_enumeration_bypasses_the_table(self, table):
         enumerate_branches(Scenario("original", original_plans((1, 0, 1, 1)), strategy="a2"))

@@ -302,13 +302,13 @@ def _fake_transcript(i, secret, recovered):
 class TestCheckPhase:
     def test_fraction_bounds(self):
         ts = [_fake_transcript(1, 0, 0)]
-        for bad in (0.0, -0.1, 1.5):
+        for bad in (0.0, -0.1, 1.5, True, "0.5"):
             with pytest.raises(ValueError, match="check_fraction"):
                 check_phase(ts, bad, np.random.default_rng(0))
         with pytest.raises(ValueError, match="no rounds"):
             check_phase([], 0.5, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), True, "0.5"])
     def test_threshold_bounds(self, bad):
         ts = [_fake_transcript(1, 0, 0)]
         with pytest.raises(ValueError, match="threshold"):
@@ -358,6 +358,13 @@ class TestCheckPhase:
             )
             assert announced == picks[-1]
         assert picks[0] == picks[1]
+
+    def test_a_view_without_transcripts_checks_alike(self):
+        ts = [_fake_transcript(i, i % 2, int(i % 3 == 0)) for i in range(1, 41)]
+        view = [(t.round_index, t.secret, t.recovered, "pair", None) for t in ts]
+        want = check_phase(ts, 0.3, np.random.default_rng(5), threshold=0.1)
+        assert check_phase(view, 0.3, np.random.default_rng(5), threshold=0.1) == want
+        assert want[0] > 0.1 and len(want[2]) == 12
 
     def test_check_event_reveals_the_secret(self):
         ts = [_fake_transcript(1, 1, 1)]
