@@ -156,7 +156,7 @@ class SimReport:
 
 
 def _outcome(row) -> tuple[int, int, int, str, str | None]:
-    """A transcript, or a compact row: ``(round_index, secret, recovered, mode, target)``."""
+    """The compact row ``(round_index, secret, recovered, mode, target)`` of a transcript or row."""
     if type(row) is tuple:
         return row
     return row.round_index, row.secret, row.recovered, row.mode, row.target
