@@ -45,10 +45,10 @@ The round table of ``run_simulation`` replays recorded rounds without
 calling the hooks.  ``round_key`` names everything the next round's
 hooks read besides the world, which is ``state`` (the full schedule adds
 its position), and ``replay_round`` re-applies a recorded round; the
-harness reads nothing else of an attack.  The table stores a round only
-if each of its quantum draws shows up as a record of weight 1/2, so a
-hook that measures without putting the record in ``records`` always
-plays on the statevector path.
+harness reads nothing else of an attack.  In a session, each quantum
+draw of a round must show up as a record of weight 1/2, else the round
+table raises; ``rngs`` and ``coins`` hand out only scalar ``random()``
+and ``integers(0, 2)``.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -121,11 +122,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fh.write(transcripts_to_jsonl(transcripts))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
-    elif args.format == "csv":
-        print(CSV_HEADER)
-        print(_report_csv_row(report))
     else:
-        print(_report_human(report))
+        _emit_reports([report], args.format)
     if args.fail_on_detect and report.detected:
         return 1
     return 0
@@ -229,18 +227,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``main`` parses with one parser per process; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -359,7 +359,7 @@ class Scenario:
             raise ValueError("scenario needs at least one round plan")
         if len(self.plans) > MAX_ENUM_ROUNDS:
             raise ValueError(f"enumeration is capped at {MAX_ENUM_ROUNDS} rounds")
-        _check_plans(self.variant, self.plans)
+        object.__setattr__(self, "plans", _check_plans(self.variant, self.plans))
         _require_int("attack_seed", self.attack_seed, 0)
 
 
@@ -435,6 +435,7 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     Raises if the scenario forks more than ``max_branches`` times, which
     short scripted scenarios never should.
     """
+    _require_int("max_branches", max_branches, 1)
     attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
     branches: list[Branch] = []
     _walk(scenario, Script(), chi_state(), 0, attack, (), branches, max_branches)

@@ -262,9 +262,9 @@ class Rngs:
     separate guarantees that inserting an attack never perturbs the
     honest parties' draw sequence.  Each stream only needs a
     ``random()`` method.  Sessions and the branch enumerator pass the
-    three taps of a ``replay.Script``, which log every draw: a session's
-    draw from its ``replay.PCG64Stream``s, the enumerator's return
-    scripted outcomes.
+    taps of a ``replay.Script``, which log every draw and refuse all but
+    a scalar ``random()`` or a session's ``integers(0, 2)``: a session's
+    draw from ``replay.PCG64Stream``s, the enumerator's script outcomes.
     """
 
     bob: object

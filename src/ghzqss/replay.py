@@ -14,10 +14,12 @@ logs the outcome path it records through the session's script, and the
 branch enumerator (``harness._walk``) counts through a round's forks
 with a script that has no live streams.
 
-A warm round draws only random numbers, so the session streams are
-``PCG64Stream``s: they decode numpy's own ``random()`` and
-``integers(0, 2)`` values from raw PCG64 words (O'Neill 2014) fetched in
-blocks, without a numpy call per draw.
+Every supported session draws only scalar ``random()`` and
+``integers(0, 2)`` values.  Its streams are ``PCG64Stream``s, which
+decode numpy's own values from raw PCG64 words (O'Neill 2014) fetched in
+blocks, without a numpy call per draw; they and the script's taps refuse
+any other use.  Every fork of the paper's Clifford circuits has weight
+1/2, so a round that forks otherwise raises instead of playing slowly.
 
 ``harness.run_simulation`` keeps one table for the whole process
 (``harness.ROUND_TABLE``).  Exact enumeration does not use it.
@@ -25,6 +27,7 @@ blocks, without a numpy call per draw.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -34,17 +37,15 @@ from .qsim import PureState
 
 MAX_TABLE_ENTRIES = 4096
 
-# A key some of whose plays fork at a Born weight other than 1/2: its
-# rounds always play on the statevector path.
-_UNFAIR = "unfair"
+_SCALAR_ONLY = "a session stream hands out only random() and integers(0, 2)"
 
 # Raw words a PCG64Stream fetches at a time.
 BLOCK_WORDS = 64
 
 
 class PCG64Stream:
-    """A numpy PCG64 ``Generator`` whose scalar ``random()`` and
-    ``integers(0, 2)`` draws are decoded in Python from raw 64-bit words.
+    """The scalar ``random()`` and ``integers(0, 2)`` draws of a numpy PCG64
+    ``Generator``, decoded in Python from raw 64-bit words.
 
     The values are numpy's own.  A double is ``(w >> 11) * 2**-53`` of the
     next word.  ``integers(0, 2)`` is Lemire's bounded draw (Lemire 2019)
@@ -53,43 +54,38 @@ class PCG64Stream:
     half waits across ``random()`` calls, as PCG64's ``next_uint32`` does.
     Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``.
 
-    Any other use (other bounds, ``size=``, another method or attribute)
-    switches the stream for good to a numpy ``Generator`` on the same bit
-    generator, rebuilt at the exact position: the state at construction,
-    advanced by the words consumed, with the pending half-word.
+    Any other call (other bounds, ``size=``) raises ``TypeError`` before
+    anything is drawn, and the stream has no other method or attribute.
     """
 
-    __slots__ = ("_bits", "_start", "_words", "_pos", "_spent", "_half", "_gen")
+    __slots__ = ("_bits", "_words", "_pos", "_half")
 
     def __init__(self, gen: np.random.Generator) -> None:
         bits = gen.bit_generator
         if type(bits) is not np.random.PCG64:
             raise TypeError(f"a PCG64Stream needs a PCG64 bit generator, got {type(bits).__name__}")
+        state = bits.state
         self._bits = bits
-        self._start = bits.state
         self._words: list[int] = []
         self._pos = 0  # next word of the block
-        self._spent = 0  # words of earlier blocks
-        self._half = self._start["uinteger"] if self._start["has_uint32"] else None
-        self._gen: np.random.Generator | None = None
+        self._half = state["uinteger"] if state["has_uint32"] else None
 
     def _word(self) -> int:
         pos, words = self._pos, self._words
         if pos == len(words):
-            self._spent += pos
             words = self._words = self._bits.random_raw(BLOCK_WORDS).tolist()
             pos = 0
         self._pos = pos + 1
         return words[pos]
 
     def random(self, *args, **kwargs):
-        if args or kwargs or self._gen is not None:
-            return self.generator().random(*args, **kwargs)
+        if args or kwargs:
+            raise TypeError(_SCALAR_ONLY)
         return (self._word() >> 11) * 2.0 ** -53
 
     def integers(self, *args, **kwargs):
-        if args != (0, 2) or kwargs or self._gen is not None:
-            return self.generator().integers(*args, **kwargs)
+        if args != (0, 2) or kwargs:
+            raise TypeError(_SCALAR_ONLY)
         half = self._half
         if half is None:
             word = self._word()
@@ -97,27 +93,6 @@ class PCG64Stream:
             return (word >> 31) & 1
         self._half = None
         return half >> 31
-
-    def generator(self) -> np.random.Generator:
-        """The stream as a numpy ``Generator`` at its exact position; every
-        later draw goes through it."""
-        gen = self._gen
-        if gen is None:
-            bits = self._bits
-            bits.state = self._start
-            bits.advance(self._spent + self._pos)
-            if self._half is not None:
-                state = bits.state
-                state["has_uint32"], state["uinteger"] = 1, self._half
-                bits.state = state
-            gen = self._gen = np.random.Generator(bits)
-            self._words = None
-        return gen
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.generator(), name)
 
 
 class Script:
@@ -127,14 +102,15 @@ class Script:
     stream index (Bob, Charlie, attack) plus 1 for an ``integers(0, 2)``
     coin and 0 for a ``random()``.  A play first gets back, in order, the
     values it was ``reset`` to; past them each draw comes from the
-    ``live`` streams and is logged.  ``foreign`` notes any other use of a
-    live stream, which a fork tree cannot replay.  Without live streams
-    (the branch enumerator's script) a ``random()`` returns 1.0, which
-    forces outcome 0, and a coin or any other use raises ``TypeError``: a
-    coin leaves no measurement record for a branch's weight.
+    ``live`` streams and is logged.  A tap hands out only those two
+    draws, which is all a fork tree can replay: any other use raises
+    ``TypeError`` before anything is drawn or logged.  Without live
+    streams (the branch enumerator's script) a ``random()`` returns 1.0,
+    which forces outcome 0, and a coin raises too: a coin leaves no
+    measurement record for a branch's weight.
     """
 
-    __slots__ = ("live", "log", "pos", "foreign")
+    __slots__ = ("live", "log", "pos")
 
     def __init__(self, live: tuple[PCG64Stream, PCG64Stream, PCG64Stream] | None = None) -> None:
         self.live = live
@@ -150,7 +126,6 @@ class Script:
     def reset(self, drawn: list) -> None:
         self.log = drawn
         self.pos = 0
-        self.foreign = False
 
     def take(self, code: int, draw):
         pos = self.pos
@@ -168,36 +143,30 @@ class Script:
 class _Tap:
     """One stream of a ``Script``: every ``random()`` and coin goes through the script."""
 
-    __slots__ = ("_script", "_gen", "_code", "_random")
+    __slots__ = ("_script", "_code", "_random", "_coin")
 
     def __init__(self, script: Script, index: int) -> None:
         gen = None if script.live is None else script.live[index]
         self._script = script
-        self._gen = gen
         self._code = 2 * index
         self._random = (lambda: 1.0) if gen is None else gen.random
+        self._coin = None if gen is None else functools.partial(gen.integers, 0, 2)
 
     def random(self, *args, **kwargs):
-        if not (args or kwargs):
-            return self._script.take(self._code, self._random)
-        return self._foreign().random(*args, **kwargs)
+        if args or kwargs:
+            raise self._refused()
+        return self._script.take(self._code, self._random)
 
     def integers(self, *args, **kwargs):
-        if args == (0, 2) and not kwargs and self._gen is not None:
-            return self._script.take(self._code + 1, self._coin)
-        return self._foreign().integers(*args, **kwargs)
+        if args != (0, 2) or kwargs or self._coin is None:
+            raise self._refused()
+        return self._script.take(self._code + 1, self._coin)
 
-    def _coin(self):
-        return self._gen.integers(0, 2)
-
-    def _foreign(self) -> PCG64Stream:
-        if self._gen is None:
-            raise TypeError("a script without live streams hands out only random()")
-        self._script.foreign = True
-        return self._gen
+    def _refused(self) -> TypeError:
+        return TypeError("a script without live streams hands out only random()" if self._coin is None else _SCALAR_ONLY)
 
     def __getattr__(self, name):
-        return getattr(self._foreign(), name)
+        raise self._refused()
 
 
 class RoundTable:
@@ -212,15 +181,14 @@ class RoundTable:
     the round produced, with the round index left out; ``None`` is an
     outcome not yet recorded.  Replaying a tree draws from the session's
     real streams exactly what the statevector play draws, because every
-    fork of a stored key is a coin or a Born weight of exactly 1/2
-    (``qsim.measure``).
+    fork is a coin or a Born weight of exactly 1/2 (``qsim.measure``).
 
     A miss plays the round on the statevector path through the session's
     ``Script``, which hands back first the values the walk already drew,
-    and stores the path it logged.  A key whose play forks at another
-    weight, or uses a stream otherwise, is marked and always plays on the
-    statevector path.  Once ``MAX_TABLE_ENTRIES`` keys are stored, new
-    keys play there unstored.
+    and stores the path it logged.  A play that forks other than at a
+    recorded Born weight of 1/2, stored or not, raises ``RuntimeError``:
+    a tree could not replay it.  Once ``MAX_TABLE_ENTRIES`` keys are
+    stored, new keys play on the statevector path unstored.
     """
 
     def __init__(self) -> None:
@@ -232,8 +200,7 @@ class RoundTable:
         self._worlds: dict[tuple, PureState] = {}  # world key -> interned world
         self._slots: dict[int, dict] = {}  # id of an interned world -> {key: tree}
         self._interned: dict = {}
-        self.entries = 0  # keys stored, ``unfair`` of them as marks
-        self.unfair = 0
+        self.entries = 0  # keys stored
         self.hits = 0
         self.misses = 0
 
@@ -273,7 +240,7 @@ class RoundTable:
             slot = self._slots[id(known)] if known is not None else {}
         tree = slot.get(key)
         drawn = []
-        if type(tree) is tuple:
+        if tree is not None:
             gens = session.live
             i = 0
             head = tree[0]
@@ -295,7 +262,7 @@ class RoundTable:
                 if attack is not None:
                     attack.replay_round(round_index, recorded)
                 return head, recovered
-        return self._record(play_round, session, drawn, tree is not _UNFAIR, key, variant, world, plan, tracker, attack)
+        return self._record(play_round, session, drawn, key, variant, world, plan, tracker, attack)
 
     def _replay(self, world: PureState, payload: tuple, plan: tuple, tracker: CarrierTracker, attack):
         """The world and transcript of a replayed round, the one place that builds a transcript from a payload."""
@@ -311,7 +278,7 @@ class RoundTable:
         )
         return world, transcript
 
-    def _record(self, play_round, script, drawn, storable, key, variant, world, plan, tracker, attack):
+    def _record(self, play_round, script, drawn, key, variant, world, plan, tracker, attack):
         self.misses += 1
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
@@ -320,36 +287,30 @@ class RoundTable:
         after, t = play_round(variant, world, plan, tracker, script.rngs, attack)
         if script.pos != len(script.log):
             raise RuntimeError("a round drew less than its recording: the round table key misses state")
-        if not storable:
-            return after, t
         recorded = attack.recorded_round(mark, round_index) if attack is not None else None
+        # Each random() must be a measurement whose record has weight 1/2.
         forks = [r.probability for r in (*t.records, *(recorded[0] if recorded else ())) if r.probability != 1.0]
         coins = sum(code & 1 for code, _ in script.log)
-        fair = not script.foreign and len(forks) == len(script.log) - coins and all(p == 0.5 for p in forks)
+        if len(forks) != len(script.log) - coins or any(p != 0.5 for p in forks):
+            raise RuntimeError("a round forked other than at a recorded Born weight of 1/2")
         # Sessions in other threads may store at the same time; interning
         # a world twice would leave a slot under the id of a world the
         # table does not keep alive.
         with self._lock:
-            return self._store(key, world, after, t, tracker.hadamard_parity, recorded, fair, script.log)
+            return self._store(key, world, after, t, tracker.hadamard_parity, recorded, script.log)
 
-    def _store(self, key, world, after, t, parity, recorded, fair, log):
+    def _store(self, key, world, after, t, parity, recorded, log):
         """Store the path ``log`` of a statevector play; returns its world and transcript."""
         known = self._canonical(world, create=self.entries < MAX_TABLE_ENTRIES)
         if known is None:
             return after, t
         slot = self._slots[id(known)]
         root = slot.get(key)
-        if root is _UNFAIR:  # marked by a session in another thread
-            return after, t
         if root is None:
             if self.entries >= MAX_TABLE_ENTRIES:
                 return after, t
             self.entries += 1
             key = self._intern(tuple(self._intern(part) for part in key))
-        if not fair:
-            slot[key] = _UNFAIR
-            self.unfair += 1
-            return after, t
         canonical = self._canonical(after, create=True)
         payload = (
             parity, t.bob, t.charlie, t.recovered,

@@ -2,11 +2,14 @@
 test through a real subprocess."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ghzqss
 from ghzqss.cli import CSV_HEADER, main
 
 # Frozen copy of the contract: consumers parse sweep output by these
@@ -21,6 +24,20 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_process(argv, **env):
+    """``python -m ghzqss.cli argv`` in a fresh interpreter that imports this
+    checkout's package; ``env`` adds to the environment."""
+    source = str(pathlib.Path(ghzqss.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ghzqss.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
 
 
 class TestRunCommand:
@@ -154,6 +171,20 @@ class TestRunCommand:
         assert out == ""
         assert not path.parent.exists()
 
+    def test_calls_in_one_process_match_separate_processes(self, capsys, monkeypatch):
+        argv = ["run", "--attack", "dishonest-bob", "--rounds", "400",
+                "--check-fraction", "1.0", "--format", "json"]
+        # Both sessions are detected, so only the flag tells the exit codes apart.
+        codes = []
+        for args, seed in ((argv + ["--fail-on-detect"], "0"), (argv, "1")):
+            proc = _run_process(args, QSS_SEED=seed)
+            monkeypatch.setenv("QSS_SEED", seed)
+            assert _run(capsys, args) == (proc.returncode, proc.stdout, proc.stderr)
+            report = json.loads(proc.stdout)
+            assert report["detected"] and report["seed"] == int(seed)
+            codes.append(proc.returncode)
+        assert codes == [1, 0]
+
     def test_seed_env_default_and_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QSS_SEED", "123")
         _, out, _ = _run(capsys, ["run", "--rounds", "5", "--format", "json"])
@@ -259,13 +290,7 @@ class TestUsage:
         assert _run(capsys, ["run", "--frobnicate"])[0] == 2
 
     def test_module_entry_point(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ghzqss.cli", "run", "--rounds", "15",
-             "--seed", "4", "--format", "json"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _run_process(["run", "--rounds", "15", "--seed", "4", "--format", "json"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rounds_run"] == 15
 

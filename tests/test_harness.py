@@ -76,19 +76,14 @@ def _draw(gen, kind):
     return gen.random() if kind == "r" else gen.integers(0, 2)
 
 
-def _position(gen):
-    """Where a PCG64 generator stands: its state and any pending half-word."""
-    state = gen.bit_generator.state
-    return state["state"], state["uinteger"] if state["has_uint32"] else None
-
-
-# Uses of a stream that a PCG64Stream does not decode.
+# Uses of a stream that a PCG64Stream refuses, and what each raises: a
+# call it does not decode is a TypeError, a method it lacks an AttributeError.
 FOREIGN = {
-    "normal()": lambda gen: gen.normal(),
-    "integers(0, 4)": lambda gen: gen.integers(0, 4),
-    "random(3)": lambda gen: gen.random(3),
-    "integers(0, 2, size=3)": lambda gen: gen.integers(0, 2, size=3),
-    "bit_generator.random_raw()": lambda gen: gen.bit_generator.random_raw(),
+    "normal()": (lambda gen: gen.normal(), AttributeError),
+    "integers(0, 4)": (lambda gen: gen.integers(0, 4), TypeError),
+    "random(3)": (lambda gen: gen.random(3), TypeError),
+    "integers(0, 2, size=3)": (lambda gen: gen.integers(0, 2, size=3), TypeError),
+    "bit_generator.random_raw()": (lambda gen: gen.bit_generator.random_raw(), AttributeError),
 }
 
 
@@ -101,7 +96,6 @@ class TestPCG64Stream:
             want = np.random.default_rng(seed)
             got = PCG64Stream(np.random.default_rng(seed))
             assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
-            assert _position(got.generator()) == _position(want)
 
     def test_a_half_word_pending_at_construction_comes_first(self):
         want, gen = np.random.default_rng(3), np.random.default_rng(3)
@@ -112,21 +106,20 @@ class TestPCG64Stream:
         assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds]
 
     @pytest.mark.parametrize("foreign", FOREIGN)
-    def test_a_foreign_use_at_any_position_switches_exactly(self, foreign):
+    def test_a_foreign_use_raises_and_draws_nothing(self, foreign):
+        call, error = FOREIGN[foreign]
         rnd = random.Random(foreign)
-        call = FOREIGN[foreign]
-        for _ in range(4):
+        # Both positions lie inside the second block; after the coin a
+        # half-word is pending.
+        for prefix in (["r"] * (BLOCK_WORDS + 5), ["r"] * (BLOCK_WORDS + 5) + ["c"]):
             seed = rnd.randrange(2 ** 64)
-            # Long enough to cross a block; a position after an odd number
-            # of coins has a half-word pending.
-            kinds = _mixed_draws(rnd, 2 * BLOCK_WORDS)
-            tail = _mixed_draws(rnd, 12)
-            for pos in range(len(kinds) + 1):
-                want = np.random.default_rng(seed)
-                got = PCG64Stream(np.random.default_rng(seed))
-                assert [_draw(got, k) for k in kinds[:pos]] == [_draw(want, k) for k in kinds[:pos]]
-                np.testing.assert_array_equal(call(got), call(want))
-                assert [_draw(got, k) for k in tail] == [_draw(want, k) for k in tail], (seed, pos)
+            tail = ["r", "c"] + _mixed_draws(rnd, 2 * BLOCK_WORDS)
+            want = np.random.default_rng(seed)
+            got = PCG64Stream(np.random.default_rng(seed))
+            assert [_draw(got, k) for k in prefix] == [_draw(want, k) for k in prefix]
+            with pytest.raises(error):
+                call(got)
+            assert [_draw(got, k) for k in tail] == [_draw(want, k) for k in tail], (seed, prefix[-1])
 
     def test_only_pcg64_is_decoded(self):
         with pytest.raises(TypeError, match="PCG64"):
@@ -286,7 +279,7 @@ class TestScript:
         assert rngs.charlie.random() == 1.0  # past the prefix: forced 0
         assert rngs.bob.random() == 1.0
         assert script.log == [(0, 0.0), (4, 1.0), (2, 1.0), (0, 1.0)]
-        assert script.pos == 4 and not script.foreign
+        assert script.pos == 4
 
     @pytest.mark.parametrize("wrap", [lambda gen: gen, PCG64Stream], ids=["Generator", "PCG64Stream"])
     def test_live_draws_past_the_prefix_equal_numpy_and_are_logged(self, wrap):
@@ -305,7 +298,6 @@ class TestScript:
             assert got == value
             expected.append((2 * k + coin, value))
         assert script.log == prefix + expected
-        assert not script.foreign
 
     def test_a_prefix_in_another_order_raises(self):
         for live in (None, _live_streams(5, PCG64Stream)):
@@ -325,13 +317,15 @@ class TestScript:
         ],
         ids=["random-n", "random-size", "integers-0-4", "integers-size", "other-method"],
     )
-    def test_a_foreign_use_is_noted_and_passed_through(self, use):
+    def test_any_other_use_raises_and_logs_nothing(self, use):
         script = Script(_live_streams(9, PCG64Stream))
         want = _live_streams(9, lambda gen: gen)
         assert script.rngs.charlie.random() == want[1].random()
-        np.testing.assert_array_equal(use(script.rngs.charlie), use(want[1]))
-        assert script.foreign
-        assert [code for code, _ in script.log] == [2]  # the foreign use is not logged
+        with pytest.raises(TypeError, match="only random"):
+            use(script.rngs.charlie)
+        assert [code for code, _ in script.log] == [2]
+        # Nothing was drawn either.
+        assert script.rngs.charlie.random() == want[1].random()
 
     @pytest.mark.parametrize(
         "use",
@@ -414,6 +408,24 @@ class TestEnumeration:
         plans = original_plans([0] * (MAX_ENUM_ROUNDS + 1))
         with pytest.raises(ValueError, match="capped"):
             Scenario("original", plans)
+
+    def test_a_scenario_keeps_the_plans_it_checked(self):
+        plans = list(original_plans((1, 0, 1)))
+        scenario = Scenario("original", plans)
+        assert hash(scenario) == hash(Scenario("original", original_plans((1, 0, 1))))
+        plans.extend(original_plans([0] * MAX_ENUM_ROUNDS))
+        assert scenario.plans == tuple(plans[:3])
+
+    @pytest.mark.parametrize(
+        "bad,match", [(0, "at least 1"), (-3, "at least 1"), (1.5, "an integer"), (True, "an integer")]
+    )
+    def test_max_branches_is_checked_before_any_play(self, bad, match, monkeypatch):
+        def no_play(*args):
+            raise AssertionError("a branch was played")
+
+        monkeypatch.setattr(harness, "_play_round", no_play)
+        with pytest.raises(ValueError, match=f"max_branches must be {match}"):
+            enumerate_branches(Scenario("original", original_plans((1, 0))), max_branches=bad)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -966,12 +978,18 @@ class TestRoundTable:
             return TiltedProbe(coins)
 
         monkeypatch.setattr(harness, "build_attack", make_attack)
-        for seed in range(4):
-            cfg = SimConfig(strategy="a1", rounds=200, seed=seed, hadamard_bias=0.3)
-            got = _session_bytes(*_table_session(cfg, monkeypatch))
-            assert got == _session_bytes(*_reference_session(cfg, make_attack))
-        assert table.hits == 0
-        assert table.entries == table.unfair > 0
+        if fork == "coin":
+            error, match = TypeError, "only random"
+        else:
+            error, match = RuntimeError, "other than at a recorded Born weight of 1/2"
+        # On a cold table, then on a full one, which leaves every play unstored.
+        for bound in (MAX_TABLE_ENTRIES, 0):
+            monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", bound)
+            for seed in range(4):
+                cfg = SimConfig(strategy="a1", rounds=200, seed=seed, hadamard_bias=0.3)
+                with pytest.raises(error, match=match):
+                    run_simulation(cfg)
+            assert (table.entries, table.hits) == (0, 0) and not table._slots, bound
 
     def test_entries_never_exceed_the_bound(self, table, monkeypatch):
         monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", 5)
@@ -1039,12 +1057,8 @@ class TestRoundTable:
 
             integers = random
 
-        def no_switch(self):
-            raise AssertionError("a session stream switched to a numpy Generator")
-
         real = harness.stream
         monkeypatch.setattr(harness, "stream", lambda seed, k: real(seed, k) if k == harness.STREAM_CHECK else RawOnly(real(seed, k)))
-        monkeypatch.setattr(PCG64Stream, "generator", no_switch)
         for variant, strategy in PAIRS:
             cfg = SimConfig(variant=variant, strategy=strategy, rounds=500, seed=11)
             want = _session_bytes(*_reference_session(cfg))
