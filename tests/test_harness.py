@@ -80,10 +80,10 @@ def _draw(gen, kind):
 # call it does not decode is a TypeError, a method it lacks an AttributeError.
 FOREIGN = {
     "normal()": (lambda gen: gen.normal(), AttributeError),
-    "integers(0, 4)": (lambda gen: gen.integers(0, 4), TypeError),
+    "integers(0,4)": (lambda gen: gen.integers(0, 4), TypeError),
     "random(3)": (lambda gen: gen.random(3), TypeError),
-    "integers(0, 2, size=3)": (lambda gen: gen.integers(0, 2, size=3), TypeError),
-    "bit_generator.random_raw()": (lambda gen: gen.bit_generator.random_raw(), AttributeError),
+    "integers(size=3)": (lambda gen: gen.integers(0, 2, size=3), TypeError),
+    "bit_generator": (lambda gen: gen.bit_generator.random_raw(), AttributeError),
 }
 
 
