@@ -20,7 +20,9 @@ step of a session, and both script its draws with a ``replay.Script``.
 process-wide memo of recorded statevector rounds (``ghzqss.replay``): a
 round whose world, plan class, carrier parity and attacker state were
 seen before is replayed from the recording against the session's own
-streams, drawing exactly what the statevector play would draw.
+streams, drawing exactly what the statevector play would draw.  A
+session keeps its world, parity and attack as plain values and turns
+each round's leaf into a compact row, or a transcript if asked for one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState
-from .replay import PCG64Stream, RoundTable, Script
+from .replay import PCG64Stream, RoundTable, Script, compact_row, transcript
 
 VARIANTS = ("original", "revised")
 
@@ -202,14 +204,15 @@ class PlanClass:
     """A round plan without its round index, interned by ``_plan_class``:
     the round table keys a replayed round on the object and builds a
     ``RoundPlan`` only for a round it plays on the statevector path.
-    ``position`` tells round 1 and odd and even rounds of the alternating
-    variant apart, and is ``None`` in the coin-flip variant."""
+    With the carrier parity before the round, the class tells round 1
+    and odd and even rounds of the alternating variant apart: (0,
+    product), (1, product) and (0, pair)."""
 
-    __slots__ = ("mode", "coin", "position", "mode_name", "target", "secret")
+    __slots__ = ("mode", "coin", "mode_name", "target", "secret")
 
-    def __init__(self, kind: type, fields: tuple, coin: int | None, position: tuple | None) -> None:
+    def __init__(self, kind: type, fields: tuple, coin: int | None) -> None:
         plan = RoundPlan(0, kind(*fields), coin)
-        self.mode, self.coin, self.position = plan.mode, coin, position
+        self.mode, self.coin = plan.mode, coin
         self.mode_name, self.target, self.secret = plan.mode_name, plan.target, plan.secret
 
 
@@ -233,20 +236,21 @@ def _round_plans(
     for i in itertools.count(1):
         q = secret(i)
         if variant == "original":
-            yield i, _plan_class(ProductPair if i % 2 else EntangledPair, (q,), None, (i == 1, i % 2))
+            yield i, _plan_class(ProductPair if i % 2 else EntangledPair, (q,), None)
             continue
         c = coin(i)
         if c ^ parity:
-            yield i, _plan_class(EntangledPair, (q,), c, None)
+            yield i, _plan_class(EntangledPair, (q,), c)
         else:
             b = q1(i)
-            yield i, _plan_class(SinglePair, (b, b ^ q, target(i)), c, None)
+            yield i, _plan_class(SinglePair, (b, b ^ q, target(i)), c)
         parity ^= c
 
 
-def _check_plans(variant: str, plans: Sequence[RoundPlan]) -> tuple[RoundPlan, ...]:
+def _check_plans(variant: str, plans: Iterable[RoundPlan]) -> tuple[RoundPlan, ...]:
     """``plans`` as a tuple if a session script of ``variant`` from round 1
     that ``check_plan`` accepts round by round, else ``ValueError``."""
+    plans = tuple(plans)
     parity = 0
     for pos, plan in enumerate(plans, start=1):
         if variant == "original" and pos > 1:
@@ -255,25 +259,29 @@ def _check_plans(variant: str, plans: Sequence[RoundPlan]) -> tuple[RoundPlan, .
         if plan.round_index != pos:
             raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
         parity ^= plan.alice_hadamard or 0
-    return tuple(plans)
+    return plans
 
 
 def _play_round(
-    variant: str, world: PureState, plan: RoundPlan, tracker: CarrierTracker, rngs: Rngs, attack
-) -> tuple[PureState, RoundTranscript]:
-    """One round of a session of either variant.
+    variant: str, world: PureState, plan: RoundPlan, parity: int, rngs: Rngs, attack
+) -> tuple[PureState, int, RoundTranscript]:
+    """One round of a session of either variant, from carrier parity
+    ``parity``: the next world, the next parity and the transcript.
 
     The alternating variant applies the public Hadamard layer before
     every round after the first, and the attack keeps its probes in
     step with it.
     """
+    tracker = CarrierTracker(parity)
+    play = revised_round
     if variant == "original":
+        play = original_round
         if plan.round_index > 1:
             world = hadamard_layer(world, CARRIER, tracker)
             if attack is not None:
                 world = attack.sync_hadamard(world)
-        return original_round(world, plan, tracker, rngs, attack)
-    return revised_round(world, plan, tracker, rngs, attack)
+    world, t = play(world, plan, tracker, rngs, attack)
+    return world, tracker.hadamard_parity, t
 
 
 # A process-wide memo in front of ``_play_round`` for Monte Carlo sessions.
@@ -282,13 +290,14 @@ ROUND_TABLE = RoundTable()
 
 def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
     """All rounds of one session: the final world, the attack and per round
-    its transcript or, if replayed without ``transcribe``, a compact row."""
+    its transcript if ``transcribe``, else its compact row."""
     alice = PCG64Stream(stream(cfg.seed, STREAM_ALICE))
     script = Script(tuple(PCG64Stream(stream(cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=script.rngs.attack)
     table = ROUND_TABLE
+    row = transcript if transcribe else compact_row
     bits, bias = cfg.secret_bits, cfg.hadamard_bias
     plans = _round_plans(
         cfg.variant,
@@ -298,14 +307,11 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
         target=lambda i: W1 if alice.random() < 0.5 else W2,
     )
 
-    world = chi_state()
-    tracker = CarrierTracker()
+    world, parity = chi_state(), 0
     rows: list = []
     for i, plan_class in itertools.islice(plans, cfg.rounds):
-        world, leaf = table.play(_play_round, script, cfg.variant, world, (i, plan_class), tracker, attack, transcribe)
-        if type(leaf) is not RoundTranscript:
-            leaf = (i, plan_class.secret, leaf, plan_class.mode_name, plan_class.target)
-        rows.append(leaf)
+        world, parity, payload = table.play(_play_round, script, cfg.variant, world, parity, (i, plan_class), attack)
+        rows.append(row(i, plan_class, payload))
     return world, attack, rows
 
 
@@ -343,9 +349,10 @@ def run_simulation(
 class Scenario:
     """A short, fully scripted session for exact enumeration.
 
-    ``plans`` fixes every classical choice Alice makes; ``attack_seed``
-    fixes the attacker's classical coins so that the only remaining
-    nondeterminism is quantum measurement.
+    ``plans``, any iterable kept as a tuple, fixes every classical
+    choice Alice makes; ``attack_seed`` fixes the attacker's classical
+    coins so that the only remaining nondeterminism is quantum
+    measurement.
     """
 
     variant: str
@@ -355,11 +362,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _validate_combo(self.variant, self.strategy)
-        if not self.plans:
+        plans = _check_plans(self.variant, self.plans)
+        if not plans:
             raise ValueError("scenario needs at least one round plan")
-        if len(self.plans) > MAX_ENUM_ROUNDS:
+        if len(plans) > MAX_ENUM_ROUNDS:
             raise ValueError(f"enumeration is capped at {MAX_ENUM_ROUNDS} rounds")
-        object.__setattr__(self, "plans", _check_plans(self.variant, self.plans))
+        object.__setattr__(self, "plans", plans)
         _require_int("attack_seed", self.attack_seed, 0)
 
 
@@ -414,10 +422,9 @@ def _walk(
     drawn: list = []
     while True:
         script.reset(drawn)  # the play logs into ``drawn``
-        tracker = CarrierTracker(parity)
         twin = attack.fork() if attack is not None else None
-        after, t = _play_round(scenario.variant, world, plan, tracker, rngs, twin)
-        _walk(scenario, script, after, tracker.hadamard_parity, twin, transcripts + (t,), branches, max_branches)
+        after, after_parity, t = _play_round(scenario.variant, world, plan, parity, rngs, twin)
+        _walk(scenario, script, after, after_parity, twin, transcripts + (t,), branches, max_branches)
         i = len(drawn) - 1
         while i >= 0 and drawn[i][1] < 0.5:
             i -= 1
@@ -442,15 +449,16 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     return branches
 
 
-def _script_ints(name: str, entries: Sequence[int]) -> tuple[int, ...]:
+def _script_ints(name: str, entries: Iterable[int]) -> tuple[int, ...]:
     """Script entries as ints; a float is an error, never truncated."""
+    entries = tuple(entries)
     try:
-        return tuple(operator.index(e) for e in entries)
+        return tuple(map(operator.index, entries))
     except TypeError:
-        raise ValueError(f"{name} entries must be integers, got {tuple(entries)!r}") from None
+        raise ValueError(f"{name} entries must be integers, got {entries!r}") from None
 
 
-def original_plans(secrets: Sequence[int]) -> tuple[RoundPlan, ...]:
+def original_plans(secrets: Iterable[int]) -> tuple[RoundPlan, ...]:
     """Alternating-variant plans for the given per-round secrets."""
     secrets = _script_ints("secrets", secrets)
     plans = itertools.islice(_round_plans("original", lambda i: secrets[i - 1]), len(secrets))
@@ -458,10 +466,10 @@ def original_plans(secrets: Sequence[int]) -> tuple[RoundPlan, ...]:
 
 
 def revised_plans(
-    coins: Sequence[int],
-    secrets: Sequence[int],
-    q1_bits: Sequence[int] | None = None,
-    targets: Sequence[str] | None = None,
+    coins: Iterable[int],
+    secrets: Iterable[int],
+    q1_bits: Iterable[int] | None = None,
+    targets: Iterable[str] | None = None,
 ) -> tuple[RoundPlan, ...]:
     """Coin-flip-variant plans with the encoding picked per the form rule.
 
@@ -469,14 +477,16 @@ def revised_plans(
     default to 0 and ``w1``; entries for pair rounds are ignored.  Every
     coin, secret and ``q1_bits`` entry must be an integer.
     """
+    coins, secrets = _script_ints("coins", coins), _script_ints("secrets", secrets)
+    if q1_bits is not None:
+        q1_bits = _script_ints("q1_bits", q1_bits)
+    if targets is not None:
+        targets = tuple(targets)
     if len(coins) != len(secrets):
         raise ValueError("coins and secrets must have equal length")
     for name, steer in (("q1_bits", q1_bits), ("targets", targets)):
         if steer is not None and len(steer) < len(coins):
             raise ValueError(f"{name} has {len(steer)} entries for {len(coins)} rounds")
-    coins, secrets = _script_ints("coins", coins), _script_ints("secrets", secrets)
-    if q1_bits is not None:
-        q1_bits = _script_ints("q1_bits", q1_bits)
     plans = itertools.islice(_round_plans(
         "revised",
         secret=lambda i: secrets[i - 1],
@@ -498,6 +508,9 @@ def run_grid(
     """Cartesian sweep; each grid point gets ``repeats`` derived seeds."""
     _require_int("repeats", repeats, 1)
     _require_int("seed", master_seed, 0)
+    for name, axis in (("strategies", strategies), ("rounds_list", rounds_list), ("check_fractions", check_fractions)):
+        if isinstance(axis, str):
+            raise ValueError(f"{name} must be a sequence of values, not the string {axis!r}")
     if not (strategies and rounds_list and check_fractions):
         raise ValueError("sweep grid is empty")
     reports = []

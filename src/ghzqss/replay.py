@@ -7,7 +7,10 @@ a few dozen per attack.  ``RoundTable`` records each round played from
 such a world once per outcome path, with the statevector round as the
 only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
-statevector play would draw, so sessions stay byte-identical.
+statevector play would draw, so sessions stay byte-identical.  Either
+way a round comes back as one leaf, (next world, next carrier parity,
+payload), from which a session builds its row with ``compact_row`` or
+``transcript``, the only readers of the payload.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the session's script, and the
@@ -32,7 +35,7 @@ import threading
 
 import numpy as np
 
-from .protocol import CarrierTracker, Rngs, RoundPlan, RoundTranscript
+from .protocol import Rngs, RoundPlan, RoundTranscript
 from .qsim import PureState
 
 MAX_TABLE_ENTRIES = 4096
@@ -169,19 +172,33 @@ class _Tap:
         raise self._refused()
 
 
+def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
+    """The compact row ``(round_index, secret, recovered, mode, target)`` of a round's leaf payload."""
+    return round_index, plan_class.secret, payload[2], plan_class.mode_name, plan_class.target
+
+
+def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
+    """The transcript of a round's leaf payload, a new one on every call."""
+    bob, charlie, recovered, events, records, notes, _ = payload
+    return RoundTranscript(
+        round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
+        bob, charlie, recovered,
+        [dict(event) for event in events], list(records), None if notes is None else dict(notes),
+    )
+
+
 class RoundTable:
     """Bounded memo of recorded statevector rounds, in front of a round function.
 
     A key is (variant, carrier parity, plan class, attack class,
     attacker key) under the exact labels and amplitude bytes of the
     world.  Its value is the round's fork tree, built one outcome path at
-    a time and flattened into one tuple in preorder: a fork is its
-    ``Script`` code and the length of its outcome-0 subtree, followed by
-    both subtrees; a leaf is the next world and a payload of everything
-    the round produced, with the round index left out; ``None`` is an
-    outcome not yet recorded.  Replaying a tree draws from the session's
-    real streams exactly what the statevector play draws, because every
-    fork is a coin or a Born weight of exactly 1/2 (``qsim.measure``).
+    a time: a fork is ``(code, outcome-0 subtree, outcome-1 subtree)``
+    with its ``Script`` code, a leaf is what ``play`` returns, and
+    ``None`` is an outcome not yet recorded.  Replaying a tree draws from
+    the session's real streams exactly what the statevector play draws,
+    because every fork is a coin or a Born weight of exactly 1/2
+    (``qsim.measure``).
 
     A miss plays the round on the statevector path through the session's
     ``Script``, which hands back first the values the walk already drew,
@@ -224,67 +241,45 @@ class RoundTable:
         return self._interned.setdefault(value, value)
 
     def play(
-        self, play_round, session: Script, variant: str, world: PureState, plan: tuple,
-        tracker: CarrierTracker, attack, transcribe: bool,
-    ) -> tuple[PureState, RoundTranscript | int]:
+        self, play_round, session: Script, variant: str, world: PureState, parity: int, plan: tuple, attack,
+    ) -> tuple[PureState, int, tuple]:
         """Round ``plan``, a (round index, plan class) pair, of the session whose ``Script`` is
-        ``session``: replayed from its live streams when recorded, else played through it by
-        ``play_round`` (the statevector round, ``harness._play_round``) and recorded.  Returns
-        the next world and the transcript, or, on a replay without ``transcribe``, the recovered bit."""
+        ``session``, from ``world`` at carrier parity ``parity``: replayed from its live streams
+        when recorded, else played through it by ``play_round`` (the statevector round,
+        ``harness._play_round``) and recorded.  Returns the round's leaf, (next world, next
+        parity, payload), where the payload is everything else the round produced."""
         round_index, plan_class = plan
         attack_key = attack.round_key(round_index) if attack is not None else None
-        key = (variant, tracker.hadamard_parity, plan_class, type(attack), attack_key)
+        key = (variant, parity, plan_class, type(attack), attack_key)
         slot = self._slots.get(id(world))
         if slot is None:
-            known = self._canonical(world, create=False)
-            slot = self._slots[id(known)] if known is not None else {}
-        tree = slot.get(key)
+            slot = self._slots.get(id(self._canonical(world, create=False)), {})
+        node = slot.get(key)
         drawn = []
-        if tree is not None:
-            gens = session.live
-            i = 0
-            head = tree[0]
-            while type(head) is int:
-                if head & 1:
-                    value = gens[head >> 1].integers(0, 2)
-                    one = value == 1
-                else:
-                    value = gens[head >> 1].random()
-                    one = value < 0.5
-                drawn.append((head, value))
-                i += 2 + tree[i + 1] if one else 2
-                head = tree[i]
-            if head is not None:
-                self.hits += 1
-                if transcribe:
-                    return self._replay(head, tree[i + 1], plan, tracker, attack)
-                tracker.hadamard_parity, _, _, recovered, _, _, _, recorded = tree[i + 1]
-                if attack is not None:
-                    attack.replay_round(round_index, recorded)
-                return head, recovered
-        return self._record(play_round, session, drawn, key, variant, world, plan, tracker, attack)
-
-    def _replay(self, world: PureState, payload: tuple, plan: tuple, tracker: CarrierTracker, attack):
-        """The world and transcript of a replayed round, the one place that builds a transcript from a payload."""
-        round_index, plan_class = plan
-        parity, bob, charlie, recovered, events, records, notes, recorded = payload
-        tracker.hadamard_parity = parity
+        gens = session.live
+        while node is not None and type(node[0]) is int:
+            code = node[0]
+            if code & 1:
+                value = gens[code >> 1].integers(0, 2)
+                node = node[1 + value]
+            else:
+                value = gens[code >> 1].random()
+                node = node[1 + (value < 0.5)]
+            drawn.append((code, value))
+        if node is None:
+            return self._record(play_round, session, drawn, key, variant, world, parity, plan, attack)
+        self.hits += 1
         if attack is not None:
-            attack.replay_round(round_index, recorded)
-        transcript = RoundTranscript(
-            round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
-            bob, charlie, recovered,
-            [dict(event) for event in events], list(records), None if notes is None else dict(notes),
-        )
-        return world, transcript
+            attack.replay_round(round_index, node[2][-1])
+        return node
 
-    def _record(self, play_round, script, drawn, key, variant, world, plan, tracker, attack):
+    def _record(self, play_round, script, drawn, key, variant, world, parity, plan, attack):
         self.misses += 1
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
         round_index, plan_class = plan
         plan = RoundPlan(round_index, plan_class.mode, plan_class.coin)
-        after, t = play_round(variant, world, plan, tracker, script.rngs, attack)
+        after, parity, t = play_round(variant, world, plan, parity, script.rngs, attack)
         if script.pos != len(script.log):
             raise RuntimeError("a round drew less than its recording: the round table key misses state")
         recorded = attack.recorded_round(mark, round_index) if attack is not None else None
@@ -293,55 +288,43 @@ class RoundTable:
         coins = sum(code & 1 for code, _ in script.log)
         if len(forks) != len(script.log) - coins or any(p != 0.5 for p in forks):
             raise RuntimeError("a round forked other than at a recorded Born weight of 1/2")
+        notes = t.eve_notes
+        payload = (
+            t.bob, t.charlie, t.recovered, tuple(tuple(event.items()) for event in t.events),
+            tuple(t.records), None if notes is None else tuple(notes.items()), recorded,
+        )
         # Sessions in other threads may store at the same time; interning
         # a world twice would leave a slot under the id of a world the
         # table does not keep alive.
         with self._lock:
-            return self._store(key, world, after, t, tracker.hadamard_parity, recorded, script.log)
-
-    def _store(self, key, world, after, t, parity, recorded, log):
-        """Store the path ``log`` of a statevector play; returns its world and transcript."""
-        known = self._canonical(world, create=self.entries < MAX_TABLE_ENTRIES)
-        if known is None:
-            return after, t
-        slot = self._slots[id(known)]
-        root = slot.get(key)
-        if root is None:
-            if self.entries >= MAX_TABLE_ENTRIES:
-                return after, t
-            self.entries += 1
-            key = self._intern(tuple(self._intern(part) for part in key))
-        canonical = self._canonical(after, create=True)
-        payload = (
-            parity, t.bob, t.charlie, t.recovered,
-            self._intern(tuple(self._intern(tuple(event.items())) for event in t.events)),
-            self._intern(tuple(self._intern(r) for r in t.records)),
-            None if t.eve_notes is None else self._intern(tuple(t.eve_notes.items())),
-            self._intern(recorded),
-        )
-        leaf = (canonical, self._intern(payload))
-        slot[key] = self._grow(root or (None,), log, leaf)
-        return canonical, t
+            known = self._canonical(world, create=self.entries < MAX_TABLE_ENTRIES)
+            slot = self._slots[id(known)] if known is not None else {}
+            root = slot.get(key)
+            if root is None:
+                if self.entries >= MAX_TABLE_ENTRIES:
+                    return after, parity, payload  # unstored
+                self.entries += 1
+                key = self._intern(tuple(self._intern(part) for part in key))
+            intern = self._intern
+            *bits, events, records, notes, recorded = payload
+            parts = (tuple(map(intern, events)), tuple(map(intern, records)), notes, recorded)
+            leaf = (self._canonical(after, create=True), parity, intern((*bits, *map(intern, parts))))
+            slot[key] = self._grow(root, script.log, leaf)
+            return leaf
 
     @staticmethod
-    def _grow(tree: tuple, log: list, leaf: tuple) -> tuple:
-        """The flat subtree ``tree`` (``(None,)`` if empty) with the path of ``log`` to ``leaf`` added."""
-        head = tree[0]
+    def _grow(tree: tuple | None, log: list, leaf: tuple) -> tuple:
+        """The subtree ``tree`` (``None`` if empty) with the path of ``log`` to ``leaf`` added."""
         if not log:
             # A session in another thread may have stored the same path
-            # first; its leaf is then this very world and payload.
-            if head is None or (len(tree) == 2 and head is leaf[0] and tree[1] is leaf[1]):
+            # first; its leaf is then this very world, parity and payload.
+            if tree is None or (tree[0] is leaf[0] and tree[1] == leaf[1] and tree[2] is leaf[2]):
                 return leaf
             raise RuntimeError("a round forked unlike its recording: the round table key misses state")
         code, value = log[0]
-        if head is None:
-            zero = one = (None,)
-        elif type(head) is int and head == code:
-            zero, one = tree[2 : 2 + tree[1]], tree[2 + tree[1] :]
-        else:
+        if tree is not None and not (type(tree[0]) is int and tree[0] == code):
             raise RuntimeError("a round forked unlike its recording: the round table key misses state")
-        if value == 1 if code & 1 else value < 0.5:
-            one = RoundTable._grow(one, log[1:], leaf)
-        else:
-            zero = RoundTable._grow(zero, log[1:], leaf)
-        return (code, len(zero), *zero, *one)
+        fork = list(tree or (code, None, None))
+        i = 1 + (value == 1 if code & 1 else value < 0.5)
+        fork[i] = RoundTable._grow(fork[i], log[1:], leaf)
+        return tuple(fork)

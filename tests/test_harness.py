@@ -448,6 +448,16 @@ class TestEnumeration:
             Scenario("original", original_plans((0,)), attack_seed=-1)
         with pytest.raises(ValueError, match="attack_seed must be an integer"):
             Scenario("original", original_plans((0,)), attack_seed=True)
+        # Plans may come from any iterable, checked before the emptiness and round cap.
+        plans = original_plans((1, 0))
+        assert Scenario("original", (p for p in plans)) == Scenario("original", plans)
+        assert Scenario("original", iter(plans)).plans == plans
+        with pytest.raises(ValueError, match="at least one"):
+            Scenario("revised", (p for p in ()))
+        with pytest.raises(ValueError, match="capped"):
+            Scenario("original", iter(original_plans([0] * (MAX_ENUM_ROUNDS + 1))))
+        with pytest.raises(ValueError, match="round_index"):
+            Scenario("revised", (p for p in bad_index))
 
     @pytest.mark.parametrize(
         "match,original,revised",
@@ -746,6 +756,19 @@ class TestPlansBuilders:
             revised_plans((0.6,), (True,))
         with pytest.raises(ValueError, match="q1_bits entries must be integers"):
             revised_plans((0,), (1,), q1_bits=(1.7,))
+        # Any iterable of entries is accepted, and checked alike.
+        want = revised_plans((1, 0, 0), (0, 1, 1), q1_bits=(0, 1, 0), targets=(W1, W2, W2))
+        steered = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (W1, W2, W2))
+        for kind in ((lambda entries: (e for e in entries)), iter):
+            coins, secrets, q1_bits, targets = map(kind, steered)
+            assert revised_plans(coins, secrets, q1_bits=q1_bits, targets=targets) == want
+        assert original_plans(q for q in (1, 0, 1)) == original_plans((1, 0, 1))
+        with pytest.raises(ValueError, match="equal length"):
+            revised_plans((c for c in (0, 1)), iter((1,)))
+        with pytest.raises(ValueError, match="q1_bits has 1 entries for 2 rounds"):
+            revised_plans((0, 0), (1, 1), q1_bits=(b for b in (0,)))
+        with pytest.raises(ValueError, match=r"secrets entries must be integers, got \(1, 0.5\)"):
+            original_plans(q for q in (1, 0.5))
 
 
 class TestRunGrid:
@@ -776,6 +799,13 @@ class TestRunGrid:
             run_grid("revised", ["none"], [10], [0.5], 1, True)
         with pytest.raises(ValueError, match="repeats must be an integer"):
             run_grid("revised", ["none"], [10], [0.5], True, 0)
+        # A bare string is one value, not a sequence of them.
+        with pytest.raises(ValueError, match="strategies must be a sequence"):
+            run_grid("revised", "none", [4], [0.5], 1, 0)
+        with pytest.raises(ValueError, match="rounds_list must be a sequence"):
+            run_grid("revised", ["none"], "4", [0.5], 1, 0)
+        with pytest.raises(ValueError, match="check_fractions must be a sequence"):
+            run_grid("revised", ["none"], [4], "0.5", 1, 0)
 
 
 # --------------------------------------------------------------------------
@@ -944,16 +974,15 @@ class TestRoundTable:
         pairs = [("original", "a2"), ("revised", "dishonest-bob")]
         assert self._mismatches(monkeypatch, pairs) == set(pairs)
 
-    def test_a_replay_that_shares_an_events_list_is_caught(self, monkeypatch):
-        class SharingTable(RoundTable):
-            def _replay(self, world, payload, plan, tracker, attack):
-                world, t = super()._replay(world, payload, plan, tracker, attack)
-                t.events = self.shared.setdefault(id(payload), t.events)
-                return world, t
+    def test_a_replay_that_shares_an_events_list_is_caught(self, table, monkeypatch):
+        shared = {}
 
-        sharing = SharingTable()
-        sharing.shared = {}
-        monkeypatch.setattr(harness, "ROUND_TABLE", sharing)
+        def sharing(round_index, plan_class, payload):
+            t = replay.transcript(round_index, plan_class, payload)
+            t.events = shared.setdefault(id(payload), t.events)
+            return t
+
+        monkeypatch.setattr(harness, "transcript", sharing)
         assert self._mismatches(monkeypatch, PAIRS) == set(PAIRS)
 
     @pytest.mark.parametrize("fork", ["recorded", "unrecorded", "coin"])
@@ -1086,6 +1115,64 @@ class TestRoundTable:
             assert table.misses == misses  # every round is replayed
             assert built[RoundPlan] == 0
             assert built[RoundTranscript] == (0 if transcripts is None else 500)
+
+    def test_a_cold_session_without_transcripts_keeps_only_compact_rows(self, table, monkeypatch):
+        played = []
+
+        def capture(inner):
+            def play(*args):
+                world, t = inner(*args)
+                played.append(t)
+                return world, t
+
+            return play
+
+        def session(cfg, transcribe):
+            world, attack, rows = inner_session(cfg, transcribe)
+            assert all(type(row) is tuple for row in rows)
+            return world, attack, rows
+
+        inner_session = harness._play_session
+        monkeypatch.setattr(harness, "original_round", capture(original_round))
+        monkeypatch.setattr(harness, "revised_round", capture(revised_round))
+        monkeypatch.setattr(harness, "_play_session", session)
+        for variant, strategy in PAIRS:
+            table.clear()
+            played.clear()
+            report = run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=200, seed=5, check_fraction=1.0))
+            assert report.checked_rounds == 200
+            assert len(played) == table.misses > 0
+            assert not any(ev["event"] == "check_announced" for t in played for ev in t.events), (variant, strategy)
+
+    def test_cold_statevector_plays_keep_the_trace_contract(self, table, monkeypatch):
+        # The benchmark's tracer wraps ``harness.original_round`` and
+        # ``harness.revised_round`` and reads the plan at args[1], the
+        # attack at args[4] and the transcript at result[1].
+        calls = []
+
+        def wrap(inner):
+            def traced(*args, **kwargs):
+                result = inner(*args, **kwargs)
+                calls.append((args, kwargs, result))
+                return result
+
+            return traced
+
+        monkeypatch.setattr(harness, "original_round", wrap(original_round))
+        monkeypatch.setattr(harness, "revised_round", wrap(revised_round))
+        for transcripts in (None, []):
+            for variant, strategy in PAIRS:
+                table.clear()
+                calls.clear()
+                run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=300, seed=9), transcripts)
+                assert len(calls) == table.misses > 0, (variant, strategy)
+                attacks = {id(args[4]) for args, _, _ in calls}
+                assert len(attacks) == 1  # the session's own attack
+                for args, kwargs, result in calls:
+                    assert not kwargs and len(args) == 5
+                    assert type(args[1]) is RoundPlan
+                    assert getattr(args[4], "name", "none") == strategy
+                    assert type(result[1]) is RoundTranscript and result[1].round_index == args[1].round_index
 
     def test_enumeration_bypasses_the_table(self, table):
         enumerate_branches(Scenario("original", original_plans((1, 0, 1, 1)), strategy="a2"))
