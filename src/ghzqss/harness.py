@@ -2,7 +2,9 @@
 
 ``run_simulation`` plays full sessions with independent named rng
 streams per party, so results are reproducible from ``(config)`` alone
-and attacks never disturb the honest parties' draw sequences.
+and attacks never disturb the honest parties' draw sequences.  A
+session sets up the Bob, Charlie and attack streams at their first
+draw, and no check stream when every round is checked.
 
 ``enumerate_branches`` walks the outcome tree of a short scripted
 scenario depth first.  Each node is a round boundary: the world, the
@@ -50,6 +52,7 @@ from .protocol import (
     SinglePair,
     check_phase,
     check_plan,
+    check_size,
     check_settings,
     chi_state,
     hadamard_layer,
@@ -253,6 +256,8 @@ def _check_plans(variant: str, plans: Iterable[RoundPlan]) -> tuple[RoundPlan, .
     plans = tuple(plans)
     parity = 0
     for pos, plan in enumerate(plans, start=1):
+        if not isinstance(plan, RoundPlan):
+            raise ValueError(f"plan at position {pos} is not a RoundPlan: {plan!r}")
         if variant == "original" and pos > 1:
             parity ^= 1  # the Hadamard layer before every later round
         check_plan(plan, parity, variant == "revised")
@@ -292,7 +297,11 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
     """All rounds of one session: the final world, the attack and per round
     its transcript if ``transcribe``, else its compact row."""
     alice = PCG64Stream(stream(cfg.seed, STREAM_ALICE))
-    script = Script(tuple(PCG64Stream(stream(cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
+    # Set up at their first word: Charlie's and the attack stream go
+    # undrawn in many sessions.
+    script = Script(tuple(
+        PCG64Stream(functools.partial(stream, cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)
+    ))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=script.rngs.attack)
@@ -321,8 +330,10 @@ def run_simulation(
     """Play one full session followed by the check phase; transcripts
     are built only if ``transcripts_out`` asks for them."""
     _, attack, rows = _play_session(cfg, transcripts_out is not None)
+    # A check of every round draws nothing, so it gets no stream.
+    every = check_size(cfg.check_fraction, len(rows)) == len(rows)
     error_rate, detected, checked = check_phase(
-        rows, cfg.check_fraction, stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
+        rows, cfg.check_fraction, None if every else stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
     )
     if transcripts_out is not None:
         transcripts_out.extend(rows)

@@ -525,17 +525,24 @@ def check_settings(check_fraction: float, threshold: float, threshold_name: str 
         raise ValueError(f"{threshold_name} must be a finite number >= 0")
 
 
+def check_size(check_fraction: float, n: int) -> int:
+    """How many of ``n`` rounds the check phase sacrifices: ``round(check_fraction * n)``, at least one."""
+    return max(1, int(round(check_fraction * n)))
+
+
 def check_phase(
     transcripts: Sequence[RoundTranscript] | Sequence[tuple],
     check_fraction: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     threshold: float = 0.0,
 ) -> tuple[float, bool, tuple[int, ...]]:
     """Sacrifice a random subset of rounds to estimate the error rate.
 
-    Alice draws ``round(check_fraction * n)`` distinct rounds (at least
-    one), announces their secrets, and the receivers compare against
-    their recovered bits.  Returns ``(error_rate, detected, announced)``
+    Alice draws ``check_size(check_fraction, n)`` distinct rounds from
+    ``rng``, announces their secrets, and the receivers compare against
+    their recovered bits.  When that is every round nothing is drawn, as
+    the sorted draw could only be all of them, so ``rng`` may be ``None``
+    there.  Returns ``(error_rate, detected, announced)``
     where ``detected`` is true when the error rate among checked rounds
     exceeds ``threshold`` and ``announced`` holds the checked rounds'
     indices in order.  A ``check_announced`` event is appended to each
@@ -546,11 +553,12 @@ def check_phase(
     if not transcripts:
         raise ValueError("no rounds to check")
     n = len(transcripts)
-    k = max(1, int(round(check_fraction * n)))
+    k = check_size(check_fraction, n)
+    picked = range(n) if k == n else np.sort(rng.choice(n, size=k, replace=False)).tolist()
     errors = 0
     announced = []
-    for i in np.sort(rng.choice(n, size=k, replace=False)):
-        t = transcripts[int(i)]
+    for i in picked:
+        t = transcripts[i]
         if type(t) is tuple:
             index, secret, recovered = t[:3]
         else:

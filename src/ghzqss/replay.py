@@ -20,8 +20,9 @@ with a script that has no live streams.
 Every supported session draws only scalar ``random()`` and
 ``integers(0, 2)`` values.  Its streams are ``PCG64Stream``s, which
 decode numpy's own values from raw PCG64 words (O'Neill 2014) fetched in
-blocks, without a numpy call per draw; they and the script's taps refuse
-any other use.  Every fork of the paper's Clifford circuits has weight
+blocks, without a numpy call per draw, and may set up their bit generator
+only at their first word; they and the script's taps refuse any other
+use.  Every fork of the paper's Clifford circuits has weight
 1/2, so a round that forks otherwise raises instead of playing slowly.
 
 ``harness.run_simulation`` keeps one table for the whole process
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -57,25 +59,43 @@ class PCG64Stream:
     half waits across ``random()`` calls, as PCG64's ``next_uint32`` does.
     Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``.
 
+    ``gen`` is the ``Generator``, or a function without arguments that
+    returns one with no half-word pending when the stream needs its first
+    word: a stream that is never drawn from never sets up its bit
+    generator.
+
     Any other call (other bounds, ``size=``) raises ``TypeError`` before
     anything is drawn, and the stream has no other method or attribute.
     """
 
-    __slots__ = ("_bits", "_words", "_pos", "_half")
+    __slots__ = ("_bits", "_open", "_words", "_pos", "_half")
 
-    def __init__(self, gen: np.random.Generator) -> None:
+    def __init__(self, gen: np.random.Generator | Callable[[], np.random.Generator]) -> None:
+        self._words: list[int] = []
+        self._pos = 0  # next word of the block
+        self._half = None
+        self._bits = self._open = None
+        if callable(gen):
+            self._open = gen
+        else:
+            self._attach(gen)
+
+    def _attach(self, gen: np.random.Generator) -> None:
         bits = gen.bit_generator
         if type(bits) is not np.random.PCG64:
             raise TypeError(f"a PCG64Stream needs a PCG64 bit generator, got {type(bits).__name__}")
         state = bits.state
+        if state["has_uint32"] and self._open is not None:
+            # The word this stream is fetching would skip the pending half.
+            raise ValueError("a stream opened at its first word needs a generator with no half-word pending")
         self._bits = bits
-        self._words: list[int] = []
-        self._pos = 0  # next word of the block
         self._half = state["uinteger"] if state["has_uint32"] else None
 
     def _word(self) -> int:
         pos, words = self._pos, self._words
         if pos == len(words):
+            if self._bits is None:
+                self._attach(self._open())
             words = self._words = self._bits.random_raw(BLOCK_WORDS).tolist()
             pos = 0
         self._pos = pos + 1

@@ -126,6 +126,30 @@ class TestPCG64Stream:
             PCG64Stream(np.random.Generator(np.random.MT19937(1)))
 
 
+class TestStreamSetUp:
+    def test_a_stream_opens_its_generator_at_its_first_word(self):
+        rnd = random.Random(16)
+        for _ in range(20):
+            seed = rnd.randrange(2 ** 64)
+            kinds = _mixed_draws(rnd, rnd.randrange(1, 3 * BLOCK_WORDS))
+            opened = []
+            got = PCG64Stream(lambda: opened.append(seed) or np.random.default_rng(seed))
+            assert opened == []
+            want = np.random.default_rng(seed)
+            assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
+            assert opened == [seed]
+
+    def test_an_opened_generator_is_checked_at_the_first_word(self):
+        got = PCG64Stream(lambda: np.random.Generator(np.random.MT19937(1)))
+        with pytest.raises(TypeError, match="PCG64"):
+            got.random()
+        pending = np.random.default_rng(3)
+        pending.integers(0, 2)
+        got = PCG64Stream(lambda: pending)
+        with pytest.raises(ValueError, match="half-word pending"):
+            got.integers(0, 2)
+
+
 class TestSimConfigValidation:
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -458,6 +482,11 @@ class TestEnumeration:
             Scenario("original", iter(original_plans([0] * (MAX_ENUM_ROUNDS + 1))))
         with pytest.raises(ValueError, match="round_index"):
             Scenario("revised", (p for p in bad_index))
+        # An entry that is not a RoundPlan is named by its position.
+        with pytest.raises(ValueError, match="position 1 is not a RoundPlan"):
+            Scenario("original", [1])
+        with pytest.raises(ValueError, match="position 2 is not a RoundPlan"):
+            Scenario("revised", (*revised_plans((0,), (1,)), "pair"))
 
     @pytest.mark.parametrize(
         "match,original,revised",
@@ -1094,6 +1123,34 @@ class TestRoundTable:
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", variant, strategy)
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", variant, strategy)
         assert table.hits > 0
+
+    def test_sessions_set_up_only_the_streams_they_draw(self, table, monkeypatch):
+        real = harness.stream
+        opened = []
+        monkeypatch.setattr(harness, "stream", lambda seed, k: opened.append(k) or real(seed, k))
+        sessions = [dict(rounds=1, seed=0), dict(rounds=5, seed=1), dict(rounds=24, seed=2), dict(rounds=300, seed=3)]
+        seen = {}
+        for variant, strategy in PAIRS:
+            for fraction in (0.25, 1.0):
+                streams = seen[variant, strategy, fraction] = set()
+                for kwargs in sessions:
+                    cfg = SimConfig(variant=variant, strategy=strategy, check_fraction=fraction, **kwargs)
+                    want = _session_bytes(*_reference_session(cfg))
+                    table.clear()
+                    for temperature in ("cold", "warm"):
+                        opened.clear()
+                        assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, (temperature, cfg)
+                        assert opened[0] == harness.STREAM_ALICE and len(set(opened)) == len(opened), opened
+                        streams.update(opened)
+        for (variant, strategy, fraction), streams in seen.items():
+            if fraction == 1.0:
+                assert harness.STREAM_CHECK not in streams, (variant, strategy)
+            if strategy == "none":
+                assert harness.STREAM_ATTACK not in streams, variant
+            if (variant, strategy) == ("original", "none"):
+                assert harness.STREAM_CHARLIE not in streams
+        # Every stream is still set up where it is drawn.
+        assert set.union(*seen.values()) == set(range(5))
 
     @pytest.mark.parametrize("variant,strategy", PAIRS)
     def test_a_warm_session_builds_no_plan_and_transcripts_only_on_request(

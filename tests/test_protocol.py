@@ -1,5 +1,6 @@
 """Round engine tests: carrier forms, round decoding, check phase."""
 
+import copy
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from ghzqss.protocol import (
     SinglePair,
     check_phase,
     check_plan,
+    check_size,
     chi_state,
     g_state,
     hadamard_layer,
@@ -365,6 +367,19 @@ class TestCheckPhase:
         want = check_phase(ts, 0.3, np.random.default_rng(5), threshold=0.1)
         assert check_phase(view, 0.3, np.random.default_rng(5), threshold=0.1) == want
         assert want[0] > 0.1 and len(want[2]) == 12
+
+    @pytest.mark.parametrize("fraction,n", [(1.0, 1), (1.0, 9), (0.95, 4), (0.01, 1), (0.96, 10)])
+    def test_checking_every_round_draws_nothing(self, fraction, n):
+        class Untouchable:
+            def __getattribute__(self, name):
+                raise AssertionError(f"check_phase touched rng.{name}")
+
+        assert check_size(fraction, n) == n
+        ts = [_fake_transcript(i, i % 2, int(i % 3 == 0)) for i in range(1, n + 1)]
+        want = check_phase(copy.deepcopy(ts), fraction, np.random.default_rng(0))
+        assert check_phase(ts, fraction, Untouchable()) == want
+        assert want[2] == tuple(range(1, n + 1))
+        assert all(t.events[-1] == {"event": "check_announced", "round": t.round_index, "secret": t.secret} for t in ts)
 
     def test_check_event_reveals_the_secret(self):
         ts = [_fake_transcript(1, 1, 1)]
