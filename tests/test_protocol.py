@@ -1,6 +1,5 @@
 """Round engine tests: carrier forms, round decoding, check phase."""
 
-import copy
 import json
 
 import numpy as np
@@ -376,9 +375,9 @@ class TestCheckPhase:
 
         assert check_size(fraction, n) == n
         ts = [_fake_transcript(i, i % 2, int(i % 3 == 0)) for i in range(1, n + 1)]
-        want = check_phase(copy.deepcopy(ts), fraction, np.random.default_rng(0))
-        assert check_phase(ts, fraction, Untouchable()) == want
-        assert want[2] == tuple(range(1, n + 1))
+        errors = sum(t.recovered != t.secret for t in ts)
+        got = check_phase(ts, fraction, Untouchable())
+        assert got == (errors / n, errors > 0, tuple(range(1, n + 1)))
         assert all(t.events[-1] == {"event": "check_announced", "round": t.round_index, "secret": t.secret} for t in ts)
 
     def test_check_event_reveals_the_secret(self):
