@@ -24,9 +24,12 @@ base class provides do-nothing implementations:
     serialized).
 
 Classical choices an attacker makes (substitute bits, forged
-announcements) come from the attack's own ``coins`` generator, kept
-separate from the quantum streams so that branch enumeration treats
-them as fixed inputs rather than quantum forks.
+announcements) come from the attack's ``coins``, a stream of scalar
+``integers(0, 2)`` draws.  Sessions and the branch enumerator both pass
+the attack stream's tap of their ``replay.Script``, so the round table
+records each coin as a fork; in enumeration the coins come from a
+generator seeded by the scenario's ``attack_seed``, the same in every
+branch, so they are fixed inputs rather than weighted forks.
 
 ``ATTACKS`` is the strategy table: it maps each strategy name to its
 class, whose attributes state the session variant the strategy is
@@ -36,19 +39,15 @@ defined against (``variant``) and how its inferences are scored
 
 Whatever the hooks carry from one call to the next lives in one
 immutable value, ``state``; the other attributes only grow (``records``,
-``inferred``) or drain (the round notes).  ``fork()`` returns an
-independent twin in the same state; the branch enumerator forks the
-attack once per outcome history instead of replaying the session from
-round 1.
+``inferred``) or drain (the round notes).
 
-The round table of ``run_simulation`` replays recorded rounds without
-calling the hooks.  ``round_key`` names everything the next round's
-hooks read besides the world, which is ``state`` (the full schedule adds
-its position), and ``replay_round`` re-applies a recorded round; the
-harness reads nothing else of an attack.  In a session, each quantum
-draw of a round must show up as a record of weight 1/2, else the round
-table raises; ``rngs`` and ``coins`` hand out only scalar ``random()``
-and ``integers(0, 2)``.
+The round table replays recorded rounds without calling the hooks.
+``round_key`` names everything the next round's hooks read besides the
+world, which is ``state`` (the full schedule adds its position), and
+``replay_round`` re-applies a recorded round; the harness reads nothing
+else of an attack.  Each quantum draw of a round must show up as a
+record of weight 1/2, else the round table raises; ``rngs`` and
+``coins`` hand out only scalar ``random()`` and ``integers(0, 2)``.
 """
 
 from __future__ import annotations
@@ -79,26 +78,6 @@ class ChannelAttack:
         # probabilities (decode-side measurements ride on transcripts).
         self.records: list[MeasurementRecord] = []
         self._notes: dict | None = None
-
-    @property
-    def coins(self) -> np.random.Generator:
-        """The generator of the attacker's classical coins.
-
-        A fork holds the generator state it was forked at, as a ``(bit
-        generator type, state)`` pair, and builds its own generator only
-        when it first draws.
-        """
-        coins = self._coins
-        if type(coins) is tuple:
-            kind, state = coins
-            bits = kind(0)  # seed 0 only spares reading OS entropy; the state is overwritten
-            bits.state = state
-            coins = self._coins = np.random.Generator(bits)
-        return coins
-
-    @coins.setter
-    def coins(self, coins) -> None:
-        self._coins = coins
 
     def sync_hadamard(self, world: PureState) -> PureState:
         return world
@@ -140,24 +119,6 @@ class ChannelAttack:
             self.records.extend(records)
         if inferred:
             self.inferred.extend((round_index + dr, value, meaning) for dr, value, meaning in inferred)
-
-    def fork(self) -> "ChannelAttack":
-        """An independent twin in the same state, for the branch enumerator.
-
-        The twin gets its own copies of the record lists and of the coin
-        generator's state: sharing either would let one branch's draws or
-        records leak into its siblings.  ``state`` and the records
-        themselves are immutable and stay shared.
-        """
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        twin.records = list(self.records)
-        twin.inferred = list(self.inferred)
-        coins = self._coins
-        if type(coins) is not tuple:
-            bits = coins.bit_generator
-            twin._coins = (type(bits), bits.state)
-        return twin
 
 
 class ProbeAttack(ChannelAttack):
@@ -370,38 +331,28 @@ def eve_reconstruct(
     resolved.
     """
     guesses = {int(r): int(v) for r, v in announced.items()}
-    rel1 = {r: v for r, v, meaning in inferred if meaning == "xor_with_round1_secret"}
-    rel2 = {r: v for r, v, meaning in inferred if meaning == "xor_with_round2_secret"}
     for r, v, meaning in inferred:
         if meaning == "secret":
             guesses.setdefault(r, v)
 
-    q1 = guesses.get(1)
-    if q1 is None:
-        for r, v in rel1.items():
-            if r in guesses:
-                q1 = guesses[r] ^ v
-                break
-    q2 = guesses.get(2)
-    if q2 is None:
-        for r, v in rel2.items():
-            if r in guesses:
-                q2 = guesses[r] ^ v
-                break
+    # Both anchors come from the guesses above, before either class fills any.
+    classes = []
+    for anchor, wanted, name in ((1, "xor_with_round1_secret", "odd"), (2, "xor_with_round2_secret", "even")):
+        relative = {r: v for r, v, meaning in inferred if meaning == wanted}
+        q = guesses.get(anchor)
+        if q is None:
+            q = next((guesses[r] ^ v for r, v in relative.items() if r in guesses), None)
+        classes.append((anchor, relative, q, name))
 
     missing = []
-    if q1 is not None:
-        guesses.setdefault(1, q1)
-        for r, v in rel1.items():
-            guesses.setdefault(r, v ^ q1)
-    elif rel1:
-        missing.append("odd-class anchor")
-    if q2 is not None:
-        guesses.setdefault(2, q2)
-        for r, v in rel2.items():
-            guesses.setdefault(r, v ^ q2)
-    elif rel2:
-        missing.append("even-class anchor")
+    for anchor, relative, q, name in classes:
+        if q is None:
+            if relative:
+                missing.append(f"{name}-class anchor")
+            continue
+        guesses.setdefault(anchor, q)
+        for r, v in relative.items():
+            guesses.setdefault(r, v ^ q)
     return guesses, tuple(missing)
 
 

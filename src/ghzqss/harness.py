@@ -6,25 +6,23 @@ and attacks never disturb the honest parties' draw sequences.  A
 session sets up the Bob, Charlie and attack streams at their first
 draw, and no check stream when every round is checked.
 
-``enumerate_branches`` walks the outcome tree of a short scripted
-scenario depth first.  Each node is a round boundary: the world, the
-carrier parity, a fork of the attack and the transcripts so far.  A
-round is played once per distinct outcome history, with a
-``replay.Script`` without live streams standing in for the quantum rngs
-to take each of its forks in turn, and the walk descends into the next
-round once per outcome.  Each branch reports its exact probability (the
-product of the Born weights of the outcomes taken), which turns Monte
-Carlo claims into closed-form numbers for small scenarios.
+``enumerate_branches`` plays every measurement branch of a short
+scripted scenario as a session of its own, whose Bob, Charlie and attack
+streams are one tape of outcomes, and counts through the tapes in
+binary.  Each branch reports its exact probability (the product of the
+Born weights of the outcomes taken), which turns Monte Carlo claims into
+closed-form numbers for small scenarios.
 
-``run_simulation`` and the walk share ``_play_round``, the one per-round
-step of a session, and both script its draws with a ``replay.Script``.
-``run_simulation`` reaches it through ``ROUND_TABLE``, a bounded
-process-wide memo of recorded statevector rounds (``ghzqss.replay``): a
-round whose world, plan class, carrier parity and attacker state were
-seen before is replayed from the recording against the session's own
-streams, drawing exactly what the statevector play would draw.  A
-session keeps its world, parity and attack as plain values and turns
-each round's leaf into a compact row, or a transcript if asked for one.
+Sessions and branches share ``_play_rounds``, the one session loop, and
+``_play_round``, the one per-round step.  The loop plays each round
+through ``ROUND_TABLE``, a bounded process-wide memo of recorded
+statevector rounds (``ghzqss.replay``): a round whose world, plan class,
+carrier parity and attacker state were seen before is replayed from the
+recording against the session's own streams, drawing exactly what the
+statevector play would draw, and any other round is played through the
+session's ``replay.Script`` and recorded.  A session keeps its world,
+parity and attack as plain values and turns each round's leaf into a
+compact row, or a transcript if asked for one.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -289,8 +288,23 @@ def _play_round(
     return world, tracker.hadamard_parity, t
 
 
-# A process-wide memo in front of ``_play_round`` for Monte Carlo sessions.
+# The process-wide memo in front of ``_play_round``, for sessions and enumeration.
 ROUND_TABLE = RoundTable()
+
+
+def _play_rounds(
+    table: RoundTable, script: Script, variant: str, plans: Iterable, attack, row
+) -> tuple[PureState, list]:
+    """The one session loop: each ``(round index, plan class)`` of ``plans``
+    played through ``table`` from the start of a session, with the draws
+    of ``script`` and ``attack``.  Returns the final world and per round
+    ``row(round index, plan class, payload)``."""
+    world, parity = chi_state(), 0
+    rows: list = []
+    for i, plan_class in plans:
+        world, parity, payload = table.play(_play_round, script, variant, world, parity, (i, plan_class), attack)
+        rows.append(row(i, plan_class, payload))
+    return world, rows
 
 
 def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
@@ -305,8 +319,6 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=script.rngs.attack)
-    table = ROUND_TABLE
-    row = transcript if transcribe else compact_row
     bits, bias = cfg.secret_bits, cfg.hadamard_bias
     plans = _round_plans(
         cfg.variant,
@@ -315,12 +327,8 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
         q1=lambda i: int(alice.integers(0, 2)),
         target=lambda i: W1 if alice.random() < 0.5 else W2,
     )
-
-    world, parity = chi_state(), 0
-    rows: list = []
-    for i, plan_class in itertools.islice(plans, cfg.rounds):
-        world, parity, payload = table.play(_play_round, script, cfg.variant, world, parity, (i, plan_class), attack)
-        rows.append(row(i, plan_class, payload))
+    row = transcript if transcribe else compact_row
+    world, rows = _play_rounds(ROUND_TABLE, script, cfg.variant, itertools.islice(plans, cfg.rounds), attack, row)
     return world, attack, rows
 
 
@@ -384,14 +392,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Branch:
-    """One measurement branch of a scenario and its exact probability.
-
-    Sibling branches share the ``RoundTranscript`` objects of the rounds
-    they have in common, because each round is played once per outcome
-    history.  Nothing in the package mutates a transcript after its
-    round; copy one before changing it (``check_phase`` appends events).
-    ``attack`` is the branch's own attack object.
-    """
+    """One measurement branch of a scenario and its exact probability; it
+    owns its attack object and its transcripts."""
 
     probability: float
     transcripts: tuple[RoundTranscript, ...]
@@ -403,60 +405,73 @@ class Branch:
         return sum(1 for t in self.transcripts if t.recovered != t.secret)
 
 
-def _walk(
-    scenario: Scenario, script: Script, world: PureState, parity: int, attack,
-    transcripts: tuple[RoundTranscript, ...], branches: list[Branch], max_branches: int,
-) -> None:
-    """Append every branch below one round boundary to ``branches``.
+class _Tape:
+    """Bob's, Charlie's and the attack stream of one enumerated branch.
 
-    ``script`` (no live streams) counts through the next round's own
-    forks in binary: a play takes outcome 0 past its prefix, and the next
-    prefix turns the last outcome 0 of its log to 1 (by the round table's
-    rule, a ``random()`` below 0.5).  Each play starts from this node with
-    a fresh fork of its attack, and the walk descends once per play.
+    The k-th ``random()`` returns 0.0 (outcome 1) if bit k of ``bits`` is
+    set and 1.0 (outcome 0, which no Born weight reaches) otherwise, also
+    past the tape.  ``integers(0, 2)`` draws the attacker's coins from
+    ``np.random.default_rng(seed)``, set up at the first coin, so every
+    branch sees the same coins.
     """
-    k = len(transcripts)
-    if k == len(scenario.plans):
-        prob = 1.0
-        for t in transcripts:
-            for rec in t.records:
-                prob *= rec.probability
-        if attack is not None:
-            for rec in attack.records:
-                prob *= rec.probability
-        branches.append(Branch(prob, transcripts, world, attack))
-        if len(branches) > max_branches:
-            raise RuntimeError(f"scenario exceeded {max_branches} branches")
-        return
-    plan = scenario.plans[k]
-    rngs = script.rngs
-    drawn: list = []
-    while True:
-        script.reset(drawn)  # the play logs into ``drawn``
-        twin = attack.fork() if attack is not None else None
-        after, after_parity, t = _play_round(scenario.variant, world, plan, parity, rngs, twin)
-        _walk(scenario, script, after, after_parity, twin, transcripts + (t,), branches, max_branches)
-        i = len(drawn) - 1
-        while i >= 0 and drawn[i][1] < 0.5:
-            i -= 1
-        if i < 0:
-            return
-        drawn = drawn[:i] + [(drawn[i][0], 0.0)]
+
+    __slots__ = ("bits", "drawn", "_coins")
+
+    def __init__(self, bits: list[int], seed: int) -> None:
+        self.bits = bits
+        self.drawn = 0  # random() calls so far
+        # ``np.random`` is looked up at the first coin too: numpy imports it
+        # lazily, and an enumeration without coins never loads it.
+        self._coins = PCG64Stream(lambda: np.random.default_rng(seed))
+
+    def random(self) -> float:
+        k = self.drawn
+        self.drawn = k + 1
+        return 0.0 if k < len(self.bits) and self.bits[k] else 1.0
+
+    def integers(self, low: int, high: int) -> int:
+        return self._coins.integers(low, high)
+
+    def next_bits(self) -> list[int] | None:
+        """The next branch's tape: the bits drawn without their trailing 1s
+        and with the last 0 turned to 1; ``None`` after the last branch."""
+        bits = self.bits[: self.drawn] + [0] * (self.drawn - len(self.bits))
+        while bits and bits[-1]:
+            bits.pop()
+        if bits:
+            bits[-1] = 1
+        return bits or None
 
 
 def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES) -> list[Branch]:
-    """Every measurement branch of the scenario, by a depth-first walk.
+    """Every measurement branch of the scenario, each played as a session.
 
-    Each round is played once per distinct outcome history, not once per
-    branch.  Branches come out in the lexicographic order of their
+    A branch's rounds go through ``_play_rounds`` and ``ROUND_TABLE`` like
+    a session's, with one ``_Tape`` for its quantum streams and its
+    attacker's coins, so a branch replayed from round 1 is almost all
+    table hits.  Branches come out in the lexicographic order of their
     outcomes, and their probabilities sum to 1 (within float rounding).
     Raises if the scenario forks more than ``max_branches`` times, which
     short scripted scenarios never should.
     """
     _require_int("max_branches", max_branches, 1)
-    attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
+    plans = [
+        (p.round_index, _plan_class(type(p.mode), tuple(vars(p.mode).values()), p.alice_hadamard))
+        for p in scenario.plans
+    ]
     branches: list[Branch] = []
-    _walk(scenario, Script(), chi_state(), 0, attack, (), branches, max_branches)
+    bits: list[int] | None = []
+    while bits is not None:
+        tape = _Tape(bits, scenario.attack_seed)
+        script = Script((tape, tape, tape))
+        attack = build_attack(scenario.strategy, coins=script.rngs.attack)
+        world, transcripts = _play_rounds(ROUND_TABLE, script, scenario.variant, plans, attack, transcript)
+        records = [rec for t in transcripts for rec in t.records] + (attack.records if attack is not None else [])
+        prob = math.prod(rec.probability for rec in records)
+        branches.append(Branch(prob, tuple(transcripts), world, attack))
+        if len(branches) > max_branches:
+            raise RuntimeError(f"scenario exceeded {max_branches} branches")
+        bits = tape.next_bits()
     return branches
 
 

@@ -37,8 +37,8 @@ block, finish.
 Channel attacks plug in through a small hook interface (see
 ``ghzqss.attacks``); honest rounds pass ``attack=None``.  All quantum
 randomness flows through the ``Rngs`` streams so that transcripts are
-reproducible and so one ``replay.Script`` can script the draws of the
-round table's recordings and of the branch enumerator.
+reproducible and so one ``replay.Script`` can script the draws of every
+session and enumerated branch.
 """
 
 from __future__ import annotations
@@ -263,8 +263,9 @@ class Rngs:
     honest parties' draw sequence.  Each stream only needs a
     ``random()`` method.  Sessions and the branch enumerator pass the
     taps of a ``replay.Script``, which log every draw and refuse all but
-    a scalar ``random()`` or a session's ``integers(0, 2)``: a session's
-    draw from ``replay.PCG64Stream``s, the enumerator's script outcomes.
+    a scalar ``random()`` or ``integers(0, 2)``: a session's draw from
+    ``replay.PCG64Stream``s, an enumerated branch's from its tape of
+    outcomes and its attacker's coins.
     """
 
     bob: object
@@ -542,7 +543,7 @@ def check_phase(
     ``rng``, announces their secrets, and the receivers compare against
     their recovered bits.  When that is every round nothing is drawn, as
     the sorted draw could only be all of them, so ``rng`` may be ``None``
-    there.  Returns ``(error_rate, detected, announced)``
+    there; for fewer rounds a ``None`` ``rng`` is a ``ValueError``.  Returns ``(error_rate, detected, announced)``
     where ``detected`` is true when the error rate among checked rounds
     exceeds ``threshold`` and ``announced`` holds the checked rounds'
     indices in order.  A ``check_announced`` event is appended to each
@@ -554,6 +555,8 @@ def check_phase(
         raise ValueError("no rounds to check")
     n = len(transcripts)
     k = check_size(check_fraction, n)
+    if k < n and rng is None:
+        raise ValueError(f"checking {k} of {n} rounds draws them from rng, which is None")
     picked = range(n) if k == n else np.sort(rng.choice(n, size=k, replace=False)).tolist()
     errors = 0
     announced = []

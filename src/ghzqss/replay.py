@@ -1,4 +1,4 @@
-"""Round table: recorded statevector rounds, replayed in Monte Carlo sessions.
+"""Round table: recorded statevector rounds, replayed in sessions and enumerated branches.
 
 Stabilizer worlds close into a small set (Aaronson & Gottesman,
 *Improved simulation of stabilizer circuits*, quant-ph/0406196): the
@@ -13,9 +13,8 @@ payload), from which a session builds its row with ``compact_row`` or
 ``transcript``, the only readers of the payload.
 
 ``Script`` scripts the draws of every statevector round play: a miss
-logs the outcome path it records through the session's script, and the
-branch enumerator (``harness._walk``) counts through a round's forks
-with a script that has no live streams.
+logs the outcome path it records through the script of the session or
+of the enumerated branch that plays the round.
 
 Every supported session draws only scalar ``random()`` and
 ``integers(0, 2)`` values.  Its streams are ``PCG64Stream``s, which
@@ -25,8 +24,9 @@ only at their first word; they and the script's taps refuse any other
 use.  Every fork of the paper's Clifford circuits has weight
 1/2, so a round that forks otherwise raises instead of playing slowly.
 
-``harness.run_simulation`` keeps one table for the whole process
-(``harness.ROUND_TABLE``).  Exact enumeration does not use it.
+The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
+sessions and exact enumeration alike: an enumerated branch is a session
+whose streams are a tape of outcomes (``harness.enumerate_branches``).
 """
 
 from __future__ import annotations
@@ -127,15 +127,12 @@ class Script:
     values it was ``reset`` to; past them each draw comes from the
     ``live`` streams and is logged.  A tap hands out only those two
     draws, which is all a fork tree can replay: any other use raises
-    ``TypeError`` before anything is drawn or logged.  Without live
-    streams (the branch enumerator's script) a ``random()`` returns 1.0,
-    which forces outcome 0, and a coin raises too: a coin leaves no
-    measurement record for a branch's weight.
+    ``TypeError`` before anything is drawn or logged.
     """
 
     __slots__ = ("live", "log", "pos")
 
-    def __init__(self, live: tuple[PCG64Stream, PCG64Stream, PCG64Stream] | None = None) -> None:
+    def __init__(self, live: tuple) -> None:
         self.live = live
         self.reset([])
 
@@ -169,27 +166,24 @@ class _Tap:
     __slots__ = ("_script", "_code", "_random", "_coin")
 
     def __init__(self, script: Script, index: int) -> None:
-        gen = None if script.live is None else script.live[index]
+        gen = script.live[index]
         self._script = script
         self._code = 2 * index
-        self._random = (lambda: 1.0) if gen is None else gen.random
-        self._coin = None if gen is None else functools.partial(gen.integers, 0, 2)
+        self._random = gen.random
+        self._coin = functools.partial(gen.integers, 0, 2)
 
     def random(self, *args, **kwargs):
         if args or kwargs:
-            raise self._refused()
+            raise TypeError(_SCALAR_ONLY)
         return self._script.take(self._code, self._random)
 
     def integers(self, *args, **kwargs):
-        if args != (0, 2) or kwargs or self._coin is None:
-            raise self._refused()
+        if args != (0, 2) or kwargs:
+            raise TypeError(_SCALAR_ONLY)
         return self._script.take(self._code + 1, self._coin)
 
-    def _refused(self) -> TypeError:
-        return TypeError("a script without live streams hands out only random()" if self._coin is None else _SCALAR_ONLY)
-
     def __getattr__(self, name):
-        raise self._refused()
+        raise TypeError(_SCALAR_ONLY)
 
 
 def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
@@ -221,8 +215,8 @@ class RoundTable:
     (``qsim.measure``).
 
     A miss plays the round on the statevector path through the session's
-    ``Script``, which hands back first the values the walk already drew,
-    and stores the path it logged.  A play that forks other than at a
+    ``Script``, which hands back first the values the tree walk already
+    drew, and stores the path it logged.  A play that forks other than at a
     recorded Born weight of 1/2, stored or not, raises ``RuntimeError``:
     a tree could not replay it.  Once ``MAX_TABLE_ENTRIES`` keys are
     stored, new keys play on the statevector path unstored.

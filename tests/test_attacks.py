@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ghzqss import attacks, protocol, qsim
+from ghzqss import attacks, harness, protocol, qsim
 from ghzqss.attacks import (
     A1Attack,
     A2Attack,
@@ -37,6 +37,7 @@ from ghzqss.protocol import (
     revised_round,
 )
 from ghzqss.qsim import apply_cnot, apply_h, basis_state, equal_up_to_sign, state_from_terms, tensor
+from ghzqss.replay import RoundTable
 
 RH = 1.0 / np.sqrt(2.0)
 
@@ -87,51 +88,10 @@ class TestBaseInterface:
         assert STRATEGIES == ("none", "a1", "a2", "a2-probe", "dishonest-bob")
 
 
-class TestFork:
-    def test_twin_has_the_same_state_and_owns_its_mutables(self):
-        attack = A2Attack(np.random.default_rng(5))
-        attack.coins.integers(0, 2)
-        attack.intercept(tensor(chi_state(), basis_state([(W1, 0), (W2, 0)])), 1, _rngs())
-        twin = attack.fork()
-        assert type(twin) is A2Attack
-        assert twin.state == attack.state == ("e1",)
-        assert twin.round_key(2) == attack.round_key(2) == (2, ("e1",))
-        for name in ("records", "inferred"):
-            assert getattr(twin, name) == getattr(attack, name)
-            assert getattr(twin, name) is not getattr(attack, name)
-        assert twin.coins.bit_generator is not attack.coins.bit_generator
-        assert list(twin.coins.integers(0, 1 << 30, size=4)) == list(attack.coins.integers(0, 1 << 30, size=4))
-
-    @pytest.mark.parametrize("cls", [A1Attack, A2Attack, A2ProbeAttack])
-    def test_forks_that_never_draw_build_no_bit_generator(self, cls):
-        class CountingBits(np.random.PCG64):
-            built = 0
-
-            def __init__(self, seed):
-                CountingBits.built += 1
-                super().__init__(seed)
-
-        attack = cls(np.random.Generator(CountingBits(5)))
-        world = tensor(chi_state(), basis_state([(W1, 0), (W2, 0)]))
-        twin = attack.fork()
-        twin.intercept(world, 1, _rngs())
-        twin.fork().fork()
-        attack.fork()
-        assert CountingBits.built == 1
-
-    def test_twin_draws_do_not_advance_the_original(self):
-        attack = DishonestBobAttack(np.random.default_rng(8))
-        twin = attack.fork()
-        first = list(twin.coins.integers(0, 1 << 30, size=3))
-        assert list(attack.coins.integers(0, 1 << 30, size=3)) == first
-        twin.inferred.append((1, 0, "secret"))
-        assert attack.inferred == []
-
-
 class TestRoundReplay:
     def test_a_recorded_round_replays_at_another_round_index(self):
         attack = DishonestBobAttack(np.random.default_rng(3))
-        twin = attack.fork()
+        twin = DishonestBobAttack(np.random.default_rng(3))
         mark = attack.round_mark()
         world = tensor(chi_state(), basis_state([(W1, 0), (W2, 1)]))
         world, _, _ = attack.intercept(world, 4, _rngs())
@@ -404,7 +364,9 @@ class TestMeasureAndDrop:
             assert world.labels == CARRIER and t.recovered == t.secret
         assert discarded == []
 
-    def test_a_gate2_scenario_discards_nothing(self, discarded):
+    def test_a_gate2_scenario_discards_nothing(self, discarded, monkeypatch):
+        # A cold table, so that every round is played on the statevector path.
+        monkeypatch.setattr(harness, "ROUND_TABLE", RoundTable())
         branches = enumerate_branches(Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2"))
         assert len(branches) == 32 and all(b.errors == 0 for b in branches)
         assert discarded == []

@@ -1,6 +1,5 @@
 """Session driver tests: Monte Carlo reproducibility, enumeration, sweeps."""
 
-import copy
 import gc
 import itertools
 import json
@@ -294,17 +293,6 @@ def _live_streams(seed, wrap):
 
 
 class TestScript:
-    def test_without_live_streams_the_prefix_comes_back_then_outcome_0(self):
-        script = Script()
-        script.reset([(0, 0.0), (4, 1.0)])
-        rngs = script.rngs
-        assert rngs.bob.random() == 0.0  # forces outcome 1
-        assert rngs.attack.random() == 1.0  # forces outcome 0
-        assert rngs.charlie.random() == 1.0  # past the prefix: forced 0
-        assert rngs.bob.random() == 1.0
-        assert script.log == [(0, 0.0), (4, 1.0), (2, 1.0), (0, 1.0)]
-        assert script.pos == 4
-
     @pytest.mark.parametrize("wrap", [lambda gen: gen, PCG64Stream], ids=["Generator", "PCG64Stream"])
     def test_live_draws_past_the_prefix_equal_numpy_and_are_logged(self, wrap):
         prefix = [(1, 1), (0, 0.25)]
@@ -324,11 +312,10 @@ class TestScript:
         assert script.log == prefix + expected
 
     def test_a_prefix_in_another_order_raises(self):
-        for live in (None, _live_streams(5, PCG64Stream)):
-            script = Script(live)
-            script.reset([(1, 0)])
-            with pytest.raises(RuntimeError, match="another order"):
-                script.rngs.bob.random()
+        script = Script(_live_streams(5, PCG64Stream))
+        script.reset([(1, 0)])
+        with pytest.raises(RuntimeError, match="another order"):
+            script.rngs.bob.random()
 
     @pytest.mark.parametrize(
         "use",
@@ -350,22 +337,6 @@ class TestScript:
         assert [code for code, _ in script.log] == [2]
         # Nothing was drawn either.
         assert script.rngs.charlie.random() == want[1].random()
-
-    @pytest.mark.parametrize(
-        "use",
-        [
-            lambda gen: gen.integers(0, 2),
-            lambda gen: gen.random(3),
-            lambda gen: gen.integers(0, 4),
-            lambda gen: gen.standard_normal(),
-        ],
-        ids=["coin", "random-n", "integers-0-4", "other-method"],
-    )
-    def test_without_live_streams_only_random_is_handed_out(self, use):
-        script = Script()
-        with pytest.raises(TypeError, match="only random"):
-            use(script.rngs.attack)
-        assert script.log == []
 
     def test_sessions_leave_no_reference_cycle(self, table):
         # A script kept alive by a cycle with its taps would leave every
@@ -427,6 +398,16 @@ class TestEnumeration:
         assert len(branches) == 8
         for b in branches:
             assert abs(b.probability - 1.0 / 8) < 1e-9
+
+    def test_a_branch_sets_up_its_coin_generator_at_its_first_coin(self, monkeypatch):
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed) or real(seed))
+        plans = revised_plans((1, 1, 0, 1), (0, 1, 1, 0), targets=(W1, W2, W2, W1))
+        assert enumerate_branches(Scenario("revised", plans, strategy="a1"))
+        assert built == []  # a probe draws no coin
+        branches = enumerate_branches(Scenario("revised", plans, strategy="dishonest-bob", attack_seed=5))
+        assert built == [5] * len(branches)
 
     def test_round_cap(self):
         plans = original_plans([0] * (MAX_ENUM_ROUNDS + 1))
@@ -680,16 +661,19 @@ class TestForkingWalk:
         for secrets in itertools.product((0, 1), repeat=5):
             self._assert_matches_replay(Scenario("original", original_plans(secrets)))
 
-    def test_a_fork_that_shares_coins_is_caught(self, monkeypatch):
-        def sharing_fork(self):
-            twin = copy.copy(self)
-            twin.records = list(self.records)
-            twin.inferred = list(self.inferred)
-            twin.coins = copy.copy(self.coins)  # shares the bit generator
-            return twin
+    def test_a_tape_that_shares_its_coins_is_caught(self, table, monkeypatch):
+        class SharingTape(harness._Tape):
+            """A tape whose coin generator carries on from the branch before."""
 
-        monkeypatch.setattr(ChannelAttack, "fork", sharing_fork)
+            __slots__ = ()
+
+            def __init__(self, bits, seed):
+                super().__init__(bits, seed)
+                self._coins = shared.setdefault(seed, self._coins)
+
+        monkeypatch.setattr(harness, "_Tape", SharingTape)
         for scenario in DISHONEST_FORKING:
+            shared = {}
             walked = [_fingerprint(b) for b in enumerate_branches(scenario)]
             assert walked != [_fingerprint(b) for b in _replay_branches(scenario)]
 
@@ -709,13 +693,13 @@ class TestForkingWalk:
         for owned in (
             [b.attack for b in branches],
             [b.attack.coins for b in branches],
-            [b.attack.coins.bit_generator for b in branches],
             [b.attack.records for b in branches],
             [b.attack.inferred for b in branches],
+            [t for b in branches for t in b.transcripts],
         ):
-            assert len({id(x) for x in owned}) == len(branches)
+            assert len({id(x) for x in owned}) == len(owned)
 
-    def test_each_round_is_played_once_per_outcome_history(self, monkeypatch):
+    def test_each_round_is_played_once_per_outcome_history(self, table, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -723,17 +707,18 @@ class TestForkingWalk:
             return original_round(*args, **kwargs)
 
         monkeypatch.setattr(harness, "original_round", counting)
-        branches = enumerate_branches(
-            Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2")
-        )
-        # Siblings share the transcripts of their common rounds, so the
-        # distinct transcript objects are the distinct round-level
-        # outcome histories.  Replaying every branch from round 1 would
-        # take 32 x 6 = 192 calls.
-        histories = {id(t) for b in branches for t in b.transcripts}
+        scenario = Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2")
+        branches = enumerate_branches(scenario)
+        # Every branch replays from round 1, through the table: a round is
+        # played once per outcome path of its key, and the odd and even
+        # rounds from 3 share their keys.  Replaying every branch on the
+        # statevector path would take 32 x 6 = 192 calls.
         assert len(branches) == 32
-        assert len(calls) == len(histories) == 53
+        assert len(calls) == table.misses == 9
         assert calls.count(1) == 1
+        calls.clear()
+        assert [_fingerprint(b) for b in enumerate_branches(scenario)] == [_fingerprint(b) for b in branches]
+        assert calls == []
 
 
 class TestPlansBuilders:
@@ -939,6 +924,27 @@ TABLE_SESSIONS = [
 ]
 
 
+def _tilted(fork):
+    """A ``build_attack`` whose attack forks every round at weight 0.64 (a
+    measurement of a qubit of its own, with or without its record) or 1/4
+    (a four-way coin)."""
+
+    class TiltedProbe(ChannelAttack):
+        name = "tilted"
+
+        def intercept(self, world, round_index, rngs):
+            if fork == "coin":
+                self._notes = {"coin": int(self.coins.integers(0, 4))}
+                return world, W1, W2
+            world = tensor(world, state_from_terms(["t"], {"0": 0.6, "1": 0.8}))
+            rec, world = measure(world, "t", rngs.attack)
+            if fork == "recorded":
+                self.records.append(rec)
+            return discard(world, "t"), W1, W2
+
+    return lambda strategy, coins=None: TiltedProbe(coins)
+
+
 @pytest.fixture
 def table(monkeypatch):
     fresh = RoundTable()
@@ -1016,26 +1022,7 @@ class TestRoundTable:
 
     @pytest.mark.parametrize("fork", ["recorded", "unrecorded", "coin"])
     def test_a_fork_at_another_weight_is_never_stored(self, fork, table, monkeypatch):
-        class TiltedProbe(ChannelAttack):
-            """Forks every round at weight 0.64 (a measurement of a qubit of
-            its own, with or without its record) or 1/4 (a four-way coin)."""
-
-            name = "tilted"
-
-            def intercept(self, world, round_index, rngs):
-                if fork == "coin":
-                    self._notes = {"coin": int(self.coins.integers(0, 4))}
-                    return world, W1, W2
-                world = tensor(world, state_from_terms(["t"], {"0": 0.6, "1": 0.8}))
-                rec, world = measure(world, "t", rngs.attack)
-                if fork == "recorded":
-                    self.records.append(rec)
-                return discard(world, "t"), W1, W2
-
-        def make_attack(strategy, coins=None):
-            return TiltedProbe(coins)
-
-        monkeypatch.setattr(harness, "build_attack", make_attack)
+        monkeypatch.setattr(harness, "build_attack", _tilted(fork))
         if fork == "coin":
             error, match = TypeError, "only random"
         else:
@@ -1048,6 +1035,14 @@ class TestRoundTable:
                 with pytest.raises(error, match=match):
                     run_simulation(cfg)
             assert (table.entries, table.hits) == (0, 0) and not table._slots, bound
+
+    @pytest.mark.parametrize("fork", ["recorded", "unrecorded"])
+    def test_an_enumeration_that_forks_at_another_weight_raises(self, fork, table, monkeypatch):
+        monkeypatch.setattr(harness, "build_attack", _tilted(fork))
+        scenario = Scenario("revised", revised_plans((1, 0), (0, 1)), strategy="a1")
+        with pytest.raises(RuntimeError, match="other than at a recorded Born weight of 1/2"):
+            enumerate_branches(scenario)
+        assert (table.entries, table.hits) == (0, 0) and not table._slots
 
     def test_entries_never_exceed_the_bound(self, table, monkeypatch):
         monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", 5)
@@ -1231,6 +1226,22 @@ class TestRoundTable:
                     assert getattr(args[4], "name", "none") == strategy
                     assert type(result[1]) is RoundTranscript and result[1].round_index == args[1].round_index
 
-    def test_enumeration_bypasses_the_table(self, table):
-        enumerate_branches(Scenario("original", original_plans((1, 0, 1, 1)), strategy="a2"))
-        assert (table.entries, table.hits, table.misses) == (0, 0, 0)
+    def test_enumeration_on_a_warm_table_matches_a_cold_one(self, table):
+        scenarios = [
+            Scenario("original", original_plans((1, 0, 1, 1, 0)), strategy="a2"),
+            *DISHONEST_FORKING[:2],
+            *_random_revised_scenarios("a2-probe", 4, seed=8),
+        ]
+        cold = []
+        for scenario in scenarios:
+            table.clear()
+            cold.append([_fingerprint(b) for b in enumerate_branches(scenario)])
+        table.clear()
+        for variant, strategy in PAIRS:
+            run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=300, seed=6))
+        for scenario in scenarios:
+            enumerate_branches(scenario)
+        misses = table.misses
+        warm = [[_fingerprint(b) for b in enumerate_branches(scenario)] for scenario in reversed(scenarios)]
+        assert warm[::-1] == cold
+        assert table.misses == misses  # every round of the second pass is replayed

@@ -367,6 +367,14 @@ class TestCheckPhase:
         assert check_phase(view, 0.3, np.random.default_rng(5), threshold=0.1) == want
         assert want[0] > 0.1 and len(want[2]) == 12
 
+    @pytest.mark.parametrize("fraction,n", [(0.5, 2), (0.25, 100), (0.94, 10)])
+    def test_checking_fewer_rounds_without_an_rng_is_a_value_error(self, fraction, n):
+        assert check_size(fraction, n) < n
+        ts = [_fake_transcript(i, 0, 0) for i in range(1, n + 1)]
+        with pytest.raises(ValueError, match="rng"):
+            check_phase(ts, fraction, None)
+        assert not any(t.events for t in ts)
+
     @pytest.mark.parametrize("fraction,n", [(1.0, 1), (1.0, 9), (0.95, 4), (0.01, 1), (0.96, 10)])
     def test_checking_every_round_draws_nothing(self, fraction, n):
         class Untouchable:
