@@ -333,7 +333,9 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
     rounds against ``chi`` and ``EntangledPair`` in even rounds against
     ``g``; the coin-flip variant pairs encoding, coin and form per the
     rule in the module docstring.  Rounds count from 1, a single
-    encoding targets ``w1`` or ``w2``, and every payload bit is 0 or 1.
+    encoding targets ``w1`` or ``w2``, and every payload bit and coin is
+    the int 0 or 1, not a bool or a float: the harness interns plans by
+    value, so equal plans must be equal in type too.
     """
     mode, coin = plan.mode, plan.alice_hadamard
     kind = type(mode)
@@ -342,8 +344,8 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
     if kind is SinglePair and mode.target not in (W1, W2):
         raise ValueError(f"target must be {W1!r} or {W2!r}, got {mode.target!r}")
     if coin_flip:
-        if coin not in (0, 1):
-            raise ValueError("coin-flip variant plans need alice_hadamard 0 or 1")
+        if type(coin) is not int or coin not in (0, 1):
+            raise ValueError(f"coin-flip variant plans need alice_hadamard 0 or 1, got {coin!r}")
         if kind is ProductPair:
             raise ValueError("the coin-flip variant does not use the product encoding")
         if (kind is EntangledPair) != (coin ^ parity == 1):
@@ -364,8 +366,8 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
         if parity == odd:
             raise ValueError(f"{'odd' if odd else 'even'} rounds require the {'chi' if odd else 'g'} carrier form")
     bits = (mode.q1, mode.q2) if kind is SinglePair else (mode.q,)
-    if any(bit not in (0, 1) for bit in bits):
-        raise ValueError(f"payload bits of round {plan.round_index} must be 0 or 1, got {bits}")
+    if any(type(bit) is not int or bit not in (0, 1) for bit in bits):
+        raise ValueError(f"payload bits of round {plan.round_index} must be the ints 0 or 1, got {bits}")
 
 
 def _play(

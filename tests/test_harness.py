@@ -446,6 +446,9 @@ class TestEnumeration:
         no_coin = (RoundPlan(1, EntangledPair(0)),)
         with pytest.raises(ValueError, match="need alice_hadamard"):
             Scenario("revised", no_coin)
+        for coin in (True, 1.0):
+            with pytest.raises(ValueError, match="need alice_hadamard 0 or 1"):
+                Scenario("revised", (RoundPlan(1, EntangledPair(1), alice_hadamard=coin),))
         wrong_alt = (RoundPlan(1, EntangledPair(0)),)
         with pytest.raises(ValueError, match="alternate"):
             Scenario("original", wrong_alt)
@@ -496,6 +499,11 @@ class TestEnumeration:
             (RoundPlan(1, ProductPair(0)), RoundPlan(2, EntangledPair(-1))),
             (RoundPlan(1, EntangledPair(3), alice_hadamard=1),),
             (RoundPlan(1, SinglePair(0, 2, W1), alice_hadamard=0),),
+            # Equal to 0 or 1 but not ints: an interned plan class would
+            # carry their type into later sessions' transcripts.
+            (RoundPlan(1, ProductPair(True)),),
+            (RoundPlan(1, EntangledPair(1.0), alice_hadamard=1),),
+            (RoundPlan(1, SinglePair(np.int64(1), 0, W1), alice_hadamard=0),),
         ],
     )
     def test_scenarios_reject_payload_bits_outside_0_and_1(self, plans):
