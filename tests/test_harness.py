@@ -717,10 +717,9 @@ class TestForkingWalk:
         monkeypatch.setattr(harness, "original_round", counting)
         scenario = Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2")
         branches = enumerate_branches(scenario)
-        # Every branch replays from round 1, through the table: a round is
-        # played once per outcome path of its key, and the odd and even
-        # rounds from 3 share their keys.  Replaying every branch on the
-        # statevector path would take 32 x 6 = 192 calls.
+        # Every branch replays from round 1 through the table, which plays
+        # a key on the statevector path once per outcome path.  Replaying
+        # every branch on the statevector path would take 32 x 6 = 192 calls.
         assert len(branches) == 32
         assert len(calls) == table.misses == 9
         assert calls.count(1) == 1
