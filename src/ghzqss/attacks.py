@@ -41,13 +41,14 @@ Whatever the hooks carry from one call to the next lives in one
 immutable value, ``state``; the other attributes only grow (``records``,
 ``inferred``) or drain (the round notes).
 
-The round table replays recorded rounds without calling the hooks.
-``round_key`` names everything the next round's hooks read besides the
-world, which is ``state`` (the full schedule adds its position), and
-``replay_round`` re-applies a recorded round; the harness reads nothing
-else of an attack.  Each quantum draw of a round must show up as a
-record of weight 1/2, else the round table raises; ``rngs`` and
-``coins`` hand out only scalar ``random()`` and ``integers(0, 2)``.
+The round table replays recorded rounds without calling the hooks.  It
+keys a round on the attack's class and ``state`` besides the world,
+carrier parity and plan class, so a hook reads ``round_index`` only
+through what ``state`` and the plan already name.  ``replay_round``
+re-applies a recorded round; the harness reads nothing else of an
+attack.  Each quantum draw of a round must show up as a record of
+weight 1/2, else the round table raises; ``rngs`` and ``coins`` hand out
+only scalar ``random()`` and ``integers(0, 2)``.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ class ChannelAttack:
         notes, self._notes = self._notes, None
         return notes
 
-    def round_key(self, round_index: int):
-        """Hashable summary of what the hooks of round ``round_index`` read
-        from this attack; the world and the draws are not part of it.
-        By default, ``state``."""
-        return self.state
-
     def round_mark(self) -> tuple[int, int]:
         """Where the records and inferences of the next round will start."""
         return len(self.records), len(self.inferred)
@@ -106,7 +101,7 @@ class ChannelAttack:
         """What the round since ``mark`` did to this attack, as a hashable value.
 
         Inferences keep their round relative to ``round_index``, so the
-        record can be replayed at any round with the same ``round_key``.
+        record can be replayed at any round the round table keys alike.
         """
         n_records, n_inferred = mark
         inferred = tuple((r - round_index, value, meaning) for r, value, meaning in self.inferred[n_inferred:])
@@ -208,11 +203,6 @@ class A2Attack(ChannelAttack):
                 f"a2 schedule must see every round in order; expected round "
                 f"{expected}, got {round_index}"
             )
-
-    def round_key(self, round_index):
-        self._check_order(round_index)
-        position = round_index if round_index <= 2 else ("odd" if round_index % 2 else "even")
-        return position, self.state
 
     def sync_hadamard(self, world):
         for lab in self.state:

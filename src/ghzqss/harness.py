@@ -3,8 +3,8 @@
 ``run_simulation`` plays full sessions with independent named rng
 streams per party, so results are reproducible from ``(config)`` alone
 and attacks never disturb the honest parties' draw sequences.  A
-session sets up the Bob, Charlie and attack streams at their first
-draw, and no check stream when every round is checked.
+session sets up each of its Alice, Bob, Charlie and attack streams at
+its first draw, and no check stream when every round is checked.
 
 ``enumerate_branches`` plays every measurement branch of a short
 scripted scenario as a session of its own, whose Bob, Charlie and attack
@@ -267,18 +267,18 @@ def _check_plans(variant: str, plans: Iterable[RoundPlan]) -> tuple[RoundPlan, .
 
 
 def _play_round(
-    variant: str, world: PureState, plan: RoundPlan, parity: int, rngs: Rngs, attack
+    world: PureState, plan: RoundPlan, parity: int, rngs: Rngs, attack
 ) -> tuple[PureState, int, RoundTranscript]:
-    """One round of a session of either variant, from carrier parity
-    ``parity``: the next world, the next parity and the transcript.
+    """One round of a session from carrier parity ``parity``: the next
+    world, the next parity and the transcript.
 
-    The alternating variant applies the public Hadamard layer before
-    every round after the first, and the attack keeps its probes in
-    step with it.
+    A plan without a coin plays the alternating variant, which applies
+    the public Hadamard layer before every round after the first; the
+    attack keeps its probes in step with it.
     """
     tracker = CarrierTracker(parity)
     play = revised_round
-    if variant == "original":
+    if plan.alice_hadamard is None:
         play = original_round
         if plan.round_index > 1:
             world = hadamard_layer(world, CARRIER, tracker)
@@ -292,9 +292,7 @@ def _play_round(
 ROUND_TABLE = RoundTable()
 
 
-def _play_rounds(
-    table: RoundTable, script: Script, variant: str, plans: Iterable, attack, row
-) -> tuple[PureState, list]:
+def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
     """The one session loop: each ``(round index, plan class)`` of ``plans``
     played through ``table`` from the start of a session, with the draws
     of ``script`` and ``attack``.  Returns the final world and per round
@@ -302,7 +300,7 @@ def _play_rounds(
     world, parity = chi_state(), 0
     rows: list = []
     for i, plan_class in plans:
-        world, parity, payload = table.play(_play_round, script, variant, world, parity, (i, plan_class), attack)
+        world, parity, payload = table.play(_play_round, script, world, parity, (i, plan_class), attack)
         rows.append(row(i, plan_class, payload))
     return world, rows
 
@@ -310,9 +308,9 @@ def _play_rounds(
 def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
     """All rounds of one session: the final world, the attack and per round
     its transcript if ``transcribe``, else its compact row."""
-    alice = PCG64Stream(stream(cfg.seed, STREAM_ALICE))
-    # Set up at their first word: Charlie's and the attack stream go
-    # undrawn in many sessions.
+    # Set up at their first word: Alice's, Charlie's and the attack
+    # stream go undrawn in many sessions.
+    alice = PCG64Stream(functools.partial(stream, cfg.seed, STREAM_ALICE))
     script = Script(tuple(
         PCG64Stream(functools.partial(stream, cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)
     ))
@@ -328,7 +326,7 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
         target=lambda i: W1 if alice.random() < 0.5 else W2,
     )
     row = transcript if transcribe else compact_row
-    world, rows = _play_rounds(ROUND_TABLE, script, cfg.variant, itertools.islice(plans, cfg.rounds), attack, row)
+    world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row)
     return world, attack, rows
 
 
@@ -465,7 +463,7 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
         tape = _Tape(bits, scenario.attack_seed)
         script = Script((tape, tape, tape))
         attack = build_attack(scenario.strategy, coins=script.rngs.attack)
-        world, transcripts = _play_rounds(ROUND_TABLE, script, scenario.variant, plans, attack, transcript)
+        world, transcripts = _play_rounds(ROUND_TABLE, script, plans, attack, transcript)
         records = [rec for t in transcripts for rec in t.records] + (attack.records if attack is not None else [])
         prob = math.prod(rec.probability for rec in records)
         branches.append(Branch(prob, tuple(transcripts), world, attack))

@@ -88,7 +88,7 @@ def _make(labels: Sequence[str], amps: np.ndarray) -> PureState:
     if amps.shape != (2 ** len(labels),):
         raise ValueError(f"amplitude vector of length {amps.size} does not match {len(labels)} qubits")
     norm = float(np.sqrt(np.dot(amps, amps)))
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:  # NaN fails too
         raise ValueError(f"state norm {norm!r} deviates from 1 by more than {ATOL}")
     amps = amps.copy()
     amps.flags.writeable = False
@@ -150,8 +150,8 @@ def basis_state(assignments: Iterable[tuple[str, int]]) -> PureState:
         raise ValueError("basis_state needs at least one qubit")
     index = 0
     for lab, bit in pairs:
-        if bit not in (0, 1):
-            raise ValueError(f"bit for {lab!r} must be 0 or 1, got {bit!r}")
+        if type(bit) is not int or bit not in (0, 1):
+            raise ValueError(f"bit for {lab!r} must be the int 0 or 1, got {bit!r}")
         index = (index << 1) | bit
     return _basis_state(tuple(lab for lab, _ in pairs), index)
 
@@ -178,7 +178,7 @@ def state_from_terms(labels: Sequence[str], terms: Mapping[str, float]) -> PureS
             raise ValueError(f"bad bitstring {bits!r} for {len(labels)} qubits")
         amps[int(bits, 2)] += float(coeff)
     norm = float(np.sqrt(np.dot(amps, amps)))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"terms have norm {norm!r}; write normalized amplitudes")
     return _make(labels, amps)
 

@@ -59,9 +59,9 @@ class PCG64Stream:
     half waits across ``random()`` calls, as PCG64's ``next_uint32`` does.
     Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``.
 
-    ``gen`` is the ``Generator``, or a function without arguments that
-    returns one with no half-word pending when the stream needs its first
-    word: a stream that is never drawn from never sets up its bit
+    ``opener`` is a function without arguments that returns the
+    ``Generator``, with no half-word pending, when the stream needs its
+    first word: a stream that is never drawn from never sets up its bit
     generator.
 
     Any other call (other bounds, ``size=``) raises ``TypeError`` before
@@ -70,26 +70,20 @@ class PCG64Stream:
 
     __slots__ = ("_bits", "_open", "_words", "_pos", "_half")
 
-    def __init__(self, gen: np.random.Generator | Callable[[], np.random.Generator]) -> None:
+    def __init__(self, opener: Callable[[], np.random.Generator]) -> None:
+        self._open = opener
+        self._bits = self._half = None
         self._words: list[int] = []
         self._pos = 0  # next word of the block
-        self._half = None
-        self._bits = self._open = None
-        if callable(gen):
-            self._open = gen
-        else:
-            self._attach(gen)
 
     def _attach(self, gen: np.random.Generator) -> None:
         bits = gen.bit_generator
         if type(bits) is not np.random.PCG64:
             raise TypeError(f"a PCG64Stream needs a PCG64 bit generator, got {type(bits).__name__}")
-        state = bits.state
-        if state["has_uint32"] and self._open is not None:
+        if bits.state["has_uint32"]:
             # The word this stream is fetching would skip the pending half.
             raise ValueError("a stream opened at its first word needs a generator with no half-word pending")
         self._bits = bits
-        self._half = state["uinteger"] if state["has_uint32"] else None
 
     def _word(self) -> int:
         pos, words = self._pos, self._words
@@ -204,13 +198,16 @@ def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
 class RoundTable:
     """Bounded memo of recorded statevector rounds, in front of a round function.
 
-    A key is (variant, carrier parity, plan class, attack class,
-    attacker key) under the exact labels and amplitude bytes of the
-    world.  Its value is the round's fork tree, built one outcome path at
-    a time: a fork is ``(code, outcome-0 subtree, outcome-1 subtree)``
-    with its ``Script`` code, a leaf is what ``play`` returns, and
-    ``None`` is an outcome not yet recorded.  Replaying a tree draws from
-    the session's real streams exactly what the statevector play draws,
+    ``_trees`` maps a key (world, carrier parity before the round, plan
+    class, attack class, attack ``state``) to the round's fork tree.  The
+    world is the id of its copy in ``_worlds``, which interns worlds by
+    their exact labels and amplitude bytes.  A plan class's coin names the
+    variant, and a round reads its index only through what the parity,
+    plan class and ``state`` name.  A tree is built one outcome path at a
+    time: a fork is ``(code, outcome-0 subtree, outcome-1 subtree)`` with
+    its ``Script`` code, a leaf is what ``play`` returns, and ``None`` is
+    an outcome not yet recorded.  Replaying a tree draws from the
+    session's real streams exactly what the statevector play draws,
     because every fork is a coin or a Born weight of exactly 1/2
     (``qsim.measure``).
 
@@ -228,47 +225,33 @@ class RoundTable:
 
     def clear(self) -> None:
         """Forget every recorded round and reset the counters."""
-        self._worlds: dict[tuple, PureState] = {}  # world key -> interned world
-        self._slots: dict[int, dict] = {}  # id of an interned world -> {key: tree}
-        self._interned: dict = {}
-        self.entries = 0  # keys stored
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._worlds: dict[tuple, PureState] = {}  # world key -> interned world
+            self._trees: dict[tuple, tuple] = {}  # round key -> fork tree
+            self._interned: dict = {}
+            self.entries = 0  # keys stored
+            self.hits = 0
+            self.misses = 0
 
     @staticmethod
     def _world_key(world: PureState) -> tuple:
         return world.labels, world.amps.tobytes()
 
-    def _canonical(self, world: PureState, create: bool) -> PureState | None:
-        """The interned world equal to ``world``; ``world`` itself is interned if ``create``."""
-        if id(world) in self._slots:
-            return world
-        key = self._world_key(world)
-        known = self._worlds.get(key)
-        if known is None and create:
-            # The slot goes in first: a reader that finds the world has its slot.
-            self._slots[id(world)] = {}
-            known = self._worlds[key] = world
-        return known
-
     def _intern(self, value):
         return self._interned.setdefault(value, value)
 
     def play(
-        self, play_round, session: Script, variant: str, world: PureState, parity: int, plan: tuple, attack,
+        self, play_round, session: Script, world: PureState, parity: int, plan: tuple, attack,
     ) -> tuple[PureState, int, tuple]:
         """Round ``plan``, a (round index, plan class) pair, of the session whose ``Script`` is
         ``session``, from ``world`` at carrier parity ``parity``: replayed from its live streams
         when recorded, else played through it by ``play_round`` (the statevector round,
         ``harness._play_round``) and recorded.  Returns the round's leaf, (next world, next
-        parity, payload), where the payload is everything else the round produced."""
+        parity, payload), where the payload is everything else the round produced.  Only a
+        world interned by the table can hit."""
         round_index, plan_class = plan
-        attack_key = attack.round_key(round_index) if attack is not None else None
-        key = (variant, parity, plan_class, type(attack), attack_key)
-        slot = self._slots.get(id(world))
-        if slot is None:
-            slot = self._slots.get(id(self._canonical(world, create=False)), {})
-        node = slot.get(key)
+        key = (id(world), parity, plan_class, type(attack), None if attack is None else attack.state)
+        node = self._trees.get(key)
         drawn = []
         gens = session.live
         while node is not None and type(node[0]) is int:
@@ -281,19 +264,19 @@ class RoundTable:
                 node = node[1 + (value < 0.5)]
             drawn.append((code, value))
         if node is None:
-            return self._record(play_round, session, drawn, key, variant, world, parity, plan, attack)
+            return self._record(play_round, session, drawn, key, world, parity, plan, attack)
         self.hits += 1
         if attack is not None:
             attack.replay_round(round_index, node[2][-1])
         return node
 
-    def _record(self, play_round, script, drawn, key, variant, world, parity, plan, attack):
+    def _record(self, play_round, script, drawn, key, world, parity, plan, attack):
         self.misses += 1
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
         round_index, plan_class = plan
         plan = RoundPlan(round_index, plan_class.mode, plan_class.coin)
-        after, parity, t = play_round(variant, world, plan, parity, script.rngs, attack)
+        after, parity, t = play_round(world, plan, parity, script.rngs, attack)
         if script.pos != len(script.log):
             raise RuntimeError("a round drew less than its recording: the round table key misses state")
         recorded = attack.recorded_round(mark, round_index) if attack is not None else None
@@ -307,23 +290,24 @@ class RoundTable:
             t.bob, t.charlie, t.recovered, tuple(tuple(event.items()) for event in t.events),
             tuple(t.records), None if notes is None else tuple(notes.items()), recorded,
         )
-        # Sessions in other threads may store at the same time; interning
-        # a world twice would leave a slot under the id of a world the
-        # table does not keep alive.
+        # Sessions in other threads may store at the same time; a world
+        # interned outside the lock could key a tree on the id of a world
+        # the table does not keep alive.
         with self._lock:
-            known = self._canonical(world, create=self.entries < MAX_TABLE_ENTRIES)
-            slot = self._slots[id(known)] if known is not None else {}
-            root = slot.get(key)
+            worlds, world_key = self._worlds, self._world_key(world)
+            known = worlds.get(world_key, world)
+            key = (id(known), *key[1:])
+            root = self._trees.get(key)
             if root is None:
                 if self.entries >= MAX_TABLE_ENTRIES:
                     return after, parity, payload  # unstored
                 self.entries += 1
-                key = self._intern(tuple(self._intern(part) for part in key))
+                worlds[world_key] = known
             intern = self._intern
             *bits, events, records, notes, recorded = payload
             parts = (tuple(map(intern, events)), tuple(map(intern, records)), notes, recorded)
-            leaf = (self._canonical(after, create=True), parity, intern((*bits, *map(intern, parts))))
-            slot[key] = self._grow(root, script.log, leaf)
+            leaf = (worlds.setdefault(self._world_key(after), after), parity, intern((*bits, *map(intern, parts))))
+            self._trees[key] = self._grow(root, script.log, leaf)
             return leaf
 
     @staticmethod

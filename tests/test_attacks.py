@@ -103,18 +103,30 @@ class TestRoundReplay:
         assert twin.inferred == [(9, value, meaning) for _, value, meaning in attack.inferred]
         assert twin.records == attack.records
 
-    def test_keys_name_what_the_next_round_reads(self):
-        probe = A1Attack()
-        assert probe.round_key(1) is False
-        probe.intercept(tensor(chi_state(), basis_state([(W1, 0), (W2, 0)])), 1, _rngs())
-        assert probe.round_key(2) is True
-        a2 = A2Attack()
-        assert a2.round_key(1) == (1, ())
-        a2.replay_round(4, ((), ((0, 1, "xor_with_round2_secret"),), ("e1", "e2")))
-        assert [a2.round_key(5), a2.state] == [("odd", ("e1", "e2")), ("e1", "e2")]
-        with pytest.raises(ValueError, match="expected round 5"):
-            a2.round_key(6)
-        assert DishonestBobAttack().round_key(7) is None
+    def test_the_table_keys_each_round_on_what_it_reads(self, monkeypatch):
+        seen = []
+        inner = RoundTable.play
+
+        def spy(self, play_round, session, world, parity, plan, attack):
+            _, plan_class = plan
+            seen.append((parity, plan_class.mode_name, plan_class.coin, attack.state))
+            return inner(self, play_round, session, world, parity, plan, attack)
+
+        monkeypatch.setattr(RoundTable, "play", spy)
+        harness.run_simulation(harness.SimConfig(variant="original", strategy="a2", rounds=6, seed=4))
+        # Rounds 1, 2, odd from 3 and even from 4: four distinct keys.
+        both = ("e1", "e2")
+        assert [(parity, mode, state) for parity, mode, _, state in seen] == [
+            (0, "product", ()), (0, "pair", ("e1",)), (1, "product", both),
+            (0, "pair", both), (1, "product", both), (0, "pair", both),
+        ]
+        # The coin tells the variants apart: None exactly in the alternating one.
+        assert all(coin is None for _, _, coin, _ in seen)
+        for strategy in ("a1", "a2-probe"):
+            seen.clear()
+            harness.run_simulation(harness.SimConfig(strategy=strategy, rounds=6, seed=4))
+            assert [state for *_, state in seen] == [False] + [True] * 5
+            assert all(type(coin) is int for _, _, coin, _ in seen)
 
 
 class TestPersistentProbes:
@@ -181,8 +193,6 @@ class TestFullSchedule:
     def test_rounds_must_arrive_in_order(self):
         attack = A2Attack()
         world = tensor(chi_state(), basis_state([(W1, 0), (W2, 0)]))
-        with pytest.raises(ValueError, match="in order"):
-            attack.round_key(2)
         with pytest.raises(ValueError, match="in order"):
             attack.intercept(world, 2, _rngs())
         attack.intercept(world, 1, _rngs())

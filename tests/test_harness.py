@@ -93,16 +93,8 @@ class TestPCG64Stream:
             seed = rnd.randrange(2 ** 64)
             kinds = _mixed_draws(rnd, rnd.randrange(1, 6 * BLOCK_WORDS))
             want = np.random.default_rng(seed)
-            got = PCG64Stream(np.random.default_rng(seed))
+            got = PCG64Stream(lambda: np.random.default_rng(seed))
             assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
-
-    def test_a_half_word_pending_at_construction_comes_first(self):
-        want, gen = np.random.default_rng(3), np.random.default_rng(3)
-        want.integers(0, 2)
-        gen.integers(0, 2)
-        got = PCG64Stream(gen)
-        kinds = ["r", "c", "r", "c", "c"]
-        assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds]
 
     @pytest.mark.parametrize("foreign", FOREIGN)
     def test_a_foreign_use_raises_and_draws_nothing(self, foreign):
@@ -114,15 +106,11 @@ class TestPCG64Stream:
             seed = rnd.randrange(2 ** 64)
             tail = ["r", "c"] + _mixed_draws(rnd, 2 * BLOCK_WORDS)
             want = np.random.default_rng(seed)
-            got = PCG64Stream(np.random.default_rng(seed))
+            got = PCG64Stream(lambda: np.random.default_rng(seed))
             assert [_draw(got, k) for k in prefix] == [_draw(want, k) for k in prefix]
             with pytest.raises(error):
                 call(got)
             assert [_draw(got, k) for k in tail] == [_draw(want, k) for k in tail], (seed, prefix[-1])
-
-    def test_only_pcg64_is_decoded(self):
-        with pytest.raises(TypeError, match="PCG64"):
-            PCG64Stream(np.random.Generator(np.random.MT19937(1)))
 
 
 class TestStreamSetUp:
@@ -137,6 +125,18 @@ class TestStreamSetUp:
             want = np.random.default_rng(seed)
             assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
             assert opened == [seed]
+
+    def test_a_session_given_its_secrets_opens_no_alice_stream(self, monkeypatch):
+        # The alternating variant with every secret given draws nothing
+        # from Alice, and a check of every round draws no check stream.
+        real = harness.stream
+        opened = []
+        monkeypatch.setattr(harness, "stream", lambda seed, k: opened.append(k) or real(seed, k))
+        cfg = SimConfig(variant="original", rounds=8, seed=2, secret_bits="01101001", check_fraction=1.0)
+        want = _reference_session(cfg)[0]
+        opened.clear()
+        assert run_simulation(cfg) == want
+        assert opened == [harness.STREAM_BOB]
 
     def test_an_opened_generator_is_checked_at_the_first_word(self):
         got = PCG64Stream(lambda: np.random.Generator(np.random.MT19937(1)))
@@ -288,12 +288,17 @@ class TestRunSimulation:
         assert not report.detected
 
 
+def _stream_of(gen):
+    """A ``PCG64Stream`` that opens ``gen`` at its first word."""
+    return PCG64Stream(lambda: gen)
+
+
 def _live_streams(seed, wrap):
     return tuple(wrap(np.random.default_rng(seed + k)) for k in range(3))
 
 
 class TestScript:
-    @pytest.mark.parametrize("wrap", [lambda gen: gen, PCG64Stream], ids=["Generator", "PCG64Stream"])
+    @pytest.mark.parametrize("wrap", [lambda gen: gen, _stream_of], ids=["Generator", "PCG64Stream"])
     def test_live_draws_past_the_prefix_equal_numpy_and_are_logged(self, wrap):
         prefix = [(1, 1), (0, 0.25)]
         script = Script(_live_streams(40, wrap))
@@ -312,7 +317,7 @@ class TestScript:
         assert script.log == prefix + expected
 
     def test_a_prefix_in_another_order_raises(self):
-        script = Script(_live_streams(5, PCG64Stream))
+        script = Script(_live_streams(5, _stream_of))
         script.reset([(1, 0)])
         with pytest.raises(RuntimeError, match="another order"):
             script.rngs.bob.random()
@@ -329,7 +334,7 @@ class TestScript:
         ids=["random-n", "random-size", "integers-0-4", "integers-size", "other-method"],
     )
     def test_any_other_use_raises_and_logs_nothing(self, use):
-        script = Script(_live_streams(9, PCG64Stream))
+        script = Script(_live_streams(9, _stream_of))
         want = _live_streams(9, lambda gen: gen)
         assert script.rngs.charlie.random() == want[1].random()
         with pytest.raises(TypeError, match="only random"):
@@ -1041,7 +1046,7 @@ class TestRoundTable:
                 cfg = SimConfig(strategy="a1", rounds=200, seed=seed, hadamard_bias=0.3)
                 with pytest.raises(error, match=match):
                     run_simulation(cfg)
-            assert (table.entries, table.hits) == (0, 0) and not table._slots, bound
+            assert (table.entries, table.hits) == (0, 0) and not table._trees, bound
 
     @pytest.mark.parametrize("fork", ["recorded", "unrecorded"])
     def test_an_enumeration_that_forks_at_another_weight_raises(self, fork, table, monkeypatch):
@@ -1049,7 +1054,7 @@ class TestRoundTable:
         scenario = Scenario("revised", revised_plans((1, 0), (0, 1)), strategy="a1")
         with pytest.raises(RuntimeError, match="other than at a recorded Born weight of 1/2"):
             enumerate_branches(scenario)
-        assert (table.entries, table.hits) == (0, 0) and not table._slots
+        assert (table.entries, table.hits) == (0, 0) and not table._trees
 
     def test_entries_never_exceed_the_bound(self, table, monkeypatch):
         monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", 5)

@@ -221,6 +221,18 @@ class TestConstructors:
         with pytest.raises(ValueError, match="at least one"):
             basis_state([])
 
+    @pytest.mark.parametrize("bit", [1.0, True, np.int64(1), None], ids=["float", "bool", "numpy-int", "None"])
+    def test_basis_state_takes_only_the_ints_0_and_1(self, bit):
+        with pytest.raises(ValueError, match="int 0 or 1"):
+            basis_state([("a", 0), ("b", bit)])
+
+    def test_nan_amplitudes_are_rejected(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            state_from_terms(["a"], {"0": float("nan")})
+        for amps in ([np.nan, 0.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="norm nan"):
+                qsim._make(("a",), np.array(amps))
+
     def test_state_from_terms_requires_normalized_input(self):
         with pytest.raises(ValueError, match="normalized"):
             state_from_terms(("a", "b"), {"00": 0.5, "11": 0.5})
