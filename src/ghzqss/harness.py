@@ -88,15 +88,16 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(entropy=tuple(operator.index(p) for p in parts)).generate_state(1)[0])
 
 
-def _require_int(name: str, value, least: int) -> None:
+def _require_int(name: str, value, least: int) -> int:
     try:
         if isinstance(value, bool):
             raise TypeError
-        operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _validate_combo(variant: str, strategy: str) -> None:
@@ -124,8 +125,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _validate_combo(self.variant, self.strategy)
-        _require_int("rounds", self.rounds, 1)
-        _require_int("seed", self.seed, 0)
+        # Kept as Python ints, so a numpy integer never reaches the JSON report.
+        object.__setattr__(self, "rounds", _require_int("rounds", self.rounds, 1))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
         check_settings(self.check_fraction, self.detect_threshold, "detect_threshold")
         require_number("hadamard_bias", self.hadamard_bias)
         if not 0.0 <= self.hadamard_bias <= 1.0:

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -209,7 +209,20 @@ def ev_check(round_index: int, secret: int) -> dict:
     return {"event": "check_announced", "round": int(round_index), "secret": int(secret)}
 
 
-@dataclass
+def _built_on_read(slot: str, build) -> property:
+    """A transcript field kept in ``slot``; a round table's frozen tuple there
+    is built by ``build`` into the transcript's own value on first read."""
+
+    def read(self):
+        value = getattr(self, slot)
+        if type(value) is tuple:
+            value = build(value)
+            setattr(self, slot, value)
+        return value
+
+    return property(read, lambda self, value: setattr(self, slot, value))
+
+
 class RoundTranscript:
     """Everything one round produced.
 
@@ -219,19 +232,51 @@ class RoundTranscript:
     ``eve_notes`` holds attacker-side bookkeeping and is deliberately
     excluded from serialization: it is knowledge of the eavesdropper,
     not part of the public record.
+
+    ``events`` (a list of dicts), ``records`` (a list) and ``eve_notes``
+    (a dict or ``None``) are the transcript's own.  A replayed round passes
+    the round table's frozen tuples of event items, records and note items
+    instead, each built into a new list or dict when first read (also by
+    ``==``, ``repr`` and ``to_record``).
     """
 
-    round_index: int
-    mode: str
-    hadamard: int | None
-    target: str | None
-    secret: int
-    bob: int
-    charlie: int
-    recovered: int
-    events: list[dict] = field(default_factory=list)
-    records: list[MeasurementRecord] = field(default_factory=list)
-    eve_notes: dict | None = None
+    __match_args__ = ("round_index", "mode", "hadamard", "target", "secret", "bob", "charlie", "recovered",
+                      "events", "records", "eve_notes")  # the field order of the constructor, repr and ==
+    __slots__ = (*__match_args__[:8], "_events", "_records", "_eve_notes")
+    __hash__ = None  # mutable and compared by value
+
+    def __init__(
+        self, round_index: int, mode: str, hadamard: int | None, target: str | None, secret: int,
+        bob: int, charlie: int, recovered: int, events: list[dict] | tuple = (),
+        records: list[MeasurementRecord] | tuple = (), eve_notes: dict | tuple | None = None,
+    ) -> None:
+        self.round_index = round_index
+        self.mode = mode
+        self.hadamard = hadamard
+        self.target = target
+        self.secret = secret
+        self.bob = bob
+        self.charlie = charlie
+        self.recovered = recovered
+        self._events = events
+        self._records = records
+        self._eve_notes = eve_notes
+
+    events = _built_on_read("_events", lambda events: [dict(event) for event in events])
+    records = _built_on_read("_records", list)
+    eve_notes = _built_on_read("_eve_notes", dict)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
 
     def to_record(self) -> dict:
         return {

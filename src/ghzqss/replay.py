@@ -186,12 +186,13 @@ def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
 
 
 def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
-    """The transcript of a round's leaf payload, a new one on every call."""
+    """The transcript of a round's leaf payload, a new one on every call.  It
+    holds the payload's frozen events, records and notes and builds its own
+    list or dict of each on the first read, so no transcript shares one."""
     bob, charlie, recovered, events, records, notes, _ = payload
     return RoundTranscript(
         round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
-        bob, charlie, recovered,
-        [dict(event) for event in events], list(records), None if notes is None else dict(notes),
+        bob, charlie, recovered, events, records, notes,
     )
 
 

@@ -186,6 +186,12 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match=match):
             SimConfig(**kwargs)
 
+    def test_numpy_integers_are_kept_as_python_ints(self):
+        cfg = SimConfig(rounds=np.int64(8), seed=np.uint32(3))
+        assert (type(cfg.rounds), type(cfg.seed)) == (int, int)
+        want = json.dumps(run_simulation(SimConfig(rounds=8, seed=3)).to_dict())
+        assert json.dumps(run_simulation(cfg).to_dict()) == want
+
     def test_compatibility_table(self):
         assert COMPATIBLE["original"] == ("none", "a2")
         assert COMPATIBLE["revised"] == ("none", "a1", "a2-probe", "dishonest-bob")
@@ -957,6 +963,43 @@ def _tilted(fork):
     return lambda strategy, coins=None: TiltedProbe(coins)
 
 
+class _FlippingAttack(ChannelAttack):
+    """Leaves the world alone but flips its ``state`` every round, and in
+    state 1 draws a coin.  Its notes name the state and the coin, so only
+    the state tells its rounds apart."""
+
+    name = "flipping"
+    state = 0
+
+    def intercept(self, world, round_index, rngs):
+        state = self.state
+        self.state = 1 - state
+        self._notes = {"state": state, "coin": int(self.coins.integers(0, 2)) if state else None}
+        return world, W1, W2
+
+
+def _leaf_payloads(table):
+    """The payload of every leaf the table stores."""
+    nodes, payloads = list(table._trees.values()), []
+    while nodes:
+        node = nodes.pop()
+        if node is not None and type(node[0]) is int:
+            nodes += node[1:]
+        elif node is not None:
+            payloads.append(node[2])
+    return payloads
+
+
+def _edit(transcripts):
+    """Edit and append to every transcript's events, records and notes."""
+    for t in transcripts:
+        t.events[0]["event"] = "edited"
+        t.events.append({"event": "appended"})
+        t.records.append(t.records[0])
+        if t.eve_notes is not None:
+            t.eve_notes["edited"] = True
+
+
 @pytest.fixture
 def table(monkeypatch):
     fresh = RoundTable()
@@ -1021,6 +1064,26 @@ class TestRoundTable:
         pairs = [("original", "a2"), ("revised", "dishonest-bob")]
         assert self._mismatches(monkeypatch, pairs) == set(pairs)
 
+    def _leaks(self, table, monkeypatch, pairs):
+        """Pairs where editing the transcripts of a session replayed from the
+        table changes the table's payloads, a later session or the
+        reference loop."""
+        bad = set()
+        for variant, strategy in pairs:
+            cfg = SimConfig(variant=variant, strategy=strategy, rounds=300, seed=11)
+            want = _session_bytes(*_reference_session(cfg))
+            run_simulation(cfg)  # records every round of the session
+            payloads, misses = repr(_leaf_payloads(table)), table.misses
+            _edit(_table_session(cfg, monkeypatch)[1])
+            assert table.misses == misses  # every round was replayed
+            after = _session_bytes(*_table_session(cfg, monkeypatch)), _session_bytes(*_reference_session(cfg))
+            if (repr(_leaf_payloads(table)), *after) != (payloads, want, want):
+                bad.add((variant, strategy))
+        return bad
+
+    def test_a_replayed_transcript_owns_its_events_records_and_notes(self, table, monkeypatch):
+        assert self._leaks(table, monkeypatch, PAIRS) == set()
+
     def test_a_replay_that_shares_an_events_list_is_caught(self, table, monkeypatch):
         shared = {}
 
@@ -1031,6 +1094,85 @@ class TestRoundTable:
 
         monkeypatch.setattr(harness, "transcript", sharing)
         assert self._mismatches(monkeypatch, PAIRS) == set(PAIRS)
+        # Sharing any of the three parts lets edits leak into later
+        # sessions; only attacked rounds have notes.
+        attacked = {pair for pair in PAIRS if pair[1] != "none"}
+        for part, expected in (("events", set(PAIRS)), ("records", set(PAIRS)), ("eve_notes", attacked)):
+            shared.clear()
+
+            def sharing_part(round_index, plan_class, payload, part=part):
+                t = replay.transcript(round_index, plan_class, payload)
+                setattr(t, part, shared.setdefault(id(payload), getattr(t, part)))
+                return t
+
+            monkeypatch.setattr(harness, "transcript", sharing_part)
+            table.clear()
+            assert self._leaks(table, monkeypatch, PAIRS) == expected, part
+
+    def test_a_replayed_transcript_equals_the_played_one_before_and_after_it_is_read(self, table, monkeypatch):
+        played, built = {}, {}
+
+        def capture(inner):
+            def play(*args):
+                world, t = inner(*args)
+                played[args[1].round_index] = t
+                return world, t
+
+            return play
+
+        def building(*args):
+            built[args[0]] = args
+            return replay.transcript(*args)
+
+        monkeypatch.setattr(harness, "original_round", capture(original_round))
+        monkeypatch.setattr(harness, "revised_round", capture(revised_round))
+        monkeypatch.setattr(harness, "transcript", building)
+        for variant, strategy in PAIRS:
+            table.clear()
+            played.clear()
+            run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=60, seed=4), [])
+            assert played
+            for i, eager in played.items():
+                views = (
+                    repr, RoundTranscript.to_record, lambda t: t == eager, lambda t: eager == t,
+                    lambda t: (t.events, t.records, t.eve_notes),
+                )
+                # Each view read first, then all of them again.
+                for first in views:
+                    t = replay.transcript(*built[i])
+                    assert first(t) == first(eager), (variant, strategy, i)
+                    assert [view(t) for view in views] == [view(eager) for view in views], (variant, strategy, i)
+
+    def test_an_attack_state_the_world_does_not_show_is_keyed(self, table, monkeypatch):
+        def make(strategy, coins=None):
+            return _FlippingAttack(coins)
+
+        monkeypatch.setattr(harness, "build_attack", make)
+        for variant, strategy in (("original", "a2"), ("revised", "a1")):
+            for seed in range(2):
+                cfg = SimConfig(variant=variant, strategy=strategy, rounds=200, seed=seed, hadamard_bias=0.3)
+                want = _session_bytes(*_reference_session(cfg, make))
+                for run in ("first", "second"):
+                    assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, (variant, seed, run)
+        assert table.hits > table.misses
+
+    def test_a_round_is_keyed_on_parity_and_attack_state_beyond_its_world(self, table):
+        # A round that reads the carrier parity and the attack's state but
+        # leaves the world alone gets one recording per pair of them.
+        def play_round(world, plan, parity, rngs, attack):
+            notes = {"parity": parity, "state": attack.state}
+            return world, parity, RoundTranscript(1, plan.mode_name, None, None, plan.secret, 0, 0, 0, eve_notes=notes)
+
+        world, attack = chi_state(), ChannelAttack()
+        plan = (1, harness._plan_class(ProductPair, (0,), None))
+        script = Script(tuple(np.random.default_rng(k) for k in range(3)))
+        for _ in range(2):  # recorded, then replayed
+            for parity, state in itertools.product((0, 1), repeat=2):
+                attack.state = state
+                after, next_parity, payload = table.play(play_round, script, world, parity, plan, attack)
+                assert after is world and next_parity == parity and attack.state == state
+                assert replay.transcript(*plan, payload).eve_notes == {"parity": parity, "state": state}
+        assert (table.entries, table.misses, table.hits) == (4, 4, 4)
 
     @pytest.mark.parametrize("fork", ["recorded", "unrecorded", "coin"])
     def test_a_fork_at_another_weight_is_never_stored(self, fork, table, monkeypatch):
