@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -132,6 +133,10 @@ class SimConfig:
         require_number("hadamard_bias", self.hadamard_bias)
         if not 0.0 <= self.hadamard_bias <= 1.0:
             raise ValueError("hadamard_bias must lie in [0, 1]")
+        # Kept as Python floats: a numpy float never reaches the JSON report,
+        # and the session compares its draws with the bias float to float.
+        for name in ("check_fraction", "detect_threshold", "hadamard_bias"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.secret_bits is not None:
             if not isinstance(self.secret_bits, str) or set(self.secret_bits) - {"0", "1"}:
                 raise ValueError("secret_bits must be a string of only 0 and 1")
@@ -168,15 +173,22 @@ def _outcome(row) -> tuple[int, int, int, str, str | None]:
     return row.round_index, row.secret, row.recovered, row.mode, row.target
 
 
+# The (mode, target, secret, recovered) of a compact row and of a transcript.
+_ROW_TALLY = operator.itemgetter(3, 4, 1, 2)
+_TRANSCRIPT_TALLY = operator.attrgetter("mode", "target", "secret", "recovered")
+
+
 def _mode_breakdown(rows: Sequence) -> dict[str, dict[str, float]]:
+    """Rounds and errors per mode, a single encoding per target, keyed in
+    the order the modes first appear.  The rows of one session are all
+    compact rows or all transcripts, and one ``Counter`` pass counts them."""
+    tally = _ROW_TALLY if rows and type(rows[0]) is tuple else _TRANSCRIPT_TALLY
     counts: dict[str, list[int]] = {}
-    for _, secret, recovered, mode, target in map(_outcome, rows):
-        key = f"single_{target}" if mode == "single" else mode
-        slot = counts.get(key)
-        if slot is None:
-            slot = counts[key] = [0, 0]
-        slot[0] += 1
-        slot[1] += recovered != secret
+    for (mode, target, secret, recovered), n in Counter(map(tally, rows)).items():
+        slot = counts.setdefault(f"single_{target}" if mode == "single" else mode, [0, 0])
+        slot[0] += n
+        if recovered != secret:
+            slot[1] += n
     return {key: {"rounds": n, "errors": e, "error_rate": e / n} for key, (n, e) in counts.items()}
 
 
@@ -205,12 +217,12 @@ def _score_eve(attack, rows: Sequence, checked: Sequence[int]) -> float | None:
 
 
 class PlanClass:
-    """A round plan without its round index, interned by ``_plan_class``:
-    the round table keys a replayed round on the object and builds a
-    ``RoundPlan`` only for a round it plays on the statevector path.
-    With the carrier parity before the round, the class tells round 1
-    and odd and even rounds of the alternating variant apart: (0,
-    product), (1, product) and (0, pair)."""
+    """A round plan without its round index, one object per plan in
+    ``PLAN_CLASSES``: the round table keys a replayed round on the object
+    and builds a ``RoundPlan`` only for a round it plays on the
+    statevector path.  With the carrier parity before the round, the
+    class tells round 1 and odd and even rounds of the alternating
+    variant apart: (0, product), (1, product) and (0, pair)."""
 
     __slots__ = ("mode", "coin", "mode_name", "target", "secret")
 
@@ -220,34 +232,60 @@ class PlanClass:
         self.mode_name, self.target, self.secret = plan.mode_name, plan.target, plan.secret
 
 
-_plan_class = functools.lru_cache(maxsize=64)(PlanClass)
+# Every plan class, built once and indexed by the draws that pick it:
+# the alternating variant's by [round index % 2][secret], the coin-flip
+# variant's pairs by [coin][secret] and its singles by
+# [coin][secret][q1][target is w1].
+PLAN_CLASSES = (
+    tuple(tuple(PlanClass(ProductPair if odd else EntangledPair, (q,), None) for q in (0, 1)) for odd in (0, 1)),
+    tuple(tuple(PlanClass(EntangledPair, (q,), c) for q in (0, 1)) for c in (0, 1)),
+    tuple(
+        tuple(tuple(tuple(PlanClass(SinglePair, (b, b ^ q, W1 if w1 else W2), c) for w1 in (0, 1)) for b in (0, 1))
+              for q in (0, 1))
+        for c in (0, 1)
+    ),
+)
+
+
+def _class_of(plan: RoundPlan) -> PlanClass:
+    """The entry of ``PLAN_CLASSES`` for a ``plan`` that ``check_plan`` accepts."""
+    mode, coin = plan.mode, plan.alice_hadamard
+    alternating, pairs, singles = PLAN_CLASSES
+    if coin is None:
+        return alternating[plan.round_index % 2][mode.q]
+    if type(mode) is EntangledPair:
+        return pairs[coin][mode.q]
+    return singles[coin][mode.secret][mode.q1][mode.target == W1]
 
 
 def _round_plans(
     variant: str,
-    secret: Callable[[int], int],
-    coin: Callable[[int], int] | None = None,
-    q1: Callable[[int], int] | None = None,
-    target: Callable[[int], str] | None = None,
+    secret: Callable[[], int],
+    coin: Callable[[], int] | None = None,
+    q1: Callable[[], int] | None = None,
+    w1: Callable[[], bool] | None = None,
 ) -> Iterator[tuple[int, PlanClass]]:
     """``(round index, plan class)`` pairs from round 1 on, the one source
-    of round plans.  Each callable takes the round index.  A round calls
-    ``secret``, then in the coin-flip variant ``coin``, and for a single
-    encoding ``q1`` and ``target``, in the order a session draws them from
-    Alice's stream.  The coin-flip variant picks the encoding per the form
-    rule; the carrier form is the XOR of the coins so far."""
+    of round plans.  Each draw is a function without arguments that
+    returns 0 or 1, or a bool (``w1`` is true if a single encoding
+    targets ``w1``), and picks the class from ``PLAN_CLASSES`` by its
+    value.  A round calls ``secret``, then in the
+    coin-flip variant ``coin``, and for a single encoding ``q1`` and
+    ``w1``, in the order a session draws them from Alice's stream.  The
+    coin-flip variant picks the encoding per the form rule; the carrier
+    form is the XOR of the coins so far."""
+    alternating, pairs, singles = PLAN_CLASSES
+    if variant == "original":
+        for i in itertools.count(1):
+            yield i, alternating[i & 1][secret()]
     parity = 0
     for i in itertools.count(1):
-        q = secret(i)
-        if variant == "original":
-            yield i, _plan_class(ProductPair if i % 2 else EntangledPair, (q,), None)
-            continue
-        c = coin(i)
+        q = secret()
+        c = coin()
         if c ^ parity:
-            yield i, _plan_class(EntangledPair, (q,), c)
+            yield i, pairs[c][q]
         else:
-            b = q1(i)
-            yield i, _plan_class(SinglePair, (b, b ^ q, target(i)), c)
+            yield i, singles[c][q][q1()][w1()]
         parity ^= c
 
 
@@ -307,6 +345,11 @@ def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row
     return world, rows
 
 
+def _below(threshold: float, uniform: Callable[[], float]) -> Callable[[], bool]:
+    """A draw of ``uniform() < threshold``, a float ``threshold``, without a Python call of its own."""
+    return map(threshold.__gt__, iter(uniform, None)).__next__
+
+
 def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
     """All rounds of one session: the final world, the attack and per round
     its transcript if ``transcribe``, else its compact row."""
@@ -319,13 +362,13 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=script.rngs.attack)
-    bits, bias = cfg.secret_bits, cfg.hadamard_bias
+    bit = functools.partial(alice.integers, 0, 2)
     plans = _round_plans(
         cfg.variant,
-        secret=(lambda i: int(alice.integers(0, 2))) if bits is None else (lambda i: int(bits[i - 1])),
-        coin=lambda i: int(alice.random() < bias),
-        q1=lambda i: int(alice.integers(0, 2)),
-        target=lambda i: W1 if alice.random() < 0.5 else W2,
+        secret=bit if cfg.secret_bits is None else map(int, cfg.secret_bits).__next__,
+        coin=_below(cfg.hadamard_bias, alice.random),
+        q1=bit,
+        w1=_below(0.5, alice.random),
     )
     row = transcript if transcribe else compact_row
     world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row)
@@ -455,10 +498,7 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     short scripted scenarios never should.
     """
     _require_int("max_branches", max_branches, 1)
-    plans = [
-        (p.round_index, _plan_class(type(p.mode), tuple(vars(p.mode).values()), p.alice_hadamard))
-        for p in scenario.plans
-    ]
+    plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
     branches: list[Branch] = []
     bits: list[int] | None = []
     while bits is not None:
@@ -484,11 +524,38 @@ def _script_ints(name: str, entries: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"{name} entries must be integers, got {entries!r}") from None
 
 
+_BIT_ERROR = "payload bits of round {round} must be the ints 0 or 1, got {entry!r}"
+
+
+def _scripted(variant: str, rounds: int, **columns: tuple) -> tuple[RoundPlan, ...]:
+    """The first ``rounds`` plans of ``_round_plans`` with each draw given as a
+    column ``(entries, values, error)``: in round r the draw returns the index
+    in ``values`` of ``entries[r - 1]``, and an entry not among ``values``
+    raises ``ValueError(error)`` before any class is looked up.  A draw the
+    round does not make leaves its entry unread."""
+    at = 0
+
+    def column(entries: tuple, values: tuple, error: str) -> Callable[[], int]:
+        def draw() -> int:
+            entry = entries[at]
+            if entry not in values:
+                raise ValueError(error.format(round=at + 1, entry=entry))
+            return values.index(entry)
+
+        return draw
+
+    plans = _round_plans(variant, **{name: column(*spec) for name, spec in columns.items()})
+    scripted = []
+    for at in range(rounds):
+        i, c = next(plans)
+        scripted.append(RoundPlan(i, c.mode, c.coin))
+    return _check_plans(variant, scripted)
+
+
 def original_plans(secrets: Iterable[int]) -> tuple[RoundPlan, ...]:
     """Alternating-variant plans for the given per-round secrets."""
     secrets = _script_ints("secrets", secrets)
-    plans = itertools.islice(_round_plans("original", lambda i: secrets[i - 1]), len(secrets))
-    return _check_plans("original", [RoundPlan(i, c.mode, c.coin) for i, c in plans])
+    return _scripted("original", len(secrets), secret=(secrets, (0, 1), _BIT_ERROR))
 
 
 def revised_plans(
@@ -504,23 +571,21 @@ def revised_plans(
     coin, secret and ``q1_bits`` entry must be an integer.
     """
     coins, secrets = _script_ints("coins", coins), _script_ints("secrets", secrets)
-    if q1_bits is not None:
-        q1_bits = _script_ints("q1_bits", q1_bits)
-    if targets is not None:
-        targets = tuple(targets)
-    if len(coins) != len(secrets):
+    rounds = len(coins)
+    q1_bits = (0,) * rounds if q1_bits is None else _script_ints("q1_bits", q1_bits)
+    targets = (W1,) * rounds if targets is None else tuple(targets)
+    if len(secrets) != rounds:
         raise ValueError("coins and secrets must have equal length")
     for name, steer in (("q1_bits", q1_bits), ("targets", targets)):
-        if steer is not None and len(steer) < len(coins):
-            raise ValueError(f"{name} has {len(steer)} entries for {len(coins)} rounds")
-    plans = itertools.islice(_round_plans(
-        "revised",
-        secret=lambda i: secrets[i - 1],
-        coin=lambda i: coins[i - 1],
-        q1=(lambda i: 0) if q1_bits is None else lambda i: q1_bits[i - 1],
-        target=(lambda i: W1) if targets is None else lambda i: targets[i - 1],
-    ), len(coins))
-    return _check_plans("revised", [RoundPlan(i, c.mode, c.coin) for i, c in plans])
+        if len(steer) < rounds:
+            raise ValueError(f"{name} has {len(steer)} entries for {rounds} rounds")
+    return _scripted(
+        "revised", rounds,
+        secret=(secrets, (0, 1), _BIT_ERROR),
+        coin=(coins, (0, 1), "coin-flip variant plans need alice_hadamard 0 or 1, got {entry!r}"),
+        q1=(q1_bits, (0, 1), _BIT_ERROR),
+        w1=(targets, (W2, W1), f"target must be {W1!r} or {W2!r}, got {{entry!r}}"),
+    )
 
 
 def run_grid(

@@ -266,6 +266,16 @@ class RoundTranscript:
     records = _built_on_read("_records", list)
     eve_notes = _built_on_read("_eve_notes", dict)
 
+    def add_event(self, event: dict) -> None:
+        """Append ``event`` to ``events``.  Events still held as the round
+        table's frozen tuple stay frozen: the transcript keeps a new tuple
+        with the event's items added, built on first read like the rest."""
+        events = self._events
+        if type(events) is tuple:
+            self._events = (*events, tuple(event.items()))
+        else:
+            events.append(event)
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
@@ -305,12 +315,14 @@ class Rngs:
     ``bob`` and ``charlie`` feed the honest receivers' measurements and
     ``attack`` feeds any measurement an attacker performs.  Keeping them
     separate guarantees that inserting an attack never perturbs the
-    honest parties' draw sequence.  Each stream only needs a
-    ``random()`` method.  Sessions and the branch enumerator pass the
+    honest parties' draw sequence.  A measurement draws a scalar
+    ``random()``; the attack stream also hands dishonest-bob its
+    classical coins (substitute bits, a bluffed announcement) as
+    ``integers(0, 2)``.  Sessions and the branch enumerator pass the
     taps of a ``replay.Script``, which log every draw and refuse all but
-    a scalar ``random()`` or ``integers(0, 2)``: a session's draw from
-    ``replay.PCG64Stream``s, an enumerated branch's from its tape of
-    outcomes and its attacker's coins.
+    those two: a session's draw from ``replay.PCG64Stream``s, an
+    enumerated branch's from its tape of outcomes and its attacker's
+    coins.
     """
 
     bob: object
@@ -613,7 +625,7 @@ def check_phase(
             index, secret, recovered = t[:3]
         else:
             index, secret, recovered = t.round_index, t.secret, t.recovered
-            t.events.append(ev_check(index, secret))
+            t.add_event(ev_check(index, secret))
         errors += recovered != secret
         announced.append(index)
     error_rate = errors / k

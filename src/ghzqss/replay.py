@@ -57,7 +57,9 @@ class PCG64Stream:
     for a range of two, which is the top bit of the next 32-bit half-word;
     half-words come low half first, then high half, and a pending high
     half waits across ``random()`` calls, as PCG64's ``next_uint32`` does.
-    Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``.
+    Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``; a
+    draw reads the next buffered word itself and calls ``_word`` only to
+    fetch the next block.
 
     ``opener`` is a function without arguments that returns the
     ``Generator``, with no half-word pending, when the stream needs its
@@ -86,18 +88,20 @@ class PCG64Stream:
         self._bits = bits
 
     def _word(self) -> int:
-        pos, words = self._pos, self._words
-        if pos == len(words):
-            if self._bits is None:
-                self._attach(self._open())
-            words = self._words = self._bits.random_raw(BLOCK_WORDS).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return words[pos]
+        """The first word of a new block, fetched once the buffered block is used up."""
+        if self._bits is None:
+            self._attach(self._open())
+        self._words = self._bits.random_raw(BLOCK_WORDS).tolist()
+        self._pos = 1
+        return self._words[0]
 
     def random(self, *args, **kwargs):
         if args or kwargs:
             raise TypeError(_SCALAR_ONLY)
+        pos, words = self._pos, self._words
+        if pos < len(words):
+            self._pos = pos + 1
+            return (words[pos] >> 11) * 2.0 ** -53
         return (self._word() >> 11) * 2.0 ** -53
 
     def integers(self, *args, **kwargs):
@@ -105,7 +109,12 @@ class PCG64Stream:
             raise TypeError(_SCALAR_ONLY)
         half = self._half
         if half is None:
-            word = self._word()
+            pos, words = self._pos, self._words
+            if pos < len(words):
+                self._pos = pos + 1
+                word = words[pos]
+            else:
+                word = self._word()
             self._half = word >> 32
             return (word >> 31) & 1
         self._half = None

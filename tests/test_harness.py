@@ -149,6 +149,63 @@ class TestStreamSetUp:
             got.integers(0, 2)
 
 
+def _alice_reference(cfg):
+    """The plans of a session drawn from numpy's own Alice generator: per
+    round the secret (``integers(0, 2)``, unless given), then in the
+    coin-flip variant the coin (``random() < hadamard_bias``) and for a
+    single encoding ``q1`` (``integers(0, 2)``) and the target
+    (``random() < 0.5`` for w1)."""
+    alice = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(harness.STREAM_ALICE,)))
+    parity, plans = 0, []
+    for i in range(1, cfg.rounds + 1):
+        q = int(alice.integers(0, 2)) if cfg.secret_bits is None else int(cfg.secret_bits[i - 1])
+        if cfg.variant == "original":
+            plans.append((i, ProductPair(q) if i % 2 else EntangledPair(q), None))
+            continue
+        coin = int(alice.random() < cfg.hadamard_bias)
+        if coin ^ parity:
+            plans.append((i, EntangledPair(q), coin))
+        else:
+            q1 = int(alice.integers(0, 2))
+            plans.append((i, SinglePair(q1, q1 ^ q, W1 if alice.random() < 0.5 else W2), coin))
+        parity ^= coin
+    return plans
+
+
+class TestAlicePlans:
+    def test_a_session_plays_alice_draws_in_the_documented_order(self, monkeypatch):
+        played = []
+
+        def spy(table, script, plans, attack, row):
+            plans = list(plans)
+            played.append([(i, c.mode, c.coin) for i, c in plans])
+            return loop(table, script, plans, attack, row)
+
+        loop = harness._play_rounds
+        monkeypatch.setattr(harness, "_play_rounds", spy)
+        rnd = random.Random(64)
+        for variant in ("original", "revised"):
+            for seed in range(200):
+                bits = "".join(rnd.choice("01") for _ in range(64))
+                for kwargs in (dict(hadamard_bias=0.5), dict(hadamard_bias=0.3), dict(secret_bits=bits)):
+                    cfg = SimConfig(variant=variant, rounds=64, seed=seed, **kwargs)
+                    played.clear()
+                    harness._play_session(cfg, False)
+                    assert played == [_alice_reference(cfg)], (variant, seed, kwargs)
+
+    def test_the_class_table_and_the_plan_lookup_agree(self):
+        alternating, pairs, singles = harness.PLAN_CLASSES
+        classes = [*itertools.chain.from_iterable(alternating), *itertools.chain.from_iterable(pairs)]
+        classes += [c for by_q in singles for by_q1 in by_q for by_target in by_q1 for c in by_target]
+        assert len({id(c) for c in classes}) == len(classes) == 24
+        described = set()
+        for c in classes:
+            index = 2 if c.coin is None and type(c.mode) is EntangledPair else 1
+            assert harness._class_of(RoundPlan(index, c.mode, c.coin)) is c
+            described.add((type(c.mode), tuple(vars(c.mode).values()), c.coin))
+        assert len(described) == 24
+
+
 class TestSimConfigValidation:
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -189,6 +246,16 @@ class TestSimConfigValidation:
     def test_numpy_integers_are_kept_as_python_ints(self):
         cfg = SimConfig(rounds=np.int64(8), seed=np.uint32(3))
         assert (type(cfg.rounds), type(cfg.seed)) == (int, int)
+        want = json.dumps(run_simulation(SimConfig(rounds=8, seed=3)).to_dict())
+        assert json.dumps(run_simulation(cfg).to_dict()) == want
+
+    def test_numpy_floats_are_kept_as_python_floats(self):
+        cfg = SimConfig(
+            rounds=8, seed=3, check_fraction=np.float32(0.25), hadamard_bias=np.float16(0.5),
+            detect_threshold=np.float64(0.0),
+        )
+        names = ("check_fraction", "hadamard_bias", "detect_threshold")
+        assert [type(getattr(cfg, name)) for name in names] == [float] * 3
         want = json.dumps(run_simulation(SimConfig(rounds=8, seed=3)).to_dict())
         assert json.dumps(run_simulation(cfg).to_dict()) == want
 
@@ -803,6 +870,25 @@ class TestPlansBuilders:
             original_plans(q for q in (1, 0.5))
 
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_script_entries_outside_0_and_1_never_pick_a_class(self, bad):
+        # The class table is indexed by entry values, so -1 must not wrap
+        # around to the class of 1, nor 2 fail as an IndexError.
+        cases = [
+            ("payload bits of round 1", lambda: original_plans([bad])),
+            ("payload bits of round 3", lambda: original_plans([0, 1, bad])),
+            ("alice_hadamard 0 or 1", lambda: revised_plans((bad,), (0,))),
+            ("payload bits of round 1", lambda: revised_plans((0,), (bad,))),
+            ("payload bits of round 1", lambda: revised_plans((0,), (0,), q1_bits=(bad,))),
+            ("payload bits of round 2", lambda: revised_plans((1, 1), (0, 0), q1_bits=(0, bad))),
+        ]
+        for match, build in cases:
+            with pytest.raises(ValueError, match=match):
+                build()
+        # Entries a pair round does not read stay unread.
+        assert revised_plans((1,), (0,), q1_bits=(bad,), targets=("w3",)) == revised_plans((1,), (0,))
+
+
 class TestRunGrid:
     def test_grid_shape_and_determinism(self):
         reports = run_grid("revised", ["none", "a1"], [20, 30], [0.25], repeats=2, master_seed=7)
@@ -1143,6 +1229,57 @@ class TestRoundTable:
                     assert first(t) == first(eager), (variant, strategy, i)
                     assert [view(t) for view in views] == [view(eager) for view in views], (variant, strategy, i)
 
+    def test_a_check_event_is_the_same_whether_or_not_the_events_were_read(self, table):
+        for variant, strategy in PAIRS:
+            cfg = SimConfig(variant=variant, strategy=strategy, rounds=40, seed=6)
+            run_simulation(cfg)  # records every round the session plays
+            sides = []
+            for read_first in (False, True):
+                transcripts = harness._play_session(cfg, True)[2]
+                if read_first:
+                    for t in transcripts:
+                        t.events
+                else:
+                    assert all(type(t._events) is tuple for t in transcripts)
+                check_phase(transcripts, 0.5, stream(cfg.seed, harness.STREAM_CHECK))
+                sides.append(transcripts)
+            unread, read = sides
+            assert sum(t.events[-1]["event"] == "check_announced" for t in read) == 20
+            assert unread == read and read == unread, (variant, strategy)
+            assert repr(unread) == repr(read)
+            assert [t.to_record() for t in unread] == [t.to_record() for t in read]
+            assert transcripts_to_jsonl(unread) == transcripts_to_jsonl(read)
+
+    def test_transcripts_of_one_leaf_share_no_events_after_a_check(self, table):
+        run_simulation(SimConfig(strategy="a1", rounds=60, seed=2))
+        plan_class = harness.PLAN_CLASSES[1][0][0]  # only the fields of the transcript
+        for payload in _leaf_payloads(table):
+            events = payload[3]
+            first, second = (replay.transcript(7, plan_class, payload) for _ in range(2))
+            first.add_event({"event": "check_announced", "round": 7, "secret": 0})
+            assert first.events is not second.events
+            assert first.events[:-1] == second.events == [dict(event) for event in events]
+            second.add_event({"event": "check_announced", "round": 7, "secret": 0})
+            second.events.append({"event": "appended"})
+            assert first.events == second.events[:-1]
+            assert payload[3] is events and replay.transcript(7, plan_class, payload).events == first.events[:-1]
+
+    @pytest.mark.parametrize("variant,strategy", PAIRS)
+    def test_the_mode_tally_reads_rows_and_transcripts_alike(self, variant, strategy, table):
+        for rounds, seed in ((1, 0), (4, 1), (32, 2), (500, 3)):
+            cfg = SimConfig(variant=variant, strategy=strategy, rounds=rounds, seed=seed)
+            rows = harness._play_session(cfg, False)[2]
+            transcripts = harness._play_session(cfg, True)[2]
+            # Per row, keyed in order of first appearance.
+            want = {}
+            for _, secret, recovered, mode, target in rows:
+                slot = want.setdefault(f"single_{target}" if mode == "single" else mode, [0, 0])
+                slot[0] += 1
+                slot[1] += recovered != secret
+            want = [(key, {"rounds": n, "errors": e, "error_rate": e / n}) for key, (n, e) in want.items()]
+            assert list(harness._mode_breakdown(rows).items()) == want, (rounds, seed)
+            assert list(harness._mode_breakdown(transcripts).items()) == want, (rounds, seed)
+
     def test_an_attack_state_the_world_does_not_show_is_keyed(self, table, monkeypatch):
         def make(strategy, coins=None):
             return _FlippingAttack(coins)
@@ -1164,7 +1301,7 @@ class TestRoundTable:
             return world, parity, RoundTranscript(1, plan.mode_name, None, None, plan.secret, 0, 0, 0, eve_notes=notes)
 
         world, attack = chi_state(), ChannelAttack()
-        plan = (1, harness._plan_class(ProductPair, (0,), None))
+        plan = (1, harness._class_of(RoundPlan(1, ProductPair(0))))
         script = Script(tuple(np.random.default_rng(k) for k in range(3)))
         for _ in range(2):  # recorded, then replayed
             for parity, state in itertools.product((0, 1), repeat=2):
