@@ -75,8 +75,8 @@ class ChannelAttack:
         self.coins = coins if coins is not None else np.random.default_rng(0)
         self.inferred: list[tuple[int, int, str]] = []
         # Measurements performed inside intercept hooks land here so the
-        # branch enumerator can fold their Born weights into branch
-        # probabilities (decode-side measurements ride on transcripts).
+        # round table can fold their Born weights into its leaf weights
+        # (decode-side measurements ride on transcripts).
         self.records: list[MeasurementRecord] = []
         self._notes: dict | None = None
 

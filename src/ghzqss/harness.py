@@ -9,9 +9,9 @@ its first draw, and no check stream when every round is checked.
 ``enumerate_branches`` plays every measurement branch of a short
 scripted scenario as a session of its own, whose Bob, Charlie and attack
 streams are one tape of outcomes, and counts through the tapes in
-binary.  Each branch reports its exact probability (the product of the
-Born weights of the outcomes taken), which turns Monte Carlo claims into
-closed-form numbers for small scenarios.
+binary.  Each branch reports its exact probability (the product of its
+rounds' leaf weights, the Born weights of the outcomes taken), which
+turns Monte Carlo claims into closed-form numbers for small scenarios.
 
 Sessions and branches share ``_play_rounds``, the one session loop, and
 ``_play_round``, the one per-round step.  The loop plays each round
@@ -61,7 +61,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState
-from .replay import PCG64Stream, RoundTable, Script, compact_row, transcript
+from .replay import PCG64Stream, RoundTable, Script, compact_row, transcript, weighed_transcript
 
 VARIANTS = ("original", "revised")
 
@@ -361,7 +361,7 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
     ))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
-    attack = build_attack(cfg.strategy, coins=script.rngs.attack)
+    attack = build_attack(cfg.strategy, coins=script.tap(2))
     bit = functools.partial(alice.integers, 0, 2)
     plans = _round_plans(
         cfg.variant,
@@ -492,10 +492,12 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     A branch's rounds go through ``_play_rounds`` and ``ROUND_TABLE`` like
     a session's, with one ``_Tape`` for its quantum streams and its
     attacker's coins, so a branch replayed from round 1 is almost all
-    table hits.  Branches come out in the lexicographic order of their
-    outcomes, and their probabilities sum to 1 (within float rounding).
-    Raises if the scenario forks more than ``max_branches`` times, which
-    short scripted scenarios never should.
+    table hits.  Its probability is the product of its rounds' leaf
+    weights, and its transcripts hold the table's frozen events and
+    records until read.  Branches come out in the lexicographic order of
+    their outcomes, and their probabilities sum to 1 (within float
+    rounding).  Raises ``RuntimeError`` once there are more than
+    ``max_branches`` branches, which short scripted scenarios never reach.
     """
     _require_int("max_branches", max_branches, 1)
     plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
@@ -504,11 +506,10 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     while bits is not None:
         tape = _Tape(bits, scenario.attack_seed)
         script = Script((tape, tape, tape))
-        attack = build_attack(scenario.strategy, coins=script.rngs.attack)
-        world, transcripts = _play_rounds(ROUND_TABLE, script, plans, attack, transcript)
-        records = [rec for t in transcripts for rec in t.records] + (attack.records if attack is not None else [])
-        prob = math.prod(rec.probability for rec in records)
-        branches.append(Branch(prob, tuple(transcripts), world, attack))
+        attack = build_attack(scenario.strategy, coins=script.tap(2))
+        world, rows = _play_rounds(ROUND_TABLE, script, plans, attack, weighed_transcript)
+        transcripts, weights = zip(*rows)
+        branches.append(Branch(math.prod(weights), transcripts, world, attack))
         if len(branches) > max_branches:
             raise RuntimeError(f"scenario exceeded {max_branches} branches")
         bits = tape.next_bits()

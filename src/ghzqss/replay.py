@@ -9,8 +9,11 @@ only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
 statevector play would draw, so sessions stay byte-identical.  Either
 way a round comes back as one leaf, (next world, next carrier parity,
-payload), from which a session builds its row with ``compact_row`` or
-``transcript``, the only readers of the payload.
+payload), from which a session builds its row with ``compact_row``,
+``transcript`` or ``weighed_transcript``, the only readers of the
+payload.  A leaf carries its weight, the product of the Born weights the
+round recorded, so an enumerated branch's probability is the product of
+its rounds' leaf weights.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
@@ -32,6 +35,7 @@ whose streams are a tape of outcomes (``harness.enumerate_branches``).
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from typing import Callable
 
@@ -141,10 +145,15 @@ class Script:
 
     @property
     def rngs(self) -> Rngs:
-        """New taps on this script, one per stream.  The script does not
-        keep them: a script and its taps form no reference cycle, so a
-        session's script is freed when it ends, not by the cyclic GC."""
-        return Rngs(*(_Tap(self, k) for k in range(3)))
+        """New taps on this script, one per stream, for a statevector round play."""
+        return Rngs(*map(self.tap, range(3)))
+
+    def tap(self, index: int) -> _Tap:
+        """A new tap on stream ``index`` (0 Bob, 1 Charlie, 2 attack).  The
+        script does not keep it: a script and its taps form no reference
+        cycle, so a session's script is freed when it ends, not by the
+        cyclic GC."""
+        return _Tap(self, index)
 
     def reset(self, drawn: list) -> None:
         self.log = drawn
@@ -198,11 +207,17 @@ def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
     """The transcript of a round's leaf payload, a new one on every call.  It
     holds the payload's frozen events, records and notes and builds its own
     list or dict of each on the first read, so no transcript shares one."""
-    bob, charlie, recovered, events, records, notes, _ = payload
+    bob, charlie, recovered, events, records, notes, _, _ = payload
     return RoundTranscript(
         round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
         bob, charlie, recovered, events, records, notes,
     )
+
+
+def weighed_transcript(round_index: int, plan_class, payload: tuple) -> tuple[RoundTranscript, float]:
+    """The transcript of a round's leaf payload and the leaf's weight, the
+    product of the Born weights of the outcomes the round took."""
+    return transcript(round_index, plan_class, payload), payload[7]
 
 
 class RoundTable:
@@ -216,10 +231,14 @@ class RoundTable:
     plan class and ``state`` name.  A tree is built one outcome path at a
     time: a fork is ``(code, outcome-0 subtree, outcome-1 subtree)`` with
     its ``Script`` code, a leaf is what ``play`` returns, and ``None`` is
-    an outcome not yet recorded.  Replaying a tree draws from the
-    session's real streams exactly what the statevector play draws,
-    because every fork is a coin or a Born weight of exactly 1/2
-    (``qsim.measure``).
+    an outcome not yet recorded.  A leaf's payload is ``(bob, charlie,
+    recovered, events, records, notes, recorded, weight)``: the events,
+    records and note items as interned tuples, ``recorded`` the attack's
+    ``recorded_round`` (``None`` without an attack), and ``weight`` the
+    product of the Born weights of the round's decode and attack records,
+    a power of 1/2.  Replaying a tree draws from the session's real
+    streams exactly what the statevector play draws, because every fork
+    is a coin or a Born weight of exactly 1/2 (``qsim.measure``).
 
     A miss plays the round on the statevector path through the session's
     ``Script``, which hands back first the values the tree walk already
@@ -277,7 +296,7 @@ class RoundTable:
             return self._record(play_round, session, drawn, key, world, parity, plan, attack)
         self.hits += 1
         if attack is not None:
-            attack.replay_round(round_index, node[2][-1])
+            attack.replay_round(round_index, node[2][6])
         return node
 
     def _record(self, play_round, script, drawn, key, world, parity, plan, attack):
@@ -299,6 +318,7 @@ class RoundTable:
         payload = (
             t.bob, t.charlie, t.recovered, tuple(tuple(event.items()) for event in t.events),
             tuple(t.records), None if notes is None else tuple(notes.items()), recorded,
+            math.prod(forks, start=1.0),
         )
         # Sessions in other threads may store at the same time; a world
         # interned outside the lock could key a tree on the id of a world
@@ -314,9 +334,12 @@ class RoundTable:
                 self.entries += 1
                 worlds[world_key] = known
             intern = self._intern
-            *bits, events, records, notes, recorded = payload
+            *bits, events, records, notes, recorded, weight = payload
             parts = (tuple(map(intern, events)), tuple(map(intern, records)), notes, recorded)
-            leaf = (worlds.setdefault(self._world_key(after), after), parity, intern((*bits, *map(intern, parts))))
+            leaf = (
+                worlds.setdefault(self._world_key(after), after), parity,
+                intern((*bits, *map(intern, parts), weight)),
+            )
             self._trees[key] = self._grow(root, script.log, leaf)
             return leaf
 

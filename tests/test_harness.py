@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import math
 import random
 import sys
 import threading
@@ -589,6 +590,12 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="payload bits"):
             Scenario(variant, plans)
 
+    def test_the_branch_cap_counts_branches(self):
+        scenario = GATE2[45]  # 32 branches, as every Gate-2 scenario
+        assert len(enumerate_branches(scenario, max_branches=32)) == 32
+        with pytest.raises(RuntimeError, match="exceeded 31 branches"):
+            enumerate_branches(scenario, max_branches=31)
+
     def test_monte_carlo_agrees_with_exact_probabilities(self):
         # Two-round sessions, coin forced to 1 both rounds: a pair round
         # followed by a single round.  The exact round-2 error rates come
@@ -721,6 +728,20 @@ DISHONEST_FORKING = [
     for seed in (3, 2024)
 ]
 
+# The Gate-2 enumerations: a2 against every 6-round secret string.
+GATE2 = [
+    Scenario("original", original_plans(secrets), strategy="a2") for secrets in itertools.product((0, 1), repeat=6)
+]
+
+# The Gate-5 pinning scenarios: a pair round, then a single round of each
+# q1 and target, against each probe.
+GATE5 = [
+    Scenario("revised", revised_plans((1, 1), (0, 0), q1_bits=(0, q1), targets=(W1, target)), strategy=strategy)
+    for strategy in ("a1", "a2-probe")
+    for q1 in (0, 1)
+    for target in (W1, W2)
+]
+
 
 class TestForkingWalk:
     def _assert_matches_replay(self, scenario):
@@ -784,6 +805,18 @@ class TestForkingWalk:
             [t for b in branches for t in b.transcripts],
         ):
             assert len({id(x) for x in owned}) == len(owned)
+
+    @pytest.mark.parametrize(
+        "scenario", [GATE2[45], GATE5[3], GATE5[6], DISHONEST_FORKING[1]], ids=["a2", "a1", "a2-probe", "dishonest-bob"]
+    )
+    def test_enumeration_leaves_its_transcripts_unbuilt(self, scenario, table):
+        # On a cold table, so the first branch's rounds are misses.
+        branches = enumerate_branches(scenario)
+        frozen = {id(part) for payload in _leaf_payloads(table) for part in payload[3:6]}
+        for t in (t for b in branches for t in b.transcripts):
+            assert type(t._events) is tuple and type(t._records) is tuple
+            assert {id(t._events), id(t._records), id(t._eve_notes)} <= frozen
+        assert [_fingerprint(b) for b in branches] == [_fingerprint(b) for b in _replay_branches(scenario)]
 
     def test_each_round_is_played_once_per_outcome_history(self, table, monkeypatch):
         calls = []
@@ -1536,3 +1569,27 @@ class TestRoundTable:
         warm = [[_fingerprint(b) for b in enumerate_branches(scenario)] for scenario in reversed(scenarios)]
         assert warm[::-1] == cold
         assert table.misses == misses  # every round of the second pass is replayed
+
+    def test_every_leaf_weighs_the_born_weights_it_recorded(self, table):
+        for variant, strategy in PAIRS:
+            for seed, bias in ((0, 0.5), (1, 0.3)):
+                run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=300, seed=seed, hadamard_bias=bias))
+        for scenario in (*GATE2, *GATE5, *DISHONEST_FORKING):
+            enumerate_branches(scenario)
+        plan_class = harness.PLAN_CLASSES[1][0][0]  # only the fields of the transcript
+        weights = set()
+        for payload in _leaf_payloads(table):
+            t, weight = replay.weighed_transcript(7, plan_class, payload)
+            recorded = payload[6]
+            born = [r.probability for r in (*t.records, *(recorded[0] if recorded else ()))]
+            assert type(weight) is float and weight == math.prod(born)
+            assert weight <= 1.0 and math.frexp(weight)[0] == 0.5  # a power of 1/2
+            weights.add(weight)
+        assert {1.0, 0.5, 0.25} <= weights
+
+    def test_an_unstored_enumeration_weighs_its_branches_alike(self, table, monkeypatch):
+        monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", 0)
+        for scenario in (GATE2[45], GATE5[6], DISHONEST_FORKING[0]):
+            walked = [_fingerprint(b) for b in enumerate_branches(scenario)]
+            assert walked == [_fingerprint(b) for b in _replay_branches(scenario)]
+        assert (table.entries, table.hits) == (0, 0) and not table._trees and table.misses > 0
