@@ -113,7 +113,7 @@ class ChannelAttack:
         if records:
             self.records.extend(records)
         if inferred:
-            self.inferred.extend((round_index + dr, value, meaning) for dr, value, meaning in inferred)
+            self.inferred.extend([(round_index + dr, value, meaning) for dr, value, meaning in inferred])
 
 
 class ProbeAttack(ChannelAttack):

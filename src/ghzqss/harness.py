@@ -166,13 +166,6 @@ class SimReport:
         return dataclasses.asdict(self)
 
 
-def _outcome(row) -> tuple[int, int, int, str, str | None]:
-    """The compact row ``(round_index, secret, recovered, mode, target)`` of a transcript or row."""
-    if type(row) is tuple:
-        return row
-    return row.round_index, row.secret, row.recovered, row.mode, row.target
-
-
 # The (mode, target, secret, recovered) of a compact row and of a transcript.
 _ROW_TALLY = operator.itemgetter(3, 4, 1, 2)
 _TRANSCRIPT_TALLY = operator.attrgetter("mode", "target", "secret", "recovered")
@@ -205,15 +198,15 @@ def _score_eve(attack, rows: Sequence, checked: Sequence[int]) -> float | None:
     """
     if attack is None or attack.readout is None:
         return None
-    outcomes = list(map(_outcome, rows))
+    # A session's rows hold rounds 1, 2, ... in order.
+    secrets = [row[1] for row in rows] if rows and type(rows[0]) is tuple else [t.secret for t in rows]
     announced = {}
     if attack.readout == "relative":
-        announced = {r: q for r, q, *_ in outcomes[:2]}
-        # A session's rows hold rounds 1, 2, ... in order.
-        announced.update((r, outcomes[r - 1][1]) for r in checked)
+        announced = dict(enumerate(secrets[:2], start=1))
+        announced.update({r: secrets[r - 1] for r in checked})
     guesses, _ = eve_reconstruct(attack.inferred, announced)
-    correct = sum(1 for r, q, *_ in outcomes if guesses.get(r) == q)
-    return correct / len(outcomes)
+    correct = sum(map(operator.eq, map(guesses.get, range(1, len(secrets) + 1)), secrets))
+    return correct / len(secrets)
 
 
 class PlanClass:
@@ -273,7 +266,12 @@ def _round_plans(
     coin-flip variant ``coin``, and for a single encoding ``q1`` and
     ``w1``, in the order a session draws them from Alice's stream.  The
     coin-flip variant picks the encoding per the form rule; the carrier
-    form is the XOR of the coins so far."""
+    form is the XOR of the coins so far.
+
+    A session passes Alice's ``PCG64Stream.bit`` and lambdas over her
+    ``random``: Python calls with exact arguments, which CPython 3.11
+    inlines.  A C-level wrapper such as a ``functools.partial`` or a
+    ``map`` would enter a fresh interpreter frame on every draw."""
     alternating, pairs, singles = PLAN_CLASSES
     if variant == "original":
         for i in itertools.count(1):
@@ -345,11 +343,6 @@ def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row
     return world, rows
 
 
-def _below(threshold: float, uniform: Callable[[], float]) -> Callable[[], bool]:
-    """A draw of ``uniform() < threshold``, a float ``threshold``, without a Python call of its own."""
-    return map(threshold.__gt__, iter(uniform, None)).__next__
-
-
 def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
     """All rounds of one session: the final world, the attack and per round
     its transcript if ``transcribe``, else its compact row."""
@@ -362,13 +355,15 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=script.tap(2))
-    bit = functools.partial(alice.integers, 0, 2)
+    # Draws that CPython inlines (see ``_round_plans``); a given secret is
+    # read from the string in C, which calls no Python function.
+    uniform, bias = alice.random, cfg.hadamard_bias
     plans = _round_plans(
         cfg.variant,
-        secret=bit if cfg.secret_bits is None else map(int, cfg.secret_bits).__next__,
-        coin=_below(cfg.hadamard_bias, alice.random),
-        q1=bit,
-        w1=_below(0.5, alice.random),
+        secret=alice.bit if cfg.secret_bits is None else map(int, cfg.secret_bits).__next__,
+        coin=lambda: uniform() < bias,
+        q1=alice.bit,
+        w1=lambda: uniform() < 0.5,
     )
     row = transcript if transcribe else compact_row
     world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row)

@@ -24,7 +24,10 @@ Every supported session draws only scalar ``random()`` and
 decode numpy's own values from raw PCG64 words (O'Neill 2014) fetched in
 blocks, without a numpy call per draw, and may set up their bit generator
 only at their first word; they and the script's taps refuse any other
-use.  Every fork of the paper's Clifford circuits has weight
+use.  A stream's draws are plain methods with exact positional
+arguments, and Alice's bits come from its zero-argument ``bit()``, so
+neither a fork walk nor a plan draw leaves the interpreter's inlined
+calls.  Every fork of the paper's Clifford circuits has weight
 1/2, so a round that forks otherwise raises instead of playing slowly.
 
 The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
@@ -70,8 +73,12 @@ class PCG64Stream:
     first word: a stream that is never drawn from never sets up its bit
     generator.
 
-    Any other call (other bounds, ``size=``) raises ``TypeError`` before
-    anything is drawn, and the stream has no other method or attribute.
+    ``bit()`` is ``integers(0, 2)`` without arguments, the draw a session
+    passes for Alice's bits.  Each draw is a Python method called with its
+    exact positional arguments, which CPython 3.11 inlines into its caller.
+    Any other call (other bounds, ``size=``, keywords) raises ``TypeError``
+    before anything is drawn, and the stream has no other method or
+    attribute.
     """
 
     __slots__ = ("_bits", "_open", "_words", "_pos", "_half")
@@ -99,18 +106,20 @@ class PCG64Stream:
         self._pos = 1
         return self._words[0]
 
-    def random(self, *args, **kwargs):
-        if args or kwargs:
-            raise TypeError(_SCALAR_ONLY)
+    def random(self):
         pos, words = self._pos, self._words
         if pos < len(words):
             self._pos = pos + 1
             return (words[pos] >> 11) * 2.0 ** -53
         return (self._word() >> 11) * 2.0 ** -53
 
-    def integers(self, *args, **kwargs):
-        if args != (0, 2) or kwargs:
+    def integers(self, low, high, /):
+        if low != 0 or high != 2:
             raise TypeError(_SCALAR_ONLY)
+        return self.bit()
+
+    def bit(self):
+        """``integers(0, 2)`` as a draw without arguments, for Alice's bits."""
         half = self._half
         if half is None:
             pos, words = self._pos, self._words

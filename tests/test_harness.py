@@ -1,6 +1,7 @@
 """Session driver tests: Monte Carlo reproducibility, enumeration, sweeps."""
 
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -84,6 +85,8 @@ FOREIGN = {
     "random(3)": (lambda gen: gen.random(3), TypeError),
     "integers(size=3)": (lambda gen: gen.integers(0, 2, size=3), TypeError),
     "bit_generator": (lambda gen: gen.bit_generator.random_raw(), AttributeError),
+    "integers(low=0,high=2)": (lambda gen: gen.integers(low=0, high=2), TypeError),
+    "random(size=None)": (lambda gen: gen.random(size=None), TypeError),
 }
 
 
@@ -96,6 +99,28 @@ class TestPCG64Stream:
             want = np.random.default_rng(seed)
             got = PCG64Stream(lambda: np.random.default_rng(seed))
             assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
+
+    def test_the_bit_draw_equals_integers_draw_for_draw(self):
+        # "b" draws bit() on the stream and integers(0, 2) on numpy, across
+        # block boundaries and with a half-word pending or not.
+        rnd = random.Random(20260219)
+        draw = {"r": lambda gen: gen.random(), "c": lambda gen: gen.integers(0, 2)}
+        for _ in range(60):
+            seed = rnd.randrange(2 ** 64)
+            mixed = _mixed_draws(rnd, rnd.randrange(1, 6 * BLOCK_WORDS))
+            kinds = [k if k == "r" or rnd.random() < 0.5 else "b" for k in mixed]
+            want = np.random.default_rng(seed)
+            got = PCG64Stream(lambda: np.random.default_rng(seed))
+            assert [got.bit() if k == "b" else draw[k](got) for k in kinds] == [
+                draw["c" if k == "b" else k](want) for k in kinds
+            ], seed
+
+    @pytest.mark.parametrize("draw", ["random", "integers", "bit"])
+    def test_every_draw_takes_exact_positional_arguments(self, draw):
+        # A draw with *args or **kwargs builds its arguments on every call,
+        # which CPython 3.11 cannot inline.
+        kinds = {p.kind for p in inspect.signature(getattr(PCG64Stream, draw)).parameters.values()}
+        assert kinds <= {inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD}, kinds
 
     @pytest.mark.parametrize("foreign", FOREIGN)
     def test_a_foreign_use_raises_and_draws_nothing(self, foreign):
@@ -193,6 +218,49 @@ class TestAlicePlans:
                     played.clear()
                     harness._play_session(cfg, False)
                     assert played == [_alice_reference(cfg)], (variant, seed, kwargs)
+
+    @pytest.mark.parametrize("variant", ["original", "revised"])
+    @pytest.mark.parametrize("bias", [0.0, 1.0])
+    def test_sessions_at_a_certain_coin_play_alice_draws(self, monkeypatch, variant, bias):
+        played = []
+
+        def spy(table, script, plans, attack, row):
+            plans = list(plans)
+            played.append([(i, c.mode, c.coin) for i, c in plans])
+            return loop(table, script, plans, attack, row)
+
+        loop = harness._play_rounds
+        monkeypatch.setattr(harness, "_play_rounds", spy)
+        for seed in range(40):
+            cfg = SimConfig(variant=variant, rounds=64, seed=seed, hadamard_bias=bias)
+            played.clear()
+            harness._play_session(cfg, False)
+            assert played == [_alice_reference(cfg)], seed
+            if variant == "revised":
+                assert {coin for _, _, coin in played[0]} == {int(bias)}
+
+    def test_a_session_passes_only_draws_that_inline(self, monkeypatch):
+        # A C-level wrapper around a Python draw (a functools.partial, a map
+        # over iter(random, None)) enters a fresh interpreter frame on every
+        # call.  A given secret reads the string in C and calls no Python.
+        passed = []
+
+        def spy(variant, **draws):
+            passed.append(draws)
+            return plans(variant, **draws)
+
+        plans = harness._round_plans
+        monkeypatch.setattr(harness, "_round_plans", spy)
+        for variant in ("original", "revised"):
+            for kwargs in (dict(), dict(hadamard_bias=0.3), dict(secret_bits="0110")):
+                passed.clear()
+                harness._play_session(SimConfig(variant=variant, rounds=4, seed=1, **kwargs), False)
+                (draws,) = passed
+                assert set(draws) == {"secret", "coin", "q1", "w1"}
+                if "secret_bits" in kwargs:
+                    del draws["secret"]
+                for name, draw in draws.items():
+                    assert type(draw) in (types.FunctionType, types.MethodType), (variant, kwargs, name, draw)
 
     def test_the_class_table_and_the_plan_lookup_agree(self):
         alternating, pairs, singles = harness.PLAN_CLASSES
