@@ -9,9 +9,12 @@ its first draw, and no check stream when every round is checked.
 ``enumerate_branches`` plays every measurement branch of a short
 scripted scenario as a session of its own, whose Bob, Charlie and attack
 streams are one tape of outcomes, and counts through the tapes in
-binary.  Each branch reports its exact probability (the product of its
-rounds' leaf weights, the Born weights of the outcomes taken), which
-turns Monte Carlo claims into closed-form numbers for small scenarios.
+binary.  A branch agrees with the one before it up to the round that
+draws its last tape bit, so it takes the rounds before from that
+branch's recorded leaves and plays on from there.  Each branch reports
+its exact probability (the product of its rounds' leaf weights, the Born
+weights of the outcomes taken), which turns Monte Carlo claims into
+closed-form numbers for small scenarios.
 
 Sessions and branches share ``_play_rounds``, the one session loop, and
 ``_play_round``, the one per-round step.  The loop plays each round
@@ -30,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -61,7 +63,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState
-from .replay import PCG64Stream, RoundTable, Script, compact_row, transcript, weighed_transcript
+from .replay import PCG64Stream, RoundTable, Script, compact_row, transcript
 
 VARIANTS = ("original", "revised")
 
@@ -330,12 +332,17 @@ def _play_round(
 ROUND_TABLE = RoundTable()
 
 
-def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
+def _play_rounds(
+    table: RoundTable, script: Script, plans: Iterable, attack, row, world: PureState, parity: int
+) -> tuple[PureState, list]:
     """The one session loop: each ``(round index, plan class)`` of ``plans``
-    played through ``table`` from the start of a session, with the draws
-    of ``script`` and ``attack``.  Returns the final world and per round
-    ``row(round index, plan class, payload)``."""
-    world, parity = chi_state(), 0
+    played through ``table`` from ``world`` at carrier parity ``parity``,
+    with the draws of ``script`` and ``attack``.  A session starts from
+    ``chi_state(), 0``; an enumerated branch passes its ``_Tape`` as the
+    table and starts at the first round that draws otherwise than the
+    branch before it.
+    Returns the final world and per round ``row(round index, plan class,
+    payload)``."""
     rows: list = []
     for i, plan_class in plans:
         world, parity, payload = table.play(_play_round, script, world, parity, (i, plan_class), attack)
@@ -366,7 +373,7 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
         w1=lambda: uniform() < 0.5,
     )
     row = transcript if transcribe else compact_row
-    world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row)
+    world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row, chi_state(), 0)
     return world, attack, rows
 
 
@@ -444,20 +451,31 @@ class Branch:
 
 
 class _Tape:
-    """Bob's, Charlie's and the attack stream of one enumerated branch.
+    """Bob's, Charlie's and the attack stream of one enumerated branch, and
+    the record of its rounds.
 
     The k-th ``random()`` returns 0.0 (outcome 1) if bit k of ``bits`` is
     set and 1.0 (outcome 0, which no Born weight reaches) otherwise, also
     past the tape.  ``integers(0, 2)`` draws the attacker's coins from
     ``np.random.default_rng(seed)``, set up at the first coin, so every
     branch sees the same coins.
+
+    The tape stands in for the round table in ``_play_rounds``: ``play``
+    plays a round through ``ROUND_TABLE`` and appends to ``rounds`` the
+    round's leaf, the ``random()`` and coin counts after it and the
+    product of the branch's leaf weights so far.  ``next_branch`` hands
+    the rounds the next branch draws alike over to it, and ``resume``
+    takes them.
     """
 
-    __slots__ = ("bits", "drawn", "_coins")
+    __slots__ = ("bits", "drawn", "coins", "weight", "rounds", "_coins")
 
     def __init__(self, bits: list[int], seed: int) -> None:
         self.bits = bits
         self.drawn = 0  # random() calls so far
+        self.coins = 0  # integers() calls so far
+        self.weight = 1.0  # product of the leaf weights so far
+        self.rounds: list[tuple] = []  # (leaf, drawn, coins, weight) per round
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
         self._coins = PCG64Stream(lambda: np.random.default_rng(seed))
@@ -468,17 +486,43 @@ class _Tape:
         return 0.0 if k < len(self.bits) and self.bits[k] else 1.0
 
     def integers(self, low: int, high: int) -> int:
+        self.coins += 1
         return self._coins.integers(low, high)
 
-    def next_bits(self) -> list[int] | None:
-        """The next branch's tape: the bits drawn without their trailing 1s
-        and with the last 0 turned to 1; ``None`` after the last branch."""
+    def play(self, play_round, script: Script, world: PureState, parity: int, plan: tuple, attack) -> tuple:
+        """``ROUND_TABLE.play``, with the round recorded in ``rounds``."""
+        leaf = ROUND_TABLE.play(play_round, script, world, parity, plan, attack)
+        self.weight = weight = self.weight * leaf[2][7]
+        self.rounds.append((leaf, self.drawn, self.coins, weight))
+        return leaf
+
+    def resume(self, rounds: list[tuple]) -> None:
+        """Take ``rounds``, leading rounds of the branch before, as this
+        branch's own: the tape moves to their ``random()`` count and draws
+        its own coins past theirs."""
+        self.rounds = rounds
+        _, self.drawn, coins, self.weight = rounds[-1]
+        for _ in range(coins):
+            self.integers(0, 2)
+
+    def next_branch(self) -> tuple[list[int], list[tuple]] | None:
+        """The next branch's tape, the bits drawn without their trailing 1s
+        and with the last 0 turned to 1, and this record cut before the
+        first round that draws that bit; ``None`` after the last branch.
+        The record is handed over, so a finished branch keeps none."""
+        rounds, self.rounds = self.rounds, None
         bits = self.bits[: self.drawn] + [0] * (self.drawn - len(self.bits))
         while bits and bits[-1]:
             bits.pop()
-        if bits:
-            bits[-1] = 1
-        return bits or None
+        if not bits:
+            return None
+        bits[-1] = 1
+        # Rounds end at rising random() counts, and the last drew them all.
+        start = len(rounds) - 1
+        while start and rounds[start - 1][1] >= len(bits):
+            start -= 1
+        del rounds[start:]
+        return bits, rounds
 
 
 def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES) -> list[Branch]:
@@ -486,29 +530,45 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
 
     A branch's rounds go through ``_play_rounds`` and ``ROUND_TABLE`` like
     a session's, with one ``_Tape`` for its quantum streams and its
-    attacker's coins, so a branch replayed from round 1 is almost all
-    table hits.  Its probability is the product of its rounds' leaf
-    weights, and its transcripts hold the table's frozen events and
-    records until read.  Branches come out in the lexicographic order of
-    their outcomes, and their probabilities sum to 1 (within float
-    rounding).  Raises ``RuntimeError`` once there are more than
-    ``max_branches`` branches, which short scripted scenarios never reach.
+    attacker's coins.  Branches come out in the lexicographic order of
+    their outcomes, so a branch plays only from the first round that draws
+    its last tape bit.  For the rounds before, it builds new transcripts
+    from the branch before's leaves, replays their attack records into its
+    own attack and draws its own coins past theirs.  Its probability is
+    the product of its rounds' leaf weights, and its transcripts hold the
+    table's frozen events and records until read.  The probabilities sum
+    to 1 (within float rounding).  Raises ``RuntimeError`` once there are
+    more than ``max_branches`` branches, which short scripted scenarios
+    never reach.
     """
     _require_int("max_branches", max_branches, 1)
     plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
-    branches: list[Branch] = []
-    bits: list[int] | None = []
-    while bits is not None:
-        tape = _Tape(bits, scenario.attack_seed)
+    seed, branches = scenario.attack_seed, []
+    tape, prefix = _Tape([], seed), None
+    while True:
         script = Script((tape, tape, tape))
         attack = build_attack(scenario.strategy, coins=script.tap(2))
-        world, rows = _play_rounds(ROUND_TABLE, script, plans, attack, weighed_transcript)
-        transcripts, weights = zip(*rows)
-        branches.append(Branch(math.prod(weights), transcripts, world, attack))
+        if prefix:
+            tape.resume(prefix)
+            transcripts = []
+            for (i, plan_class), (leaf, _, _, _) in zip(plans, prefix):
+                payload = leaf[2]
+                transcripts.append(transcript(i, plan_class, payload))
+                if attack is not None:
+                    attack.replay_round(i, payload[6])
+            world, parity, _ = leaf
+            world, rows = _play_rounds(tape, script, plans[len(prefix):], attack, transcript, world, parity)
+            transcripts += rows
+        else:
+            world, transcripts = _play_rounds(tape, script, plans, attack, transcript, chi_state(), 0)
+        branches.append(Branch(tape.weight, tuple(transcripts), world, attack))
         if len(branches) > max_branches:
             raise RuntimeError(f"scenario exceeded {max_branches} branches")
-        bits = tape.next_bits()
-    return branches
+        following = tape.next_branch()
+        if following is None:
+            return branches
+        bits, prefix = following
+        tape = _Tape(bits, seed)
 
 
 def _script_ints(name: str, entries: Iterable[int]) -> tuple[int, ...]:

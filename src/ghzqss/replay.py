@@ -9,11 +9,11 @@ only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
 statevector play would draw, so sessions stay byte-identical.  Either
 way a round comes back as one leaf, (next world, next carrier parity,
-payload), from which a session builds its row with ``compact_row``,
-``transcript`` or ``weighed_transcript``, the only readers of the
-payload.  A leaf carries its weight, the product of the Born weights the
-round recorded, so an enumerated branch's probability is the product of
-its rounds' leaf weights.
+payload), from which a session builds its row with ``compact_row`` or
+``transcript`` (``weighed_transcript`` adds the leaf's weight).  A leaf
+carries its weight, the product of the Born weights the round recorded,
+so an enumerated branch's probability is the product of its rounds' leaf
+weights.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
@@ -32,7 +32,9 @@ calls.  Every fork of the paper's Clifford circuits has weight
 
 The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
 sessions and exact enumeration alike: an enumerated branch is a session
-whose streams are a tape of outcomes (``harness.enumerate_branches``).
+whose streams are a tape of outcomes, and it plays only the rounds from
+the first that draws differently from the branch before it; it takes the
+earlier rounds from that branch's leaves (``harness.enumerate_branches``).
 """
 
 from __future__ import annotations

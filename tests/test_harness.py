@@ -202,10 +202,10 @@ class TestAlicePlans:
     def test_a_session_plays_alice_draws_in_the_documented_order(self, monkeypatch):
         played = []
 
-        def spy(table, script, plans, attack, row):
+        def spy(table, script, plans, attack, row, *start):
             plans = list(plans)
             played.append([(i, c.mode, c.coin) for i, c in plans])
-            return loop(table, script, plans, attack, row)
+            return loop(table, script, plans, attack, row, *start)
 
         loop = harness._play_rounds
         monkeypatch.setattr(harness, "_play_rounds", spy)
@@ -224,10 +224,10 @@ class TestAlicePlans:
     def test_sessions_at_a_certain_coin_play_alice_draws(self, monkeypatch, variant, bias):
         played = []
 
-        def spy(table, script, plans, attack, row):
+        def spy(table, script, plans, attack, row, *start):
             plans = list(plans)
             played.append([(i, c.mode, c.coin) for i, c in plans])
-            return loop(table, script, plans, attack, row)
+            return loop(table, script, plans, attack, row, *start)
 
         loop = harness._play_rounds
         monkeypatch.setattr(harness, "_play_rounds", spy)
@@ -886,6 +886,27 @@ class TestForkingWalk:
             assert {id(t._events), id(t._records), id(t._eve_notes)} <= frozen
         assert [_fingerprint(b) for b in branches] == [_fingerprint(b) for b in _replay_branches(scenario)]
 
+    def test_a_branch_plays_only_from_where_it_leaves_the_branch_before(self, table):
+        # A branch takes the rounds before the first round that draws its
+        # last tape bit from the branch before, and plays the rest through
+        # the table.  Playing every Gate-2 branch from round 1 would make
+        # 32 x 6 = 192 table plays per scenario.
+        for scenario in (*GATE2, *GATE5):
+            enumerate_branches(scenario)
+        misses = table.misses
+
+        def plays(scenario):
+            before = table.hits + table.misses
+            branches = enumerate_branches(scenario)
+            return len(branches), table.hits + table.misses - before
+
+        assert plays(GATE2[45]) == (32, 53)
+        assert {plays(scenario) for scenario in GATE2} == {(32, 53)}
+        for scenario in GATE5:
+            count, played = plays(scenario)
+            assert count <= played <= 2 * count
+        assert table.misses == misses
+
     def test_each_round_is_played_once_per_outcome_history(self, table, monkeypatch):
         calls = []
 
@@ -896,7 +917,7 @@ class TestForkingWalk:
         monkeypatch.setattr(harness, "original_round", counting)
         scenario = Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2")
         branches = enumerate_branches(scenario)
-        # Every branch replays from round 1 through the table, which plays
+        # Every round a branch plays goes through the table, which plays
         # a key on the statevector path once per outcome path.  Replaying
         # every branch on the statevector path would take 32 x 6 = 192 calls.
         assert len(branches) == 32
