@@ -7,11 +7,12 @@ session sets up each of its Alice, Bob, Charlie and attack streams at
 its first draw, and no check stream when every round is checked.
 
 ``enumerate_branches`` plays every measurement branch of a short
-scripted scenario as a session of its own, whose Bob, Charlie and attack
-streams are one tape of outcomes, and counts through the tapes in
-binary.  A branch agrees with the one before it up to the round that
-draws its last tape bit, so it takes the rounds before from that
-branch's recorded leaves and plays on from there.  Each branch reports
+scripted scenario as a session of its own.  One tape of outcomes serves
+the whole enumeration as every branch's Bob, Charlie and attack streams,
+and counts through the outcomes in binary.  A branch agrees with the one
+before it up to the round that draws its last tape bit, so the tape
+serves the rounds before from that branch's recorded leaves and the rest
+play through the round table.  Each branch reports
 its exact probability (the product of its rounds' leaf weights, the Born
 weights of the outcomes taken), which turns Monte Carlo claims into
 closed-form numbers for small scenarios.
@@ -332,18 +333,15 @@ def _play_round(
 ROUND_TABLE = RoundTable()
 
 
-def _play_rounds(
-    table: RoundTable, script: Script, plans: Iterable, attack, row, world: PureState, parity: int
-) -> tuple[PureState, list]:
+def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
     """The one session loop: each ``(round index, plan class)`` of ``plans``
-    played through ``table`` from ``world`` at carrier parity ``parity``,
-    with the draws of ``script`` and ``attack``.  A session starts from
-    ``chi_state(), 0``; an enumerated branch passes its ``_Tape`` as the
-    table and starts at the first round that draws otherwise than the
-    branch before it.
-    Returns the final world and per round ``row(round index, plan class,
-    payload)``."""
-    rows: list = []
+    played through ``table`` from the carrier ``chi_state()`` at parity 0,
+    with the draws of ``script`` and ``attack``.  A session passes
+    ``ROUND_TABLE``; an enumerated branch passes its enumeration's
+    ``_Tape``, which serves the rounds the branch keeps from the branch
+    before it.  Returns the final world and per round ``row(round index,
+    plan class, payload)``."""
+    world, parity, rows = chi_state(), 0, []
     for i, plan_class in plans:
         world, parity, payload = table.play(_play_round, script, world, parity, (i, plan_class), attack)
         rows.append(row(i, plan_class, payload))
@@ -373,7 +371,7 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
         w1=lambda: uniform() < 0.5,
     )
     row = transcript if transcribe else compact_row
-    world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row, chi_state(), 0)
+    world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row)
     return world, attack, rows
 
 
@@ -432,7 +430,8 @@ class Scenario:
         if len(plans) > MAX_ENUM_ROUNDS:
             raise ValueError(f"enumeration is capped at {MAX_ENUM_ROUNDS} rounds")
         object.__setattr__(self, "plans", plans)
-        _require_int("attack_seed", self.attack_seed, 0)
+        # Kept as a Python int, as ``SimConfig`` keeps its seed.
+        object.__setattr__(self, "attack_seed", _require_int("attack_seed", self.attack_seed, 0))
 
 
 @dataclass(frozen=True)
@@ -451,34 +450,38 @@ class Branch:
 
 
 class _Tape:
-    """Bob's, Charlie's and the attack stream of one enumerated branch, and
-    the record of its rounds.
+    """Bob's, Charlie's and the attack stream of every branch of one
+    enumeration, and the record of the current branch's rounds.
 
-    The k-th ``random()`` returns 0.0 (outcome 1) if bit k of ``bits`` is
-    set and 1.0 (outcome 0, which no Born weight reaches) otherwise, also
-    past the tape.  ``integers(0, 2)`` draws the attacker's coins from
-    ``np.random.default_rng(seed)``, set up at the first coin, so every
-    branch sees the same coins.
+    A branch's k-th ``random()`` returns 0.0 (outcome 1) if bit k of
+    ``bits`` is set and 1.0 (outcome 0, which no Born weight reaches)
+    otherwise, also past the tape.  Every branch sees the same coins: its
+    k-th ``integers(0, 2)`` is the k-th coin of
+    ``np.random.default_rng(seed)``, drawn once, by the first branch that
+    needs it, and kept.  The generator is set up at the first coin.
 
-    The tape stands in for the round table in ``_play_rounds``: ``play``
-    plays a round through ``ROUND_TABLE`` and appends to ``rounds`` the
-    round's leaf, the ``random()`` and coin counts after it and the
-    product of the branch's leaf weights so far.  ``next_branch`` hands
-    the rounds the next branch draws alike over to it, and ``resume``
-    takes them.
+    The tape stands in for the round table in ``_play_rounds``.  A round
+    the branch keeps from the branch before (``round_index - 1 <
+    len(rounds)``) comes back as that branch's recorded leaf: the tape
+    restores the counts and weight product after it and replays its
+    attack record, as a table hit does.  Every later round plays through
+    ``ROUND_TABLE`` and appends to ``rounds`` its leaf, the ``random()``
+    and coin counts after it and the product of the branch's leaf weights
+    so far.  ``next_branch`` moves the tape to the next branch.
     """
 
-    __slots__ = ("bits", "drawn", "coins", "weight", "rounds", "_coins")
+    __slots__ = ("bits", "drawn", "coins", "weight", "rounds", "_kept", "_gen")
 
-    def __init__(self, bits: list[int], seed: int) -> None:
-        self.bits = bits
+    def __init__(self, seed: int) -> None:
+        self.bits: list[int] = []
         self.drawn = 0  # random() calls so far
         self.coins = 0  # integers() calls so far
         self.weight = 1.0  # product of the leaf weights so far
         self.rounds: list[tuple] = []  # (leaf, drawn, coins, weight) per round
+        self._kept: list[int] = []  # the coins drawn so far
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
-        self._coins = PCG64Stream(lambda: np.random.default_rng(seed))
+        self._gen = PCG64Stream(lambda: np.random.default_rng(seed))
 
     def random(self) -> float:
         k = self.drawn
@@ -486,89 +489,75 @@ class _Tape:
         return 0.0 if k < len(self.bits) and self.bits[k] else 1.0
 
     def integers(self, low: int, high: int) -> int:
-        self.coins += 1
-        return self._coins.integers(low, high)
+        k, kept = self.coins, self._kept
+        self.coins = k + 1
+        if k == len(kept):
+            kept.append(self._gen.integers(low, high))
+        return kept[k]
 
     def play(self, play_round, script: Script, world: PureState, parity: int, plan: tuple, attack) -> tuple:
-        """``ROUND_TABLE.play``, with the round recorded in ``rounds``."""
+        """A kept round's recorded leaf, else ``ROUND_TABLE.play`` with the round recorded."""
+        round_index, rounds = plan[0], self.rounds
+        if round_index - 1 < len(rounds):
+            leaf, self.drawn, self.coins, self.weight = rounds[round_index - 1]
+            if attack is not None:
+                attack.replay_round(round_index, leaf[2][6])
+            return leaf
         leaf = ROUND_TABLE.play(play_round, script, world, parity, plan, attack)
         self.weight = weight = self.weight * leaf[2][7]
-        self.rounds.append((leaf, self.drawn, self.coins, weight))
+        rounds.append((leaf, self.drawn, self.coins, weight))
         return leaf
 
-    def resume(self, rounds: list[tuple]) -> None:
-        """Take ``rounds``, leading rounds of the branch before, as this
-        branch's own: the tape moves to their ``random()`` count and draws
-        its own coins past theirs."""
-        self.rounds = rounds
-        _, self.drawn, coins, self.weight = rounds[-1]
-        for _ in range(coins):
-            self.integers(0, 2)
-
-    def next_branch(self) -> tuple[list[int], list[tuple]] | None:
-        """The next branch's tape, the bits drawn without their trailing 1s
-        and with the last 0 turned to 1, and this record cut before the
-        first round that draws that bit; ``None`` after the last branch.
-        The record is handed over, so a finished branch keeps none."""
-        rounds, self.rounds = self.rounds, None
+    def next_branch(self) -> bool:
+        """Move to the next branch, ``False`` after the last one.  Its bits
+        are those drawn without their trailing 1s and with the last 0 turned
+        to 1, and it keeps the rounds before the first that draws that bit."""
         bits = self.bits[: self.drawn] + [0] * (self.drawn - len(self.bits))
         while bits and bits[-1]:
             bits.pop()
         if not bits:
-            return None
+            return False
         bits[-1] = 1
         # Rounds end at rising random() counts, and the last drew them all.
+        rounds = self.rounds
         start = len(rounds) - 1
         while start and rounds[start - 1][1] >= len(bits):
             start -= 1
         del rounds[start:]
-        return bits, rounds
+        self.bits, self.drawn, self.coins, self.weight = bits, 0, 0, 1.0
+        return True
 
 
 def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES) -> list[Branch]:
     """Every measurement branch of the scenario, each played as a session.
 
-    A branch's rounds go through ``_play_rounds`` and ``ROUND_TABLE`` like
-    a session's, with one ``_Tape`` for its quantum streams and its
-    attacker's coins.  Branches come out in the lexicographic order of
-    their outcomes, so a branch plays only from the first round that draws
-    its last tape bit.  For the rounds before, it builds new transcripts
-    from the branch before's leaves, replays their attack records into its
-    own attack and draws its own coins past theirs.  Its probability is
-    the product of its rounds' leaf weights, and its transcripts hold the
-    table's frozen events and records until read.  The probabilities sum
-    to 1 (within float rounding).  Raises ``RuntimeError`` once there are
-    more than ``max_branches`` branches, which short scripted scenarios
-    never reach.
+    A branch's rounds go through ``_play_rounds`` like a session's, with
+    one ``_Tape`` for the whole enumeration as its table, its quantum
+    streams and its attacker's coins, and one ``Script`` on that tape.
+    Branches come out in the lexicographic order of their outcomes, so a
+    branch draws what the branch before drew on every round before the
+    first that draws its last tape bit: the tape serves those rounds from
+    the branch before's leaves, and plays the rest through ``ROUND_TABLE``.
+    Each branch builds its own attack and transcripts.  Its probability
+    is the product of its rounds' leaf weights, and its transcripts hold
+    the table's frozen events and records until read.  The probabilities
+    sum to 1 (within float rounding).  Raises ``RuntimeError`` once there
+    are more than ``max_branches`` branches, which short scripted
+    scenarios never reach.
     """
     _require_int("max_branches", max_branches, 1)
     plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
-    seed, branches = scenario.attack_seed, []
-    tape, prefix = _Tape([], seed), None
+    tape = _Tape(scenario.attack_seed)
+    script = Script((tape, tape, tape))
+    branches = []
     while True:
-        script = Script((tape, tape, tape))
         attack = build_attack(scenario.strategy, coins=script.tap(2))
-        if prefix:
-            tape.resume(prefix)
-            transcripts = []
-            for (i, plan_class), (leaf, _, _, _) in zip(plans, prefix):
-                payload = leaf[2]
-                transcripts.append(transcript(i, plan_class, payload))
-                if attack is not None:
-                    attack.replay_round(i, payload[6])
-            world, parity, _ = leaf
-            world, rows = _play_rounds(tape, script, plans[len(prefix):], attack, transcript, world, parity)
-            transcripts += rows
-        else:
-            world, transcripts = _play_rounds(tape, script, plans, attack, transcript, chi_state(), 0)
+        world, transcripts = _play_rounds(tape, script, plans, attack, transcript)
         branches.append(Branch(tape.weight, tuple(transcripts), world, attack))
         if len(branches) > max_branches:
             raise RuntimeError(f"scenario exceeded {max_branches} branches")
-        following = tape.next_branch()
-        if following is None:
+        if not tape.next_branch():
             return branches
-        bits, prefix = following
-        tape = _Tape(bits, seed)
 
 
 def _script_ints(name: str, entries: Iterable[int]) -> tuple[int, ...]:

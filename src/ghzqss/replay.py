@@ -10,14 +10,13 @@ A replay draws from the session's own streams exactly what the
 statevector play would draw, so sessions stay byte-identical.  Either
 way a round comes back as one leaf, (next world, next carrier parity,
 payload), from which a session builds its row with ``compact_row`` or
-``transcript`` (``weighed_transcript`` adds the leaf's weight).  A leaf
-carries its weight, the product of the Born weights the round recorded,
-so an enumerated branch's probability is the product of its rounds' leaf
-weights.
+``transcript``.  A leaf carries its weight, the product of the Born
+weights the round recorded, so an enumerated branch's probability is the
+product of its rounds' leaf weights.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
-of the enumerated branch that plays the round.
+of the enumeration that plays the round.
 
 Every supported session draws only scalar ``random()`` and
 ``integers(0, 2)`` values.  Its streams are ``PCG64Stream``s, which
@@ -32,9 +31,10 @@ calls.  Every fork of the paper's Clifford circuits has weight
 
 The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
 sessions and exact enumeration alike: an enumerated branch is a session
-whose streams are a tape of outcomes, and it plays only the rounds from
-the first that draws differently from the branch before it; it takes the
-earlier rounds from that branch's leaves (``harness.enumerate_branches``).
+whose streams are a tape of outcomes, one tape for the whole
+enumeration.  The tape serves the rounds before the first that draws
+differently from the branch before from that branch's leaves, and plays
+the rest through the table (``harness.enumerate_branches``).
 """
 
 from __future__ import annotations
@@ -223,12 +223,6 @@ def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
         round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
         bob, charlie, recovered, events, records, notes,
     )
-
-
-def weighed_transcript(round_index: int, plan_class, payload: tuple) -> tuple[RoundTranscript, float]:
-    """The transcript of a round's leaf payload and the leaf's weight, the
-    product of the Born weights of the outcomes the round took."""
-    return transcript(round_index, plan_class, payload), payload[7]
 
 
 class RoundTable:

@@ -554,7 +554,7 @@ class TestEnumeration:
         assert enumerate_branches(Scenario("revised", plans, strategy="a1"))
         assert built == []  # a probe draws no coin
         branches = enumerate_branches(Scenario("revised", plans, strategy="dishonest-bob", attack_seed=5))
-        assert built == [5] * len(branches)
+        assert len(branches) > 1 and built == [5]  # one generator per enumeration
 
     def test_round_cap(self):
         plans = original_plans([0] * (MAX_ENUM_ROUNDS + 1))
@@ -618,6 +618,16 @@ class TestEnumeration:
             Scenario("original", [1])
         with pytest.raises(ValueError, match="position 2 is not a RoundPlan"):
             Scenario("revised", (*revised_plans((0,), (1,)), "pair"))
+
+    def test_a_scenario_keeps_a_numpy_attack_seed_as_an_int(self):
+        plans = revised_plans((1, 1, 0, 1), (0, 1, 1, 0), targets=(W1, W2, W2, W1))
+        scenario = Scenario("revised", plans, strategy="dishonest-bob", attack_seed=np.int64(5))
+        assert type(scenario.attack_seed) is int and scenario.attack_seed == 5
+        plain = Scenario("revised", plans, strategy="dishonest-bob", attack_seed=5)
+        assert scenario == plain
+        assert [_fingerprint(b) for b in enumerate_branches(scenario)] == [
+            _fingerprint(b) for b in enumerate_branches(plain)
+        ]
 
     @pytest.mark.parametrize(
         "match,original,revised",
@@ -838,17 +848,18 @@ class TestForkingWalk:
 
     def test_a_tape_that_shares_its_coins_is_caught(self, table, monkeypatch):
         class SharingTape(harness._Tape):
-            """A tape whose coin generator carries on from the branch before."""
+            """A tape whose coins carry on from the branch before."""
 
             __slots__ = ()
 
-            def __init__(self, bits, seed):
-                super().__init__(bits, seed)
-                self._coins = shared.setdefault(seed, self._coins)
+            def next_branch(self):
+                coins = self.coins
+                following = super().next_branch()
+                self.coins = coins
+                return following
 
         monkeypatch.setattr(harness, "_Tape", SharingTape)
         for scenario in DISHONEST_FORKING:
-            shared = {}
             walked = [_fingerprint(b) for b in enumerate_branches(scenario)]
             assert walked != [_fingerprint(b) for b in _replay_branches(scenario)]
 
@@ -906,6 +917,32 @@ class TestForkingWalk:
             count, played = plays(scenario)
             assert count <= played <= 2 * count
         assert table.misses == misses
+
+    @pytest.mark.parametrize(
+        "scenario", [GATE2[45], GATE5[6], DISHONEST_FORKING[0]], ids=["a2", "a2-probe", "dishonest-bob"]
+    )
+    def test_an_enumeration_builds_one_tape_and_one_script(self, scenario, monkeypatch):
+        built = []
+
+        class CountedTape(harness._Tape):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append("tape")
+                super().__init__(*args)
+
+        class CountedScript(Script):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append("script")
+                super().__init__(*args)
+
+        monkeypatch.setattr(harness, "_Tape", CountedTape)
+        monkeypatch.setattr(harness, "Script", CountedScript)
+        branches = enumerate_branches(scenario)
+        assert len(branches) > 1 and sorted(built) == ["script", "tape"]
+        assert [_fingerprint(b) for b in branches] == [_fingerprint(b) for b in _replay_branches(scenario)]
 
     def test_each_round_is_played_once_per_outcome_history(self, table, monkeypatch):
         calls = []
@@ -1668,7 +1705,7 @@ class TestRoundTable:
         plan_class = harness.PLAN_CLASSES[1][0][0]  # only the fields of the transcript
         weights = set()
         for payload in _leaf_payloads(table):
-            t, weight = replay.weighed_transcript(7, plan_class, payload)
+            t, weight = replay.transcript(7, plan_class, payload), payload[7]
             recorded = payload[6]
             born = [r.probability for r in (*t.records, *(recorded[0] if recorded else ()))]
             assert type(weight) is float and weight == math.prod(born)
