@@ -19,12 +19,13 @@ closed-form numbers for small scenarios.
 
 Sessions and branches share ``_play_rounds``, the one session loop, and
 ``_play_round``, the one per-round step.  The loop plays each round
-through ``ROUND_TABLE``, a bounded process-wide memo of recorded
-statevector rounds (``ghzqss.replay``): a round whose world, plan class,
-carrier parity and attacker state were seen before is replayed from the
-recording against the session's own streams, drawing exactly what the
-statevector play would draw, and any other round is played through the
-session's ``replay.Script`` and recorded.  A session keeps its world,
+through ``ROUND_TABLE = RoundTable(_play_round)``, a bounded
+process-wide memo of recorded statevector rounds (``ghzqss.replay``): a
+round whose world, plan class, carrier parity and attacker state were
+seen before is replayed from the recording against the session's own
+streams, drawing exactly what the statevector play would draw, and any
+other round is played by ``_play_round`` through the session's
+``replay.Script`` and recorded.  A session keeps its world,
 parity and attack as plain values and turns each round's leaf into a
 compact row, or a transcript if asked for one.
 """
@@ -212,13 +213,17 @@ def _score_eve(attack, rows: Sequence, checked: Sequence[int]) -> float | None:
     return correct / len(secrets)
 
 
+_CLASS_BY_PLAN: dict[tuple, PlanClass] = {}
+
+
 class PlanClass:
     """A round plan without its round index, one object per plan in
     ``PLAN_CLASSES``: the round table keys a replayed round on the object
     and builds a ``RoundPlan`` only for a round it plays on the
     statevector path.  With the carrier parity before the round, the
     class tells round 1 and odd and even rounds of the alternating
-    variant apart: (0, product), (1, product) and (0, pair)."""
+    variant apart: (0, product), (1, product) and (0, pair).  Each class
+    registers itself in ``_CLASS_BY_PLAN`` under its (mode, coin)."""
 
     __slots__ = ("mode", "coin", "mode_name", "target", "secret")
 
@@ -226,6 +231,7 @@ class PlanClass:
         plan = RoundPlan(0, kind(*fields), coin)
         self.mode, self.coin = plan.mode, coin
         self.mode_name, self.target, self.secret = plan.mode_name, plan.target, plan.secret
+        _CLASS_BY_PLAN[plan.mode, coin] = self
 
 
 # Every plan class, built once and indexed by the draws that pick it:
@@ -245,13 +251,7 @@ PLAN_CLASSES = (
 
 def _class_of(plan: RoundPlan) -> PlanClass:
     """The entry of ``PLAN_CLASSES`` for a ``plan`` that ``check_plan`` accepts."""
-    mode, coin = plan.mode, plan.alice_hadamard
-    alternating, pairs, singles = PLAN_CLASSES
-    if coin is None:
-        return alternating[plan.round_index % 2][mode.q]
-    if type(mode) is EntangledPair:
-        return pairs[coin][mode.q]
-    return singles[coin][mode.secret][mode.q1][mode.target == W1]
+    return _CLASS_BY_PLAN[plan.mode, plan.alice_hadamard]
 
 
 def _round_plans(
@@ -290,23 +290,6 @@ def _round_plans(
         parity ^= c
 
 
-def _check_plans(variant: str, plans: Iterable[RoundPlan]) -> tuple[RoundPlan, ...]:
-    """``plans`` as a tuple if a session script of ``variant`` from round 1
-    that ``check_plan`` accepts round by round, else ``ValueError``."""
-    plans = tuple(plans)
-    parity = 0
-    for pos, plan in enumerate(plans, start=1):
-        if not isinstance(plan, RoundPlan):
-            raise ValueError(f"plan at position {pos} is not a RoundPlan: {plan!r}")
-        if variant == "original" and pos > 1:
-            parity ^= 1  # the Hadamard layer before every later round
-        check_plan(plan, parity, variant == "revised")
-        if plan.round_index != pos:
-            raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
-        parity ^= plan.alice_hadamard or 0
-    return plans
-
-
 def _play_round(
     world: PureState, plan: RoundPlan, parity: int, rngs: Rngs, attack
 ) -> tuple[PureState, int, RoundTranscript]:
@@ -329,21 +312,22 @@ def _play_round(
     return world, tracker.hadamard_parity, t
 
 
-# The process-wide memo in front of ``_play_round``, for sessions and enumeration.
-ROUND_TABLE = RoundTable()
+# The process-wide memo of ``_play_round``, for sessions and enumeration.
+ROUND_TABLE = RoundTable(_play_round)
 
 
 def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
     """The one session loop: each ``(round index, plan class)`` of ``plans``
     played through ``table`` from the carrier ``chi_state()`` at parity 0,
     with the draws of ``script`` and ``attack``.  A session passes
-    ``ROUND_TABLE``; an enumerated branch passes its enumeration's
-    ``_Tape``, which serves the rounds the branch keeps from the branch
-    before it.  Returns the final world and per round ``row(round index,
-    plan class, payload)``."""
+    ``ROUND_TABLE``, which plays its misses with ``_play_round``; an
+    enumerated branch passes its enumeration's ``_Tape``, which serves the
+    rounds the branch keeps from the branch before it and plays the rest
+    through the table it fronts.  Returns the final world and per round
+    ``row(round index, plan class, payload)``."""
     world, parity, rows = chi_state(), 0, []
     for i, plan_class in plans:
-        world, parity, payload = table.play(_play_round, script, world, parity, (i, plan_class), attack)
+        world, parity, payload = table.play(script, world, parity, (i, plan_class), attack)
         rows.append(row(i, plan_class, payload))
     return world, rows
 
@@ -414,7 +398,9 @@ class Scenario:
     ``plans``, any iterable kept as a tuple, fixes every classical
     choice Alice makes; ``attack_seed`` fixes the attacker's classical
     coins so that the only remaining nondeterminism is quantum
-    measurement.
+    measurement.  This is the one check of a plan script: round by round
+    from round 1, each plan must be a ``RoundPlan`` that ``check_plan``
+    accepts.
     """
 
     variant: str
@@ -424,7 +410,16 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _validate_combo(self.variant, self.strategy)
-        plans = _check_plans(self.variant, self.plans)
+        plans, parity = tuple(self.plans), 0
+        for pos, plan in enumerate(plans, start=1):
+            if not isinstance(plan, RoundPlan):
+                raise ValueError(f"plan at position {pos} is not a RoundPlan: {plan!r}")
+            if self.variant == "original" and pos > 1:
+                parity ^= 1  # the Hadamard layer before every later round
+            check_plan(plan, parity, self.variant == "revised")
+            if plan.round_index != pos:
+                raise ValueError(f"plan at position {pos} has round_index {plan.round_index}")
+            parity ^= plan.alice_hadamard or 0
         if not plans:
             raise ValueError("scenario needs at least one round plan")
         if len(plans) > MAX_ENUM_ROUNDS:
@@ -460,19 +455,20 @@ class _Tape:
     ``np.random.default_rng(seed)``, drawn once, by the first branch that
     needs it, and kept.  The generator is set up at the first coin.
 
-    The tape stands in for the round table in ``_play_rounds``.  A round
-    the branch keeps from the branch before (``round_index - 1 <
-    len(rounds)``) comes back as that branch's recorded leaf: the tape
-    restores the counts and weight product after it and replays its
-    attack record, as a table hit does.  Every later round plays through
-    ``ROUND_TABLE`` and appends to ``rounds`` its leaf, the ``random()``
-    and coin counts after it and the product of the branch's leaf weights
-    so far.  ``next_branch`` moves the tape to the next branch.
+    The tape fronts ``table`` in ``_play_rounds``.  A round the branch
+    keeps from the branch before (``round_index - 1 < len(rounds)``) comes
+    back as that branch's recorded leaf: the tape restores the counts and
+    weight product after it and replays its attack record, as a table hit
+    does.  Every later round plays through ``table`` and appends to
+    ``rounds`` its leaf, the ``random()`` and coin counts after it and the
+    product of the branch's leaf weights so far.  ``next_branch`` moves
+    the tape to the next branch.
     """
 
-    __slots__ = ("bits", "drawn", "coins", "weight", "rounds", "_kept", "_gen")
+    __slots__ = ("table", "bits", "drawn", "coins", "weight", "rounds", "_kept", "_gen")
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, table: RoundTable, seed: int) -> None:
+        self.table = table
         self.bits: list[int] = []
         self.drawn = 0  # random() calls so far
         self.coins = 0  # integers() calls so far
@@ -495,15 +491,15 @@ class _Tape:
             kept.append(self._gen.integers(low, high))
         return kept[k]
 
-    def play(self, play_round, script: Script, world: PureState, parity: int, plan: tuple, attack) -> tuple:
-        """A kept round's recorded leaf, else ``ROUND_TABLE.play`` with the round recorded."""
+    def play(self, script: Script, world: PureState, parity: int, plan: tuple, attack) -> tuple:
+        """A kept round's recorded leaf, else the table's play with the round recorded."""
         round_index, rounds = plan[0], self.rounds
         if round_index - 1 < len(rounds):
             leaf, self.drawn, self.coins, self.weight = rounds[round_index - 1]
             if attack is not None:
                 attack.replay_round(round_index, leaf[2][6])
             return leaf
-        leaf = ROUND_TABLE.play(play_round, script, world, parity, plan, attack)
+        leaf = self.table.play(script, world, parity, plan, attack)
         self.weight = weight = self.weight * leaf[2][7]
         rounds.append((leaf, self.drawn, self.coins, weight))
         return leaf
@@ -528,7 +524,7 @@ class _Tape:
         return True
 
 
-def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES) -> list[Branch]:
+def enumerate_branches(scenario: Scenario) -> list[Branch]:
     """Every measurement branch of the scenario, each played as a session.
 
     A branch's rounds go through ``_play_rounds`` like a session's, with
@@ -542,20 +538,19 @@ def enumerate_branches(scenario: Scenario, max_branches: int = MAX_ENUM_BRANCHES
     is the product of its rounds' leaf weights, and its transcripts hold
     the table's frozen events and records until read.  The probabilities
     sum to 1 (within float rounding).  Raises ``RuntimeError`` once there
-    are more than ``max_branches`` branches, which short scripted
+    are more than ``MAX_ENUM_BRANCHES`` branches, which short scripted
     scenarios never reach.
     """
-    _require_int("max_branches", max_branches, 1)
     plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
-    tape = _Tape(scenario.attack_seed)
+    tape = _Tape(ROUND_TABLE, scenario.attack_seed)
     script = Script((tape, tape, tape))
     branches = []
     while True:
         attack = build_attack(scenario.strategy, coins=script.tap(2))
         world, transcripts = _play_rounds(tape, script, plans, attack, transcript)
         branches.append(Branch(tape.weight, tuple(transcripts), world, attack))
-        if len(branches) > max_branches:
-            raise RuntimeError(f"scenario exceeded {max_branches} branches")
+        if len(branches) > MAX_ENUM_BRANCHES:
+            raise RuntimeError(f"scenario exceeded {MAX_ENUM_BRANCHES} branches")
         if not tape.next_branch():
             return branches
 
@@ -577,7 +572,8 @@ def _scripted(variant: str, rounds: int, **columns: tuple) -> tuple[RoundPlan, .
     column ``(entries, values, error)``: in round r the draw returns the index
     in ``values`` of ``entries[r - 1]``, and an entry not among ``values``
     raises ``ValueError(error)`` before any class is looked up.  A draw the
-    round does not make leaves its entry unread."""
+    round does not make leaves its entry unread.  Plans built from the
+    classes are left for ``Scenario`` to check."""
     at = 0
 
     def column(entries: tuple, values: tuple, error: str) -> Callable[[], int]:
@@ -594,7 +590,7 @@ def _scripted(variant: str, rounds: int, **columns: tuple) -> tuple[RoundPlan, .
     for at in range(rounds):
         i, c = next(plans)
         scripted.append(RoundPlan(i, c.mode, c.coin))
-    return _check_plans(variant, scripted)
+    return tuple(scripted)
 
 
 def original_plans(secrets: Iterable[int]) -> tuple[RoundPlan, ...]:

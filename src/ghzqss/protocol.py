@@ -180,8 +180,10 @@ class CarrierTracker:
         self.hadamard_parity ^= 1
 
     def record_layer(self, labels: Sequence[str]) -> None:
-        """Note a Hadamard layer; only the full carrier set flips the form."""
-        if set(labels) == set(CARRIER):
+        """Note a Hadamard layer on ``labels``.  H is its own inverse, so the
+        layer flips the carrier's form exactly when it turns every carrier
+        qubit an odd number of times; any other layer keeps or breaks it."""
+        if all(labels.count(lab) % 2 for lab in CARRIER):
             self.toggle()
 
 

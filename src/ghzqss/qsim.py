@@ -13,8 +13,9 @@ one outcome carries probability below ``ATOL`` in which case the other
 outcome is forced and the generator is not consulted at all.  That rule
 is what makes deterministic protocol branches reproducible independent
 of how many rng draws happened earlier.  ``measure(..., drop=True)``
-also removes the measured qubit from the register in the same gather;
-``discard`` is left for qubits that were never measured.
+also removes the measured qubit from the register in the same gather.
+``discard``, for qubits that were never measured, refuses a qubit whose
+outcome ``measure`` would not force and otherwise takes that same path.
 """
 
 from __future__ import annotations
@@ -261,9 +262,8 @@ def measure(state: PureState, label: str, rng, *, drop: bool = False) -> tuple[M
     By default the measured qubit stays in the register, now definite.
     With ``drop=True`` the one gather of the outcome's half is already
     the reduced state, and the qubit leaves the register: the result is
-    byte for byte ``discard`` of the default result, without
-    ``discard``'s second Born weight.  Dropping the last qubit raises
-    before any draw.
+    byte for byte ``discard`` of the default result, the path ``discard``
+    itself takes.  Dropping the last qubit raises before any draw.
     """
     n = state.num_qubits
     if drop and n == 1:
@@ -309,20 +309,16 @@ def discard(state: PureState, label: str) -> PureState:
 
     Discarding a qubit still in superposition, or one entangled with the
     rest of the register, is an error: that would silently turn a pure
-    state into a mixture.  ``measure(..., drop=True)`` measures and drops
-    in one pass.
+    state into a mixture.  A qubit is definite exactly when ``measure``
+    forces its outcome, so the drop is ``measure(..., drop=True)``, which
+    never draws here and is given no generator.
     """
     if state.num_qubits == 1:
         raise ValueError("cannot discard the last qubit")
     p1 = probability_of_one(state, label)
-    if p1 > ATOL and 1.0 - p1 > ATOL:
+    if not (p1 < ATOL or 1.0 - p1 < ATOL):
         raise ValueError(f"qubit {label!r} is not definite (p1={p1!r}); measure it first")
-    value = 1 if p1 > 0.5 else 0
-    k = state.axis(label)
-    kept = state.amps[_axis_table(state.num_qubits, k)[value]]  # lo or hi half
-    kept /= math.sqrt(np.dot(kept, kept))
-    labels = state.labels[:k] + state.labels[k + 1 :]
-    return _wrap(labels, kept)
+    return measure(state, label, None, drop=True)[1]
 
 
 def reorder(state: PureState, labels: Sequence[str]) -> PureState:

@@ -226,7 +226,9 @@ def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
 
 
 class RoundTable:
-    """Bounded memo of recorded statevector rounds, in front of a round function.
+    """Bounded memo of recorded statevector rounds of the one round function
+    ``play_round`` it is built with (``harness._play_round``); a key names
+    no round function, so one table never serves two.
 
     ``_trees`` maps a key (world, carrier parity before the round, plan
     class, attack class, attack ``state``) to the round's fork tree.  The
@@ -245,7 +247,7 @@ class RoundTable:
     streams exactly what the statevector play draws, because every fork
     is a coin or a Born weight of exactly 1/2 (``qsim.measure``).
 
-    A miss plays the round on the statevector path through the session's
+    A miss plays the round with ``play_round`` through the session's
     ``Script``, which hands back first the values the tree walk already
     drew, and stores the path it logged.  A play that forks other than at a
     recorded Born weight of 1/2, stored or not, raises ``RuntimeError``:
@@ -253,7 +255,8 @@ class RoundTable:
     stored, new keys play on the statevector path unstored.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, play_round: Callable) -> None:
+        self._play_round = play_round
         self._lock = threading.Lock()
         self.clear()
 
@@ -274,15 +277,12 @@ class RoundTable:
     def _intern(self, value):
         return self._interned.setdefault(value, value)
 
-    def play(
-        self, play_round, session: Script, world: PureState, parity: int, plan: tuple, attack,
-    ) -> tuple[PureState, int, tuple]:
+    def play(self, session: Script, world: PureState, parity: int, plan: tuple, attack) -> tuple[PureState, int, tuple]:
         """Round ``plan``, a (round index, plan class) pair, of the session whose ``Script`` is
         ``session``, from ``world`` at carrier parity ``parity``: replayed from its live streams
-        when recorded, else played through it by ``play_round`` (the statevector round,
-        ``harness._play_round``) and recorded.  Returns the round's leaf, (next world, next
-        parity, payload), where the payload is everything else the round produced.  Only a
-        world interned by the table can hit."""
+        when recorded, else played through it by the table's round function and recorded.
+        Returns the round's leaf, (next world, next parity, payload), where the payload is
+        everything else the round produced.  Only a world interned by the table can hit."""
         round_index, plan_class = plan
         key = (id(world), parity, plan_class, type(attack), None if attack is None else attack.state)
         node = self._trees.get(key)
@@ -298,19 +298,19 @@ class RoundTable:
                 node = node[1 + (value < 0.5)]
             drawn.append((code, value))
         if node is None:
-            return self._record(play_round, session, drawn, key, world, parity, plan, attack)
+            return self._record(session, drawn, key, world, parity, plan, attack)
         self.hits += 1
         if attack is not None:
             attack.replay_round(round_index, node[2][6])
         return node
 
-    def _record(self, play_round, script, drawn, key, world, parity, plan, attack):
+    def _record(self, script, drawn, key, world, parity, plan, attack):
         self.misses += 1
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
         round_index, plan_class = plan
         plan = RoundPlan(round_index, plan_class.mode, plan_class.coin)
-        after, parity, t = play_round(world, plan, parity, script.rngs, attack)
+        after, parity, t = self._play_round(world, plan, parity, script.rngs, attack)
         if script.pos != len(script.log):
             raise RuntimeError("a round drew less than its recording: the round table key misses state")
         recorded = attack.recorded_round(mark, round_index) if attack is not None else None

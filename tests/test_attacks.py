@@ -107,10 +107,10 @@ class TestRoundReplay:
         seen = []
         inner = RoundTable.play
 
-        def spy(self, play_round, session, world, parity, plan, attack):
+        def spy(self, session, world, parity, plan, attack):
             _, plan_class = plan
             seen.append((parity, plan_class.mode_name, plan_class.coin, attack.state))
-            return inner(self, play_round, session, world, parity, plan, attack)
+            return inner(self, session, world, parity, plan, attack)
 
         monkeypatch.setattr(RoundTable, "play", spy)
         harness.run_simulation(harness.SimConfig(variant="original", strategy="a2", rounds=6, seed=4))
@@ -376,7 +376,7 @@ class TestMeasureAndDrop:
 
     def test_a_gate2_scenario_discards_nothing(self, discarded, monkeypatch):
         # A cold table, so that every round is played on the statevector path.
-        monkeypatch.setattr(harness, "ROUND_TABLE", RoundTable())
+        monkeypatch.setattr(harness, "ROUND_TABLE", RoundTable(harness._play_round))
         branches = enumerate_branches(Scenario("original", original_plans((1, 0, 1, 1, 0, 1)), strategy="a2"))
         assert len(branches) == 32 and all(b.errors == 0 for b in branches)
         assert discarded == []

@@ -275,6 +275,22 @@ class TestAlicePlans:
         assert len(described) == 24
 
 
+def _leaves(table) -> list:
+    return [table] if isinstance(table, harness.PlanClass) else [c for sub in table for c in _leaves(sub)]
+
+
+@pytest.mark.parametrize("plan_class", _leaves(harness.PLAN_CLASSES), ids=lambda c: f"{c.mode}-{c.coin}")
+def test_every_plan_class_is_the_class_of_its_plans(plan_class):
+    # Alternating products play in odd rounds and pairs in even ones; a coin-flip class in any.
+    mode, coin = plan_class.mode, plan_class.coin
+    if coin is None:
+        indices = range(2 if type(mode) is EntangledPair else 1, MAX_ENUM_ROUNDS + 1, 2)
+    else:
+        indices = range(1, MAX_ENUM_ROUNDS + 1)
+    for index in indices:
+        assert harness._class_of(RoundPlan(index, mode, coin)) is plan_class
+
+
 class TestSimConfigValidation:
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -568,17 +584,6 @@ class TestEnumeration:
         plans.extend(original_plans([0] * MAX_ENUM_ROUNDS))
         assert scenario.plans == tuple(plans[:3])
 
-    @pytest.mark.parametrize(
-        "bad,match", [(0, "at least 1"), (-3, "at least 1"), (1.5, "an integer"), (True, "an integer")]
-    )
-    def test_max_branches_is_checked_before_any_play(self, bad, match, monkeypatch):
-        def no_play(*args):
-            raise AssertionError("a branch was played")
-
-        monkeypatch.setattr(harness, "_play_round", no_play)
-        with pytest.raises(ValueError, match=f"max_branches must be {match}"):
-            enumerate_branches(Scenario("original", original_plans((1, 0))), max_branches=bad)
-
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             Scenario("revised", ())
@@ -668,11 +673,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="payload bits"):
             Scenario(variant, plans)
 
-    def test_the_branch_cap_counts_branches(self):
+    def test_the_branch_cap_counts_branches(self, monkeypatch):
         scenario = GATE2[45]  # 32 branches, as every Gate-2 scenario
-        assert len(enumerate_branches(scenario, max_branches=32)) == 32
+        monkeypatch.setattr(harness, "MAX_ENUM_BRANCHES", 32)
+        assert len(enumerate_branches(scenario)) == 32
+        monkeypatch.setattr(harness, "MAX_ENUM_BRANCHES", 31)
         with pytest.raises(RuntimeError, match="exceeded 31 branches"):
-            enumerate_branches(scenario, max_branches=31)
+            enumerate_branches(scenario)
 
     def test_monte_carlo_agrees_with_exact_probabilities(self):
         # Two-round sessions, coin forced to 1 both rounds: a pair round
@@ -1247,7 +1254,7 @@ def _edit(transcripts):
 
 @pytest.fixture
 def table(monkeypatch):
-    fresh = RoundTable()
+    fresh = RoundTable(harness._play_round)
     monkeypatch.setattr(harness, "ROUND_TABLE", fresh)
     return fresh
 
@@ -1452,20 +1459,21 @@ class TestRoundTable:
                     assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, (variant, seed, run)
         assert table.hits > table.misses
 
-    def test_a_round_is_keyed_on_parity_and_attack_state_beyond_its_world(self, table):
+    def test_a_round_is_keyed_on_parity_and_attack_state_beyond_its_world(self):
         # A round that reads the carrier parity and the attack's state but
         # leaves the world alone gets one recording per pair of them.
         def play_round(world, plan, parity, rngs, attack):
             notes = {"parity": parity, "state": attack.state}
             return world, parity, RoundTranscript(1, plan.mode_name, None, None, plan.secret, 0, 0, 0, eve_notes=notes)
 
+        table = RoundTable(play_round)
         world, attack = chi_state(), ChannelAttack()
         plan = (1, harness._class_of(RoundPlan(1, ProductPair(0))))
         script = Script(tuple(np.random.default_rng(k) for k in range(3)))
         for _ in range(2):  # recorded, then replayed
             for parity, state in itertools.product((0, 1), repeat=2):
                 attack.state = state
-                after, next_parity, payload = table.play(play_round, script, world, parity, plan, attack)
+                after, next_parity, payload = table.play(script, world, parity, plan, attack)
                 assert after is world and next_parity == parity and attack.state == state
                 assert replay.transcript(*plan, payload).eve_notes == {"parity": parity, "state": state}
         assert (table.entries, table.misses, table.hits) == (4, 4, 4)

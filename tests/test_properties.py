@@ -46,12 +46,12 @@ def scenarios(draw):
 def test_enumeration_matches_the_replay(scenario):
     want = [_fingerprint(b) for b in _replay_branches(scenario)]
     with pytest.MonkeyPatch.context() as m:
-        table = RoundTable()
+        table = RoundTable(harness._play_round)
         m.setattr(harness, "ROUND_TABLE", table)
         enumerate_branches(scenario)
         misses = table.misses
         assert [_fingerprint(b) for b in enumerate_branches(scenario)] == want
         assert table.misses == misses  # warm: every round was replayed
         m.setattr(replay, "MAX_TABLE_ENTRIES", 0)
-        m.setattr(harness, "ROUND_TABLE", RoundTable())
+        m.setattr(harness, "ROUND_TABLE", RoundTable(harness._play_round))
         assert [_fingerprint(b) for b in enumerate_branches(scenario)] == want

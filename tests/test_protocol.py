@@ -26,7 +26,7 @@ from ghzqss.protocol import (
     revised_round,
     transcripts_to_jsonl,
 )
-from ghzqss.qsim import apply_h, basis_state, equal_up_to_sign, state_from_terms, tensor
+from ghzqss.qsim import apply_h, basis_state, discard, equal_up_to_sign, state_from_terms, tensor
 
 RH = 1.0 / np.sqrt(2.0)
 
@@ -77,6 +77,26 @@ class TestCarrierForms:
         assert tracker.hadamard_parity == 0
         tracker.record_layer(("c", "b", "a"))
         assert tracker.hadamard_parity == 1
+
+    @pytest.mark.parametrize(
+        "labels,form",
+        [
+            (("a", "a", "b", "c"), None),  # H twice on a: neither form
+            (("a", "b", "c", "a", "b", "c"), "chi"),
+            (("a", "a", "a", "b", "c"), "g"),
+            (("a", "b", "c", "e1"), "g"),  # a qubit beside the carrier
+        ],
+    )
+    def test_a_layer_flips_the_tracker_iff_it_turns_each_carrier_qubit_an_odd_number_of_times(self, labels, form):
+        tracker = CarrierTracker()
+        world = tensor(chi_state(), basis_state([("e1", 0)])) if "e1" in labels else chi_state()
+        world = hadamard_layer(world, labels, tracker)
+        if "e1" in labels:
+            world = discard(apply_h(world, "e1"), "e1")
+        # A layer that leaves neither form leaves the tracker as it was.
+        assert tracker.expected_form == (form or "chi")
+        assert equal_up_to_sign(world, chi_state()) == (form == "chi")
+        assert equal_up_to_sign(world, g_state()) == (form == "g")
 
     def test_tracker_validates_parity(self):
         with pytest.raises(ValueError):
