@@ -20,14 +20,14 @@ closed-form numbers for small scenarios.
 Sessions and branches share ``_play_rounds``, the one session loop, and
 ``_play_round``, the one per-round step.  The loop plays each round
 through ``ROUND_TABLE = RoundTable(_play_round)``, a bounded
-process-wide memo of recorded statevector rounds (``ghzqss.replay``): a
-round whose world, plan class, carrier parity and attacker state were
-seen before is replayed from the recording against the session's own
-streams, drawing exactly what the statevector play would draw, and any
-other round is played by ``_play_round`` through the session's
-``replay.Script`` and recorded.  A session keeps its world,
-parity and attack as plain values and turns each round's leaf into a
-compact row, or a transcript if asked for one.
+process-wide memo of recorded statevector rounds (``ghzqss.replay``)
+stored as a graph of (world, carrier parity, attack class, attacker
+state) nodes: a round whose node and plan class were seen before is
+replayed from the recording against the session's own streams, drawing
+exactly what the statevector play would draw, and any other round is
+played by ``_play_round`` through the session's ``replay.Script`` and
+recorded.  A session follows each round's leaf to the next node and
+turns the leaf into a compact row, or a transcript if asked for one.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState
-from .replay import PCG64Stream, RoundTable, Script, compact_row, transcript
+from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, leaf_weight, replay_leaf, transcript
 
 VARIANTS = ("original", "revised")
 
@@ -318,18 +318,18 @@ ROUND_TABLE = RoundTable(_play_round)
 
 def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
     """The one session loop: each ``(round index, plan class)`` of ``plans``
-    played through ``table`` from the carrier ``chi_state()`` at parity 0,
-    with the draws of ``script`` and ``attack``.  A session passes
-    ``ROUND_TABLE``, which plays its misses with ``_play_round``; an
-    enumerated branch passes its enumeration's ``_Tape``, which serves the
-    rounds the branch keeps from the branch before it and plays the rest
-    through the table it fronts.  Returns the final world and per round
+    played through ``table`` from the node the leaf before names, the first
+    from ``chi_state()`` at parity 0, with the draws of ``script`` and
+    ``attack``.  A session passes ``ROUND_TABLE``; an enumerated branch
+    passes its enumeration's ``_Tape``, which serves the rounds the branch
+    keeps from the branch before it and plays the rest through the table
+    it fronts.  Returns the final world and per round
     ``row(round index, plan class, payload)``."""
-    world, parity, rows = chi_state(), 0, []
+    node, rows = table.node(chi_state(), 0, attack), []
     for i, plan_class in plans:
-        world, parity, payload = table.play(script, world, parity, (i, plan_class), attack)
+        node, payload = table.play(script, node, (i, plan_class), attack)
         rows.append(row(i, plan_class, payload))
-    return world, rows
+    return node.world, rows
 
 
 def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
@@ -455,17 +455,18 @@ class _Tape:
     ``np.random.default_rng(seed)``, drawn once, by the first branch that
     needs it, and kept.  The generator is set up at the first coin.
 
-    The tape fronts ``table`` in ``_play_rounds``.  A round the branch
-    keeps from the branch before (``round_index - 1 < len(rounds)``) comes
-    back as that branch's recorded leaf: the tape restores the counts and
-    weight product after it and replays its attack record, as a table hit
+    The tape fronts ``table`` in ``_play_rounds`` and looks up the start
+    node of every branch in it once.  A round the branch keeps from the
+    branch before (``round_index - 1 < len(rounds)``) comes back as that
+    branch's recorded leaf: the tape restores the counts and weight
+    product after it and applies the leaf to the attack, as a table hit
     does.  Every later round plays through ``table`` and appends to
     ``rounds`` its leaf, the ``random()`` and coin counts after it and the
     product of the branch's leaf weights so far.  ``next_branch`` moves
     the tape to the next branch.
     """
 
-    __slots__ = ("table", "bits", "drawn", "coins", "weight", "rounds", "_kept", "_gen")
+    __slots__ = ("table", "bits", "drawn", "coins", "weight", "rounds", "_kept", "_gen", "_start")
 
     def __init__(self, table: RoundTable, seed: int) -> None:
         self.table = table
@@ -478,6 +479,14 @@ class _Tape:
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
         self._gen = PCG64Stream(lambda: np.random.default_rng(seed))
+        self._start: Node | None = None
+
+    def node(self, world: PureState, parity: int, attack) -> Node:
+        """Every branch's start node, looked up in ``table`` at the first branch."""
+        start = self._start
+        if start is None:
+            start = self._start = self.table.node(world, parity, attack)
+        return start
 
     def random(self) -> float:
         k = self.drawn
@@ -491,16 +500,15 @@ class _Tape:
             kept.append(self._gen.integers(low, high))
         return kept[k]
 
-    def play(self, script: Script, world: PureState, parity: int, plan: tuple, attack) -> tuple:
+    def play(self, script: Script, node: Node, plan: tuple, attack) -> tuple:
         """A kept round's recorded leaf, else the table's play with the round recorded."""
         round_index, rounds = plan[0], self.rounds
         if round_index - 1 < len(rounds):
             leaf, self.drawn, self.coins, self.weight = rounds[round_index - 1]
-            if attack is not None:
-                attack.replay_round(round_index, leaf[2][6])
+            replay_leaf(round_index, leaf, attack)
             return leaf
-        leaf = self.table.play(script, world, parity, plan, attack)
-        self.weight = weight = self.weight * leaf[2][7]
+        leaf = self.table.play(script, node, plan, attack)
+        self.weight = weight = self.weight * leaf_weight(leaf)
         rounds.append((leaf, self.drawn, self.coins, weight))
         return leaf
 

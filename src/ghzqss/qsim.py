@@ -265,10 +265,13 @@ def measure(state: PureState, label: str, rng, *, drop: bool = False) -> tuple[M
     byte for byte ``discard`` of the default result, the path ``discard``
     itself takes.  Dropping the last qubit raises before any draw.
     """
-    n = state.num_qubits
-    if drop and n == 1:
+    if drop and state.num_qubits == 1:
         raise ValueError("cannot drop the last qubit")
-    p1 = probability_of_one(state, label)
+    return _collapse(state, label, probability_of_one(state, label), rng, drop)
+
+
+def _collapse(state: PureState, label: str, p1: float, rng, drop: bool) -> tuple[MeasurementRecord, PureState]:
+    """``measure`` of ``label`` once its Born probability ``p1`` of outcome 1 is known."""
     if p1 < ATOL:
         outcome, prob = 0, 1.0
     elif 1.0 - p1 < ATOL:
@@ -281,7 +284,7 @@ def measure(state: PureState, label: str, rng, *, drop: bool = False) -> tuple[M
         prob = p1 if outcome == 1 else 1.0 - p1
     record = MeasurementRecord(label, outcome, float(prob))
     k = state.axis(label)
-    kept = _axis_table(n, k)[outcome]  # lo or hi
+    kept = _axis_table(state.num_qubits, k)[outcome]  # lo or hi
     if drop:
         # Both divisions of the measure-then-discard pair, in its order.
         half = state.amps[kept] / math.sqrt(prob)
@@ -310,15 +313,16 @@ def discard(state: PureState, label: str) -> PureState:
     Discarding a qubit still in superposition, or one entangled with the
     rest of the register, is an error: that would silently turn a pure
     state into a mixture.  A qubit is definite exactly when ``measure``
-    forces its outcome, so the drop is ``measure(..., drop=True)``, which
-    never draws here and is given no generator.
+    forces its outcome, so the drop is the collapse ``measure(..., drop=True)``
+    makes, from the probability the check already computed; it never draws
+    here and is given no generator.
     """
     if state.num_qubits == 1:
         raise ValueError("cannot discard the last qubit")
     p1 = probability_of_one(state, label)
     if not (p1 < ATOL or 1.0 - p1 < ATOL):
         raise ValueError(f"qubit {label!r} is not definite (p1={p1!r}); measure it first")
-    return measure(state, label, None, drop=True)[1]
+    return _collapse(state, label, p1, None, True)[1]
 
 
 def reorder(state: PureState, labels: Sequence[str]) -> PureState:

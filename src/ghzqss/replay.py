@@ -7,12 +7,13 @@ a few dozen per attack.  ``RoundTable`` records each round played from
 such a world once per outcome path, with the statevector round as the
 only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
-statevector play would draw, so sessions stay byte-identical.  Either
-way a round comes back as one leaf, (next world, next carrier parity,
-payload), from which a session builds its row with ``compact_row`` or
-``transcript``.  A leaf carries its weight, the product of the Born
-weights the round recorded, so an enumerated branch's probability is the
-product of its rounds' leaf weights.
+statevector play would draw, so sessions stay byte-identical.  The
+table is a graph of ``Node``s, and either way a round comes back as one
+leaf, (next node, payload).  A session applies it to its attack with
+``replay_leaf`` and builds its row with ``compact_row`` or
+``transcript``.  A leaf carries its weight (``leaf_weight``), the product
+of the Born weights the round recorded, so an enumerated branch's
+probability is the product of its rounds' leaf weights.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
@@ -209,6 +210,18 @@ class _Tap:
         raise TypeError(_SCALAR_ONLY)
 
 
+def replay_leaf(round_index: int, leaf: tuple, attack) -> None:
+    """Apply to ``attack`` what the round of ``leaf`` did to it, at round ``round_index``."""
+    recorded = leaf[1][6]
+    if recorded is not None:
+        attack.replay_round(round_index, recorded)
+
+
+def leaf_weight(leaf: tuple) -> float:
+    """The Born weight of the outcome path that reaches ``leaf``."""
+    return leaf[1][7]
+
+
 def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
     """The compact row ``(round_index, secret, recovered, mode, target)`` of a round's leaf payload."""
     return round_index, plan_class.secret, payload[2], plan_class.mode_name, plan_class.target
@@ -225,23 +238,35 @@ def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
     )
 
 
+class Node:
+    """A state of the round graph (see ``RoundTable``)."""
+
+    __slots__ = ("world", "parity", "attack", "state", "edges")
+
+    def __init__(self, world: PureState, parity: int, attack: type, state) -> None:
+        self.world, self.parity, self.attack, self.state, self.edges = world, parity, attack, state, {}
+
+
 class RoundTable:
     """Bounded memo of recorded statevector rounds of the one round function
-    ``play_round`` it is built with (``harness._play_round``); a key names
-    no round function, so one table never serves two.
+    ``play_round`` it is built with (``harness._play_round``), stored as a
+    graph; a node names no round function, so one table never serves two.
 
-    ``_trees`` maps a key (world, carrier parity before the round, plan
-    class, attack class, attack ``state``) to the round's fork tree.  The
-    world is the id of its copy in ``_worlds``, which interns worlds by
-    their exact labels and amplitude bytes.  A plan class's coin names the
-    variant, and a round reads its index only through what the parity,
-    plan class and ``state`` name.  A tree is built one outcome path at a
-    time: a fork is ``(code, outcome-0 subtree, outcome-1 subtree)`` with
-    its ``Script`` code, a leaf is what ``play`` returns, and ``None`` is
-    an outcome not yet recorded.  A leaf's payload is ``(bob, charlie,
-    recovered, events, records, notes, recorded, weight)``: the events,
-    records and note items as interned tuples, ``recorded`` the attack's
-    ``recorded_round`` (``None`` without an attack), and ``weight`` the
+    A ``Node`` is a world, the carrier parity before a round, the attack
+    class and the attack's ``state``; its ``edges`` map a plan class to
+    the round's fork tree, built one outcome path at a time.  A fork is
+    ``(code, outcome-0 subtree, outcome-1 subtree)`` with its ``Script``
+    code, a leaf is what ``play`` returns, (next node, payload), and
+    ``None`` is an outcome not yet recorded.  ``_nodes`` maps (world,
+    parity, attack class, ``state``) to the stored node, the world being
+    the id of its copy in ``_worlds``, which interns worlds by their exact
+    labels and amplitude bytes; only ``node`` and a miss look a node up.
+    A plan class's coin names the variant, and a round reads its index
+    only through what the parity, plan class and ``state`` name.  A leaf's
+    payload is ``(bob, charlie, recovered, events, records, notes,
+    recorded, weight)``: the events, records and note items as interned
+    tuples, ``recorded`` the attack's ``recorded_round`` (``None`` without
+    an attack or if the round left it as it was), and ``weight`` the
     product of the Born weights of the round's decode and attack records,
     a power of 1/2.  Replaying a tree draws from the session's real
     streams exactly what the statevector play draws, because every fork
@@ -249,24 +274,29 @@ class RoundTable:
 
     A miss plays the round with ``play_round`` through the session's
     ``Script``, which hands back first the values the tree walk already
-    drew, and stores the path it logged.  A play that forks other than at a
-    recorded Born weight of 1/2, stored or not, raises ``RuntimeError``:
-    a tree could not replay it.  Once ``MAX_TABLE_ENTRIES`` keys are
-    stored, new keys play on the statevector path unstored.
+    drew, and stores the path it logged, and the node if it was not.  A
+    play that forks other than at a recorded Born weight of 1/2, stored or
+    not, raises ``RuntimeError``: a tree could not replay it.  Once
+    ``MAX_TABLE_ENTRIES`` (node, plan class) trees are stored, new ones
+    play unstored, and their leaves name new nodes that are not stored.
     """
 
     def __init__(self, play_round: Callable) -> None:
         self._play_round = play_round
         self._lock = threading.Lock()
+        self._nodes: dict[tuple, Node] = {}  # node key -> stored node
         self.clear()
 
     def clear(self) -> None:
-        """Forget every recorded round and reset the counters."""
+        """Forget every recorded round and reset the counters.  A session
+        already running keeps the nodes it holds, without their trees."""
         with self._lock:
+            for node in self._nodes.values():
+                node.edges = {}
+            self._nodes.clear()
             self._worlds: dict[tuple, PureState] = {}  # world key -> interned world
-            self._trees: dict[tuple, tuple] = {}  # round key -> fork tree
             self._interned: dict = {}
-            self.entries = 0  # keys stored
+            self.entries = 0  # trees stored
             self.hits = 0
             self.misses = 0
 
@@ -277,40 +307,50 @@ class RoundTable:
     def _intern(self, value):
         return self._interned.setdefault(value, value)
 
-    def play(self, session: Script, world: PureState, parity: int, plan: tuple, attack) -> tuple[PureState, int, tuple]:
+    def node(self, world: PureState, parity: int, attack) -> Node:
+        """The stored node of ``world`` at ``parity`` with ``attack`` as it is, else a new one."""
+        # A stored key holds the id of a world ``_worlds`` keeps alive, so a
+        # live ``world`` with that id is that world: no world key is built.
+        key = (id(world), parity, type(attack), None if attack is None else attack.state)
+        return self._nodes.get(key) or self._node(Node(world, *key[1:]))
+
+    def _node(self, node: Node, store: bool = False) -> Node:
+        """The stored node of ``node``'s key, else ``node``, which ``store`` stores."""
+        get = dict.setdefault if store else dict.get
+        node.world = get(self._worlds, self._world_key(node.world), node.world)
+        return get(self._nodes, (id(node.world), node.parity, node.attack, node.state), node)
+
+    def play(self, session: Script, node: Node, plan: tuple, attack) -> tuple[Node, tuple]:
         """Round ``plan``, a (round index, plan class) pair, of the session whose ``Script`` is
-        ``session``, from ``world`` at carrier parity ``parity``: replayed from its live streams
-        when recorded, else played through it by the table's round function and recorded.
-        Returns the round's leaf, (next world, next parity, payload), where the payload is
-        everything else the round produced.  Only a world interned by the table can hit."""
+        ``session``, from ``node``: replayed from its live streams when recorded, else played
+        through it by the table's round function and recorded.  Returns the round's leaf,
+        (next node, payload), where the payload is everything else the round produced."""
         round_index, plan_class = plan
-        key = (id(world), parity, plan_class, type(attack), None if attack is None else attack.state)
-        node = self._trees.get(key)
+        tree = node.edges.get(plan_class)
         drawn = []
         gens = session.live
-        while node is not None and type(node[0]) is int:
-            code = node[0]
+        while tree is not None and type(tree[0]) is int:
+            code = tree[0]
             if code & 1:
                 value = gens[code >> 1].integers(0, 2)
-                node = node[1 + value]
+                tree = tree[1 + value]
             else:
                 value = gens[code >> 1].random()
-                node = node[1 + (value < 0.5)]
+                tree = tree[1 + (value < 0.5)]
             drawn.append((code, value))
-        if node is None:
-            return self._record(session, drawn, key, world, parity, plan, attack)
+        if tree is None:
+            return self._record(session, drawn, node, plan, attack)
         self.hits += 1
-        if attack is not None:
-            attack.replay_round(round_index, node[2][6])
-        return node
+        replay_leaf(round_index, tree, attack)
+        return tree
 
-    def _record(self, script, drawn, key, world, parity, plan, attack):
+    def _record(self, script, drawn, node, plan, attack):
         self.misses += 1
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
         round_index, plan_class = plan
         plan = RoundPlan(round_index, plan_class.mode, plan_class.coin)
-        after, parity, t = self._play_round(world, plan, parity, script.rngs, attack)
+        world, parity, t = self._play_round(node.world, plan, node.parity, script.rngs, attack)
         if script.pos != len(script.log):
             raise RuntimeError("a round drew less than its recording: the round table key misses state")
         recorded = attack.recorded_round(mark, round_index) if attack is not None else None
@@ -320,32 +360,28 @@ class RoundTable:
         if len(forks) != len(script.log) - coins or any(p != 0.5 for p in forks):
             raise RuntimeError("a round forked other than at a recorded Born weight of 1/2")
         notes = t.eve_notes
+        after = Node(world, parity, node.attack, None if recorded is None else recorded[2])
         payload = (
             t.bob, t.charlie, t.recovered, tuple(tuple(event.items()) for event in t.events),
-            tuple(t.records), None if notes is None else tuple(notes.items()), recorded,
-            math.prod(forks, start=1.0),
+            tuple(t.records), None if notes is None else tuple(notes.items()),
+            None if recorded == ((), (), node.state) else recorded, math.prod(forks, start=1.0),
         )
         # Sessions in other threads may store at the same time; a world
-        # interned outside the lock could key a tree on the id of a world
+        # interned outside the lock could key a node on the id of a world
         # the table does not keep alive.
         with self._lock:
-            worlds, world_key = self._worlds, self._world_key(world)
-            known = worlds.get(world_key, world)
-            key = (id(known), *key[1:])
-            root = self._trees.get(key)
-            if root is None:
+            here = self._node(node)
+            tree = here.edges.get(plan_class)
+            if tree is None:
                 if self.entries >= MAX_TABLE_ENTRIES:
-                    return after, parity, payload  # unstored
+                    return after, payload  # unstored
                 self.entries += 1
-                worlds[world_key] = known
+                here = self._node(node, store=True)
             intern = self._intern
             *bits, events, records, notes, recorded, weight = payload
             parts = (tuple(map(intern, events)), tuple(map(intern, records)), notes, recorded)
-            leaf = (
-                worlds.setdefault(self._world_key(after), after), parity,
-                intern((*bits, *map(intern, parts), weight)),
-            )
-            self._trees[key] = self._grow(root, script.log, leaf)
+            leaf = self._node(after, store=True), intern((*bits, *map(intern, parts), weight))
+            here.edges[plan_class] = self._grow(tree, script.log, leaf)
             return leaf
 
     @staticmethod
@@ -353,8 +389,8 @@ class RoundTable:
         """The subtree ``tree`` (``None`` if empty) with the path of ``log`` to ``leaf`` added."""
         if not log:
             # A session in another thread may have stored the same path
-            # first; its leaf is then this very world, parity and payload.
-            if tree is None or (tree[0] is leaf[0] and tree[1] == leaf[1] and tree[2] is leaf[2]):
+            # first; its leaf is then this very node and payload.
+            if tree is None or (tree[0] is leaf[0] and tree[1] is leaf[1]):
                 return leaf
             raise RuntimeError("a round forked unlike its recording: the round table key misses state")
         code, value = log[0]

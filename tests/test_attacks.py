@@ -107,10 +107,10 @@ class TestRoundReplay:
         seen = []
         inner = RoundTable.play
 
-        def spy(self, session, world, parity, plan, attack):
+        def spy(self, session, node, plan, attack):
             _, plan_class = plan
-            seen.append((parity, plan_class.mode_name, plan_class.coin, attack.state))
-            return inner(self, session, world, parity, plan, attack)
+            seen.append((node.parity, plan_class.mode_name, plan_class.coin, attack.state))
+            return inner(self, session, node, plan, attack)
 
         monkeypatch.setattr(RoundTable, "play", spy)
         harness.run_simulation(harness.SimConfig(variant="original", strategy="a2", rounds=6, seed=4))

@@ -16,7 +16,7 @@ import pytest
 import ghzqss.harness as harness
 import ghzqss.replay as replay
 from ghzqss.replay import BLOCK_WORDS, MAX_TABLE_ENTRIES, PCG64Stream, RoundTable, Script
-from ghzqss.attacks import ChannelAttack, build_attack
+from ghzqss.attacks import ATTACKS, ChannelAttack, build_attack
 from ghzqss.harness import (
     COMPATIBLE,
     MAX_ENUM_ROUNDS,
@@ -1232,13 +1232,13 @@ class _FlippingAttack(ChannelAttack):
 
 def _leaf_payloads(table):
     """The payload of every leaf the table stores."""
-    nodes, payloads = list(table._trees.values()), []
+    nodes, payloads = [tree for stored in table._nodes.values() for tree in stored.edges.values()], []
     while nodes:
         node = nodes.pop()
         if node is not None and type(node[0]) is int:
             nodes += node[1:]
         elif node is not None:
-            payloads.append(node[2])
+            payloads.append(node[1])
     return payloads
 
 
@@ -1473,10 +1473,65 @@ class TestRoundTable:
         for _ in range(2):  # recorded, then replayed
             for parity, state in itertools.product((0, 1), repeat=2):
                 attack.state = state
-                after, next_parity, payload = table.play(script, world, parity, plan, attack)
-                assert after is world and next_parity == parity and attack.state == state
+                after, payload = table.play(script, table.node(world, parity, attack), plan, attack)
+                assert after.world is world and after.parity == parity and attack.state == state
                 assert replay.transcript(*plan, payload).eve_notes == {"parity": parity, "state": state}
         assert (table.entries, table.misses, table.hits) == (4, 4, 4)
+
+    @pytest.mark.parametrize("variant,strategy", PAIRS)
+    def test_each_round_leads_to_the_node_of_its_world_and_attack_state(self, variant, strategy, table, monkeypatch):
+        cfg = SimConfig(variant=variant, strategy=strategy, rounds=60, seed=3, hadamard_bias=0.3)
+        # The world the reference loop reaches after each round.
+        worlds, module = [], sys.modules[__name__]
+        for name in ("original_round", "revised_round"):
+            def playing(*args, inner=getattr(module, name)):
+                world, t = inner(*args)
+                worlds.append((world.labels, world.amps.tobytes()))
+                return world, t
+
+            monkeypatch.setattr(module, name, playing)
+        _reference_session(cfg)
+        assert len(worlds) == cfg.rounds
+        seen, inner = [], RoundTable.play
+
+        def spy(self, session, node, plan, attack):
+            leaf = inner(self, session, node, plan, attack)
+            after = leaf[0]
+            state = None if attack is None else attack.state
+            seen.append((after.state == state, (after.world.labels, after.world.amps.tobytes())))
+            return leaf
+
+        monkeypatch.setattr(RoundTable, "play", spy)
+        for run in ("cold", "warm"):
+            seen.clear()
+            misses = table.misses
+            run_simulation(cfg)
+            assert [same for same, _ in seen] == [True] * cfg.rounds, run
+            assert [world for _, world in seen] == worlds, run
+        assert table.misses == misses  # the warm session replays every round
+
+    @pytest.mark.parametrize("strategy", [name for name, cls in ATTACKS.items() if cls is not None])
+    def test_a_warm_session_reads_the_attack_state_only_at_its_start(self, strategy, table, monkeypatch):
+        reads = []
+
+        class Counted(ATTACKS[strategy]):
+            @property
+            def state(self):
+                reads.append(1)
+                return self.__dict__.get("_state", ATTACKS[strategy].state)
+
+            @state.setter
+            def state(self, value):
+                self._state = value
+
+        monkeypatch.setattr(harness, "build_attack", lambda strategy, coins=None: Counted(coins))
+        cfg = SimConfig(variant=ATTACKS[strategy].variant, strategy=strategy, rounds=200, seed=5)
+        want = _session_bytes(*_table_session(cfg, monkeypatch))  # records every round
+        assert len(reads) > 1  # each miss reads it
+        reads.clear()
+        misses = table.misses
+        assert _session_bytes(*_table_session(cfg, monkeypatch)) == want
+        assert table.misses == misses and len(reads) == 1
 
     @pytest.mark.parametrize("fork", ["recorded", "unrecorded", "coin"])
     def test_a_fork_at_another_weight_is_never_stored(self, fork, table, monkeypatch):
@@ -1492,7 +1547,7 @@ class TestRoundTable:
                 cfg = SimConfig(strategy="a1", rounds=200, seed=seed, hadamard_bias=0.3)
                 with pytest.raises(error, match=match):
                     run_simulation(cfg)
-            assert (table.entries, table.hits) == (0, 0) and not table._trees, bound
+            assert (table.entries, table.hits) == (0, 0) and not any(node.edges for node in table._nodes.values()), bound
 
     @pytest.mark.parametrize("fork", ["recorded", "unrecorded"])
     def test_an_enumeration_that_forks_at_another_weight_raises(self, fork, table, monkeypatch):
@@ -1500,7 +1555,7 @@ class TestRoundTable:
         scenario = Scenario("revised", revised_plans((1, 0), (0, 1)), strategy="a1")
         with pytest.raises(RuntimeError, match="other than at a recorded Born weight of 1/2"):
             enumerate_branches(scenario)
-        assert (table.entries, table.hits) == (0, 0) and not table._trees
+        assert (table.entries, table.hits) == (0, 0) and not any(node.edges for node in table._nodes.values())
 
     def test_entries_never_exceed_the_bound(self, table, monkeypatch):
         monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", 5)
@@ -1726,4 +1781,5 @@ class TestRoundTable:
         for scenario in (GATE2[45], GATE5[6], DISHONEST_FORKING[0]):
             walked = [_fingerprint(b) for b in enumerate_branches(scenario)]
             assert walked == [_fingerprint(b) for b in _replay_branches(scenario)]
-        assert (table.entries, table.hits) == (0, 0) and not table._trees and table.misses > 0
+        assert (table.entries, table.hits) == (0, 0) and table.misses > 0
+        assert not any(node.edges for node in table._nodes.values())
