@@ -75,7 +75,7 @@ class ChannelAttack:
         self.coins = coins if coins is not None else np.random.default_rng(0)
         self.inferred: list[tuple[int, int, str]] = []
         # Measurements performed inside intercept hooks land here so the
-        # round table can fold their Born weights into its leaf weights
+        # round table can check their Born weights against its forks
         # (decode-side measurements ride on transcripts).
         self.records: list[MeasurementRecord] = []
         self._notes: dict | None = None

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import (
+    ATOL,
     PureState,
     apply_cnot,
     apply_h,
@@ -33,7 +34,7 @@ from .qsim import (
     state_from_terms,
     tensor,
 )
-from .protocol import chi_state, g_state
+from .protocol import chi_state, g_state, require_number
 
 RH = 1.0 / np.sqrt(2.0)
 A8 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -323,14 +324,17 @@ class IdentityResult:
         return max(b.deviation for b in self.branches)
 
 
-def verify_equation_corpus(
-    corrupt: str | None = None, atol: float = 1e-12
-) -> list[IdentityResult]:
+def verify_equation_corpus(corrupt: str | None = None, atol: float = ATOL) -> list[IdentityResult]:
     """Replay every identity; returns one result per identity.
 
     ``corrupt`` names an identity whose fixture gets one amplitude sign
-    flipped, so the corresponding result must come back failing.
+    flipped, so the corresponding result must come back failing.  A branch
+    passes within ``atol``, which must be finite and at least 0: at an
+    infinite one the negative control would pass too.
     """
+    require_number("atol", atol)
+    if not (np.isfinite(atol) and atol >= 0.0):
+        raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
     if corrupt is not None and corrupt not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {corrupt!r}; known: {', '.join(IDENTITY_IDS)}")
     results = []

@@ -12,10 +12,10 @@ the whole enumeration as every branch's Bob, Charlie and attack streams,
 and counts through the outcomes in binary.  A branch agrees with the one
 before it up to the round that draws its last tape bit, so the tape
 serves the rounds before from that branch's recorded leaves and the rest
-play through the round table.  Each branch reports
-its exact probability (the product of its rounds' leaf weights, the Born
-weights of the outcomes taken), which turns Monte Carlo claims into
-closed-form numbers for small scenarios.
+play through the round table.  Each branch reports its exact
+probability (1/2 to the power of its ``random()`` draws, as every
+measurement forks at a Born weight of 1/2), which turns Monte Carlo
+claims into closed-form numbers for small scenarios.
 
 Sessions and branches share ``_play_rounds``, the one session loop, and
 ``_play_round``, the one per-round step.  The loop plays each round
@@ -65,7 +65,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState
-from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, leaf_weight, replay_leaf, transcript
+from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, replay_leaf, transcript
 
 VARIANTS = ("original", "revised")
 
@@ -458,23 +458,21 @@ class _Tape:
     The tape fronts ``table`` in ``_play_rounds`` and looks up the start
     node of every branch in it once.  A round the branch keeps from the
     branch before (``round_index - 1 < len(rounds)``) comes back as that
-    branch's recorded leaf: the tape restores the counts and weight
-    product after it and applies the leaf to the attack, as a table hit
-    does.  Every later round plays through ``table`` and appends to
-    ``rounds`` its leaf, the ``random()`` and coin counts after it and the
-    product of the branch's leaf weights so far.  ``next_branch`` moves
-    the tape to the next branch.
+    branch's recorded leaf: the tape restores the counts after it and
+    applies the leaf to the attack, as a table hit does.  Every later
+    round plays through ``table`` and appends to ``rounds`` its leaf and
+    the ``random()`` and coin counts after it.  ``next_branch`` moves the
+    tape to the next branch.
     """
 
-    __slots__ = ("table", "bits", "drawn", "coins", "weight", "rounds", "_kept", "_gen", "_start")
+    __slots__ = ("table", "bits", "drawn", "coins", "rounds", "_kept", "_gen", "_start")
 
     def __init__(self, table: RoundTable, seed: int) -> None:
         self.table = table
         self.bits: list[int] = []
         self.drawn = 0  # random() calls so far
         self.coins = 0  # integers() calls so far
-        self.weight = 1.0  # product of the leaf weights so far
-        self.rounds: list[tuple] = []  # (leaf, drawn, coins, weight) per round
+        self.rounds: list[tuple] = []  # (leaf, drawn, coins) per round
         self._kept: list[int] = []  # the coins drawn so far
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
@@ -504,12 +502,11 @@ class _Tape:
         """A kept round's recorded leaf, else the table's play with the round recorded."""
         round_index, rounds = plan[0], self.rounds
         if round_index - 1 < len(rounds):
-            leaf, self.drawn, self.coins, self.weight = rounds[round_index - 1]
+            leaf, self.drawn, self.coins = rounds[round_index - 1]
             replay_leaf(round_index, leaf, attack)
             return leaf
         leaf = self.table.play(script, node, plan, attack)
-        self.weight = weight = self.weight * leaf_weight(leaf)
-        rounds.append((leaf, self.drawn, self.coins, weight))
+        rounds.append((leaf, self.drawn, self.coins))
         return leaf
 
     def next_branch(self) -> bool:
@@ -528,7 +525,7 @@ class _Tape:
         while start and rounds[start - 1][1] >= len(bits):
             start -= 1
         del rounds[start:]
-        self.bits, self.drawn, self.coins, self.weight = bits, 0, 0, 1.0
+        self.bits, self.drawn, self.coins = bits, 0, 0
         return True
 
 
@@ -543,11 +540,11 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
     first that draws its last tape bit: the tape serves those rounds from
     the branch before's leaves, and plays the rest through ``ROUND_TABLE``.
     Each branch builds its own attack and transcripts.  Its probability
-    is the product of its rounds' leaf weights, and its transcripts hold
-    the table's frozen events and records until read.  The probabilities
-    sum to 1 (within float rounding).  Raises ``RuntimeError`` once there
-    are more than ``MAX_ENUM_BRANCHES`` branches, which short scripted
-    scenarios never reach.
+    is 1/2 to the power of its ``random()`` draws, and its transcripts
+    hold the table's frozen events and records until read.  The
+    probabilities are dyadic and sum to exactly 1.0.  Raises
+    ``RuntimeError`` once there are more than ``MAX_ENUM_BRANCHES``
+    branches, which short scripted scenarios never reach.
     """
     plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
     tape = _Tape(ROUND_TABLE, scenario.attack_seed)
@@ -556,7 +553,7 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
     while True:
         attack = build_attack(scenario.strategy, coins=script.tap(2))
         world, transcripts = _play_rounds(tape, script, plans, attack, transcript)
-        branches.append(Branch(tape.weight, tuple(transcripts), world, attack))
+        branches.append(Branch(0.5 ** tape.drawn, tuple(transcripts), world, attack))
         if len(branches) > MAX_ENUM_BRANCHES:
             raise RuntimeError(f"scenario exceeded {MAX_ENUM_BRANCHES} branches")
         if not tape.next_branch():

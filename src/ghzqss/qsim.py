@@ -201,8 +201,8 @@ def prepare_pair_qbar(q: int, labels: Sequence[str] = ("w1", "w2")) -> PureState
     property the entangled encoding relies on.  Equal arguments return
     the same immutable state.
     """
-    if q not in (0, 1):
-        raise ValueError(f"payload bit must be 0 or 1, got {q!r}")
+    if type(q) is not int or q not in (0, 1):
+        raise ValueError(f"payload bit must be the int 0 or 1, got {q!r}")
     labels = tuple(labels)
     if len(labels) != 2:
         raise ValueError("transit pair has exactly two qubits")

@@ -11,9 +11,7 @@ statevector play would draw, so sessions stay byte-identical.  The
 table is a graph of ``Node``s, and either way a round comes back as one
 leaf, (next node, payload).  A session applies it to its attack with
 ``replay_leaf`` and builds its row with ``compact_row`` or
-``transcript``.  A leaf carries its weight (``leaf_weight``), the product
-of the Born weights the round recorded, so an enumerated branch's
-probability is the product of its rounds' leaf weights.
+``transcript``.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
@@ -28,7 +26,9 @@ use.  A stream's draws are plain methods with exact positional
 arguments, and Alice's bits come from its zero-argument ``bit()``, so
 neither a fork walk nor a plan draw leaves the interpreter's inlined
 calls.  Every fork of the paper's Clifford circuits has weight
-1/2, so a round that forks otherwise raises instead of playing slowly.
+1/2, so a round that forks otherwise raises instead of playing slowly,
+and an enumerated branch's probability is 1/2 to the power of its
+``random()`` draws.
 
 The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
 sessions and exact enumeration alike: an enumerated branch is a session
@@ -41,7 +41,6 @@ the rest through the table (``harness.enumerate_branches``).
 from __future__ import annotations
 
 import functools
-import math
 import threading
 from typing import Callable
 
@@ -217,11 +216,6 @@ def replay_leaf(round_index: int, leaf: tuple, attack) -> None:
         attack.replay_round(round_index, recorded)
 
 
-def leaf_weight(leaf: tuple) -> float:
-    """The Born weight of the outcome path that reaches ``leaf``."""
-    return leaf[1][7]
-
-
 def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
     """The compact row ``(round_index, secret, recovered, mode, target)`` of a round's leaf payload."""
     return round_index, plan_class.secret, payload[2], plan_class.mode_name, plan_class.target
@@ -231,7 +225,7 @@ def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
     """The transcript of a round's leaf payload, a new one on every call.  It
     holds the payload's frozen events, records and notes and builds its own
     list or dict of each on the first read, so no transcript shares one."""
-    bob, charlie, recovered, events, records, notes, _, _ = payload
+    bob, charlie, recovered, events, records, notes, _ = payload
     return RoundTranscript(
         round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
         bob, charlie, recovered, events, records, notes,
@@ -264,13 +258,12 @@ class RoundTable:
     A plan class's coin names the variant, and a round reads its index
     only through what the parity, plan class and ``state`` name.  A leaf's
     payload is ``(bob, charlie, recovered, events, records, notes,
-    recorded, weight)``: the events, records and note items as interned
-    tuples, ``recorded`` the attack's ``recorded_round`` (``None`` without
-    an attack or if the round left it as it was), and ``weight`` the
-    product of the Born weights of the round's decode and attack records,
-    a power of 1/2.  Replaying a tree draws from the session's real
-    streams exactly what the statevector play draws, because every fork
-    is a coin or a Born weight of exactly 1/2 (``qsim.measure``).
+    recorded)``: the events, records and note items as interned tuples,
+    and ``recorded`` the attack's ``recorded_round`` (``None`` without an
+    attack or if the round left it as it was).  Replaying a tree draws
+    from the session's real streams exactly what the statevector play
+    draws, because every fork is a coin or a Born weight of exactly 1/2
+    (``qsim.measure``).
 
     A miss plays the round with ``play_round`` through the session's
     ``Script``, which hands back first the values the tree walk already
@@ -364,7 +357,7 @@ class RoundTable:
         payload = (
             t.bob, t.charlie, t.recovered, tuple(tuple(event.items()) for event in t.events),
             tuple(t.records), None if notes is None else tuple(notes.items()),
-            None if recorded == ((), (), node.state) else recorded, math.prod(forks, start=1.0),
+            None if recorded == ((), (), node.state) else recorded,
         )
         # Sessions in other threads may store at the same time; a world
         # interned outside the lock could key a node on the id of a world
@@ -378,9 +371,9 @@ class RoundTable:
                 self.entries += 1
                 here = self._node(node, store=True)
             intern = self._intern
-            *bits, events, records, notes, recorded, weight = payload
+            *bits, events, records, notes, recorded = payload
             parts = (tuple(map(intern, events)), tuple(map(intern, records)), notes, recorded)
-            leaf = self._node(after, store=True), intern((*bits, *map(intern, parts), weight))
+            leaf = self._node(after, store=True), intern((*bits, *map(intern, parts)))
             here.edges[plan_class] = self._grow(tree, script.log, leaf)
             return leaf
 

@@ -526,7 +526,7 @@ class TestEnumeration:
             assert abs(branch.probability - 0.25) < 1e-9
             assert branch.errors == 0
             assert branch.world.labels == CARRIER
-        assert abs(sum(b.probability for b in branches) - 1.0) < 1e-9
+        assert sum(b.probability for b in branches) == 1.0
 
     def test_final_world_matches_the_tracker_form(self):
         plans = revised_plans((1, 0), (1, 0), targets=(W1, W2))
@@ -549,7 +549,7 @@ class TestEnumeration:
         else:
             plans = revised_plans((1, 1, 0, 1), (0, 1, 1, 0), targets=(W1, W2, W2, W1))
         branches = enumerate_branches(Scenario(variant, plans, strategy=strategy))
-        assert abs(sum(b.probability for b in branches) - 1.0) < 1e-9
+        assert sum(b.probability for b in branches) == 1.0
 
     def test_enumeration_is_exhaustive_for_the_full_schedule(self):
         # Odd rounds decode deterministically under the schedule; round 2
@@ -1767,12 +1767,19 @@ class TestRoundTable:
             enumerate_branches(scenario)
         plan_class = harness.PLAN_CLASSES[1][0][0]  # only the fields of the transcript
         weights = set()
-        for payload in _leaf_payloads(table):
-            t, weight = replay.transcript(7, plan_class, payload), payload[7]
-            recorded = payload[6]
-            born = [r.probability for r in (*t.records, *(recorded[0] if recorded else ()))]
-            assert type(weight) is float and weight == math.prod(born)
-            assert weight <= 1.0 and math.frexp(weight)[0] == 0.5  # a power of 1/2
+        # Each stored tree with the number of random() forks on the path to it.
+        trees = [(tree, 0) for stored in table._nodes.values() for tree in stored.edges.values()]
+        while trees:
+            tree, forks = trees.pop()
+            if tree is None:
+                continue
+            if type(tree[0]) is int:
+                trees += [(sub, forks + (tree[0] & 1 == 0)) for sub in tree[1:]]
+                continue
+            payload = tree[1]
+            t, recorded = replay.transcript(7, plan_class, payload), payload[6]
+            weight = math.prod(r.probability for r in (*t.records, *(recorded[0] if recorded else ())))
+            assert weight == 0.5 ** forks
             weights.add(weight)
         assert {1.0, 0.5, 0.25} <= weights
 

@@ -48,7 +48,7 @@ def test_enumeration_matches_the_replay(scenario):
     with pytest.MonkeyPatch.context() as m:
         table = RoundTable(harness._play_round)
         m.setattr(harness, "ROUND_TABLE", table)
-        enumerate_branches(scenario)
+        assert sum(b.probability for b in enumerate_branches(scenario)) == 1.0  # dyadic, so exact
         misses = table.misses
         assert [_fingerprint(b) for b in enumerate_branches(scenario)] == want
         assert table.misses == misses  # warm: every round was replayed

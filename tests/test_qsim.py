@@ -262,8 +262,9 @@ class TestConstructors:
             assert (_bit_of(idx, 2, 0) ^ _bit_of(idx, 2, 1)) == q
 
     def test_pair_encoding_rejects_bad_payload(self):
-        with pytest.raises(ValueError, match="payload"):
-            prepare_pair_qbar(2)
+        for q in (2, True, 1.0):  # the int 0 or 1 only, as for basis_state
+            with pytest.raises(ValueError, match="payload"):
+                prepare_pair_qbar(q)
 
     def test_amplitudes_are_frozen(self):
         st = ghz_carrier()
