@@ -2,13 +2,13 @@
 
     python3 -m pytest mutants/test_mutants.py
 
-It checks that every mutant still applies and names tests that pytest
-collects, runs the cheapest mutant through the runner, and feeds the
-runner a stale mutant and one that changes nothing the tests read.
+It checks that every mutant still applies, that every named test passes
+on the unmutated source, runs the cheapest mutant through the runner, and
+feeds the runner a stale mutant, one that changes nothing the tests read
+and one whose tests time out.
 ``python3 mutants/run.py`` runs every mutant.
 """
 
-import subprocess
 import sys
 from pathlib import Path
 
@@ -28,12 +28,10 @@ def test_every_mutant_applies_exactly_once(mutant):
     assert run.stale(mutant) is None
 
 
-def test_every_named_test_is_collected():
+def test_every_named_test_passes_on_the_unmutated_source():
     assert len({m["name"] for m in MUTANTS}) == len(MUTANTS)
-    tests = sorted({t for m in MUTANTS for t in m["tests"]})
-    cmd = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *tests]
-    done = subprocess.run(cmd, cwd=run.ROOT, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    passed, detail = run.baseline(MUTANTS)
+    assert passed, detail
 
 
 def test_a_mutant_is_caught_in_a_copy_of_the_source():
@@ -55,3 +53,9 @@ def test_a_mutant_whose_text_is_not_there_once_is_stale(old):
     broken = {**CHEAP, "name": "broken", "old": old}
     assert "occurs" in run.stale(broken)
     assert run.run(broken) == (False, f"stale: {run.stale(broken)}")
+
+
+def test_a_mutant_whose_tests_time_out_is_not_caught(monkeypatch):
+    monkeypatch.setattr(run, "TIMEOUT_S", 0.01)
+    caught, detail = run.run(CHEAP)
+    assert not caught and detail.startswith("timed out"), detail

@@ -324,7 +324,9 @@ class IdentityResult:
         return max(b.deviation for b in self.branches)
 
 
-def verify_equation_corpus(corrupt: str | None = None, atol: float = ATOL) -> list[IdentityResult]:
+def verify_equation_corpus(
+    corrupt: str | None = None, atol: float = ATOL
+) -> list[IdentityResult]:
     """Replay every identity; returns one result per identity.
 
     ``corrupt`` names an identity whose fixture gets one amplitude sign
