@@ -31,10 +31,11 @@ from .qsim import (
     discard,
     measure,
     prepare_pair_qbar,
+    require_atol,
     state_from_terms,
     tensor,
 )
-from .protocol import chi_state, g_state, require_number
+from .protocol import chi_state, g_state
 
 RH = 1.0 / np.sqrt(2.0)
 A8 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -334,9 +335,7 @@ def verify_equation_corpus(
     passes within ``atol``, which must be finite and at least 0: at an
     infinite one the negative control would pass too.
     """
-    require_number("atol", atol)
-    if not (np.isfinite(atol) and atol >= 0.0):
-        raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
+    require_atol(atol)
     if corrupt is not None and corrupt not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {corrupt!r}; known: {', '.join(IDENTITY_IDS)}")
     results = []

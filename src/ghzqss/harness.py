@@ -44,10 +44,8 @@ import numpy as np
 
 from .attacks import ATTACKS, build_attack, eve_reconstruct
 from .protocol import (
-    CARRIER,
     W1,
     W2,
-    CarrierTracker,
     EntangledPair,
     ProductPair,
     Rngs,
@@ -61,10 +59,9 @@ from .protocol import (
     chi_state,
     hadamard_layer,
     original_round,
-    require_number,
     revised_round,
 )
-from .qsim import PureState
+from .qsim import PureState, require_number
 from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, replay_leaf, transcript
 
 VARIANTS = ("original", "revised")
@@ -297,19 +294,19 @@ def _play_round(
     world, the next parity and the transcript.
 
     A plan without a coin plays the alternating variant, which applies
-    the public Hadamard layer before every round after the first; the
-    attack keeps its probes in step with it.
+    the public Hadamard layer before every round after the first and so
+    flips the parity; the attack keeps its probes in step with it.  A
+    coin of 1 flips the parity too.
     """
-    tracker = CarrierTracker(parity)
     play = revised_round
     if plan.alice_hadamard is None:
         play = original_round
         if plan.round_index > 1:
-            world = hadamard_layer(world, CARRIER, tracker)
+            world, parity = hadamard_layer(world), parity ^ 1
             if attack is not None:
                 world = attack.sync_hadamard(world)
-    world, t = play(world, plan, tracker, rngs, attack)
-    return world, tracker.hadamard_parity, t
+    world, t = play(world, plan, parity, rngs, attack)
+    return world, parity ^ (plan.alice_hadamard or 0), t
 
 
 # The process-wide memo of ``_play_round``, for sessions and enumeration.

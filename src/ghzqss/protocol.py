@@ -18,13 +18,15 @@ form for the next round.  Two session variants are implemented:
   receivers confirm receipt.
 
 The carrier alternates between ``chi`` and its three-fold Hadamard
-transform ``g = H x H x H |chi>``.  A round decodes correctly only when
+transform ``g = H x H x H |chi>``.  Which of the two it holds is one
+int, the carrier ``parity`` (0 for ``chi``, 1 for ``g``), that every
+round function takes as its third argument.  Alice's coin flips it, and
+so does the public Hadamard layer (``hadamard_layer``) before every
+alternating round after the first.  A round decodes correctly only when
 the encoding matches the carrier form at decode time: the correlated
 pair works exactly when the form is ``g`` at the end of the round, and
-the single-qubit encodings work exactly when it is ``chi``.  For the
-coin-flip variant that end-of-round form is ``coin XOR parity`` where
-``parity`` tracks the Hadamard layers applied so far, so round plans
-must satisfy
+the single-qubit encodings work exactly when it is ``chi``.  That
+end-of-round form is ``coin XOR parity``, so round plans must satisfy
 
     entangled pair  iff  coin XOR parity == 1
     basis singles   iff  coin XOR parity == 0
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -63,6 +64,7 @@ from .qsim import (
     ghz_carrier,
     measure,
     prepare_pair_qbar,
+    require_number,
     tensor,
 )
 
@@ -80,11 +82,15 @@ def chi_state() -> PureState:
 
 @cache
 def g_state() -> PureState:
-    """Carrier after one full Hadamard layer: the even-weight superposition; built once."""
-    state = chi_state()
+    """Carrier after one Hadamard layer: the even-weight superposition; built once."""
+    return hadamard_layer(chi_state())
+
+
+def hadamard_layer(world: PureState) -> PureState:
+    """The alternating variant's public layer: H on each carrier qubit, ``chi`` <-> ``g``."""
     for lab in CARRIER:
-        state = apply_h(state, lab)
-    return state
+        world = apply_h(world, lab)
+    return world
 
 
 # --------------------------------------------------------------------------
@@ -159,32 +165,6 @@ class RoundPlan:
     @property
     def target(self) -> str | None:
         return self.mode.target if isinstance(self.mode, SinglePair) else None
-
-
-class CarrierTracker:
-    """Classical record of which form the carrier should currently hold."""
-
-    def __init__(self, hadamard_parity: int = 0) -> None:
-        if hadamard_parity not in (0, 1):
-            raise ValueError("hadamard_parity must be 0 or 1")
-        self.hadamard_parity = hadamard_parity
-
-    @property
-    def expected_form(self) -> str:
-        return "g" if self.hadamard_parity else "chi"
-
-    def expected_state(self) -> PureState:
-        return g_state() if self.hadamard_parity else chi_state()
-
-    def toggle(self) -> None:
-        self.hadamard_parity ^= 1
-
-    def record_layer(self, labels: Sequence[str]) -> None:
-        """Note a Hadamard layer on ``labels``.  H is its own inverse, so the
-        layer flips the carrier's form exactly when it turns every carrier
-        qubit an odd number of times; any other layer keeps or breaks it."""
-        if all(labels.count(lab) % 2 for lab in CARRIER):
-            self.toggle()
 
 
 # --------------------------------------------------------------------------
@@ -358,26 +338,11 @@ def _cleanup_transit(world: PureState) -> PureState:
     return world
 
 
-def _assert_carrier(world: PureState, tracker: CarrierTracker) -> None:
+def _assert_carrier(world: PureState, parity: int) -> None:
     if world.labels != CARRIER:
         raise AssertionError(f"unexpected residual qubits {world.labels} after honest round")
-    if not equal_up_to_sign(world, tracker.expected_state()):
-        raise AssertionError(f"carrier failed to return to its {tracker.expected_form} form")
-
-
-# --------------------------------------------------------------------------
-# Hadamard layer (alternating variant)
-
-
-def hadamard_layer(
-    world: PureState, labels: Sequence[str] = CARRIER, tracker: CarrierTracker | None = None
-) -> PureState:
-    """Apply H to each listed carrier qubit and record the layer."""
-    for lab in labels:
-        world = apply_h(world, lab)
-    if tracker is not None:
-        tracker.record_layer(labels)
-    return world
+    if not equal_up_to_sign(world, g_state() if parity else chi_state()):
+        raise AssertionError(f"carrier failed to return to its {'g' if parity else 'chi'} form")
 
 
 # --------------------------------------------------------------------------
@@ -385,8 +350,9 @@ def hadamard_layer(
 
 
 def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
-    """Raise ``ValueError`` unless ``plan`` decodes exactly when played
-    against the carrier form ``parity`` in the given variant.
+    """Raise ``ValueError`` unless ``parity`` is the int 0 or 1 and
+    ``plan`` decodes exactly when played against that carrier form in
+    the given variant.
 
     The alternating variant has no coin and plays ``ProductPair`` in odd
     rounds against ``chi`` and ``EntangledPair`` in even rounds against
@@ -396,6 +362,8 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
     the int 0 or 1, not a bool or a float: the harness interns plans by
     value, so equal plans must be equal in type too.
     """
+    if type(parity) is not int or parity not in (0, 1):
+        raise ValueError(f"carrier parity must be the int 0 or 1, got {parity!r}")
     mode, coin = plan.mode, plan.alice_hadamard
     kind = type(mode)
     if plan.round_index < 1:
@@ -432,7 +400,7 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
 def _play(
     world: PureState,
     plan: RoundPlan,
-    tracker: CarrierTracker,
+    parity: int,
     rngs: Rngs,
     attack,
     coin_flip: bool,
@@ -441,9 +409,10 @@ def _play(
     block, Charlie's block, finish.
 
     The variants differ only in the encoding and in the coin, which is
-    ``None`` in the alternating variant.
+    ``None`` in the alternating variant.  An honest round must leave the
+    carrier in the form ``parity ^ coin``, the caller's next parity.
     """
-    check_plan(plan, tracker.hadamard_parity, coin_flip)
+    check_plan(plan, parity, coin_flip)
     _require_clean_world(world)
     mode, coin = plan.mode, plan.alice_hadamard
     kind = type(mode)
@@ -507,11 +476,9 @@ def _play(
     else:
         events.append(ev_measurement("bob", bob_bit))
         recovered = bob_bit ^ rec_c.outcome
-    if coin:
-        tracker.toggle()
     world = _cleanup_transit(world)
     if attack is None:
-        _assert_carrier(world, tracker)
+        _assert_carrier(world, parity ^ (coin or 0))
     transcript = RoundTranscript(
         round_index=plan.round_index,
         mode=plan.mode_name,
@@ -531,7 +498,7 @@ def _play(
 def original_round(
     world: PureState,
     plan: RoundPlan,
-    tracker: CarrierTracker,
+    parity: int,
     rngs: Rngs,
     attack=None,
 ) -> tuple[PureState, RoundTranscript]:
@@ -542,15 +509,16 @@ def original_round(
     measures and obtains the secret directly.  Even rounds send the
     correlated pair against the ``g`` form, Bob announces his outcome
     and the secret is the XOR of the two outcomes.  The caller applies
-    the Hadamard layer between rounds (``hadamard_layer``).
+    the Hadamard layer between rounds (``hadamard_layer``) and flips
+    ``parity`` with it; a round leaves the parity as it found it.
     """
-    return _play(world, plan, tracker, rngs, attack, coin_flip=False)
+    return _play(world, plan, parity, rngs, attack, coin_flip=False)
 
 
 def revised_round(
     world: PureState,
     plan: RoundPlan,
-    tracker: CarrierTracker,
+    parity: int,
     rngs: Rngs,
     attack=None,
 ) -> tuple[PureState, RoundTranscript]:
@@ -563,17 +531,11 @@ def revised_round(
     must pair the encoding with the carrier form per the rule in the
     module docstring, otherwise the decode would not be exact.
     """
-    return _play(world, plan, tracker, rngs, attack, coin_flip=True)
+    return _play(world, plan, parity, rngs, attack, coin_flip=True)
 
 
 # --------------------------------------------------------------------------
 # Check phase
-
-
-def require_number(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number but no bool."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def check_settings(check_fraction: float, threshold: float, threshold_name: str = "threshold") -> None:

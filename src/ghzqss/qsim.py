@@ -21,6 +21,7 @@ outcome ``measure`` would not force and otherwise takes that same path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -348,6 +349,22 @@ def deviation_up_to_sign(state: PureState, other: PureState) -> float:
     return min(d_plus, d_minus)
 
 
+def require_number(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number but no bool."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def require_atol(atol) -> None:
+    """Raise ``ValueError`` unless ``atol`` is a finite number at least 0:
+    at an infinite tolerance any two states would compare equal, and at a
+    NaN or negative one none would."""
+    require_number("atol", atol)
+    if not (math.isfinite(atol) and atol >= 0.0):
+        raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
+
+
 def equal_up_to_sign(state: PureState, other: PureState, atol: float = ATOL) -> bool:
-    """True when the states agree up to a global sign within ``atol``."""
+    """True when the states agree up to a global sign within ``atol`` (see ``require_atol``)."""
+    require_atol(atol)
     return deviation_up_to_sign(state, other) <= atol

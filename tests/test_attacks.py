@@ -28,7 +28,6 @@ from ghzqss.protocol import (
     CARRIER,
     W1,
     W2,
-    CarrierTracker,
     EntangledPair,
     Rngs,
     RoundPlan,
@@ -370,7 +369,7 @@ class TestMeasureAndDrop:
 
     def test_honest_rounds_discard_nothing(self, discarded):
         for plan in self.PLANS:
-            world, t = revised_round(chi_state(), plan, CarrierTracker(), _rngs())
+            world, t = revised_round(chi_state(), plan, 0, _rngs())
             assert world.labels == CARRIER and t.recovered == t.secret
         assert discarded == []
 
@@ -384,7 +383,7 @@ class TestMeasureAndDrop:
     def test_a_dishonest_round_discards_only_the_kept_substitute(self, discarded):
         for plan in self.PLANS:
             discarded.clear()
-            world, _ = revised_round(chi_state(), plan, CarrierTracker(), _rngs(), DishonestBobAttack())
+            world, _ = revised_round(chi_state(), plan, 0, _rngs(), DishonestBobAttack())
             assert world.labels == CARRIER
             assert discarded == ["w1p"]
 
@@ -396,4 +395,4 @@ class TestMeasureAndDrop:
 
         plan = RoundPlan(1, SinglePair(1, 0, W1), alice_hadamard=0)
         with pytest.raises(ValueError, match="'w1p' is not definite"):
-            revised_round(chi_state(), plan, CarrierTracker(), _rngs(), EntanglingBob())
+            revised_round(chi_state(), plan, 0, _rngs(), EntanglingBob())

@@ -36,7 +36,6 @@ from ghzqss.protocol import (
     CARRIER,
     W1,
     W2,
-    CarrierTracker,
     EntangledPair,
     ProductPair,
     Rngs,
@@ -45,6 +44,7 @@ from ghzqss.protocol import (
     SinglePair,
     check_phase,
     chi_state,
+    g_state,
     hadamard_layer,
     original_round,
     revised_round,
@@ -528,11 +528,10 @@ class TestEnumeration:
             assert branch.world.labels == CARRIER
         assert sum(b.probability for b in branches) == 1.0
 
-    def test_final_world_matches_the_tracker_form(self):
+    def test_final_world_matches_the_carrier_form(self):
         plans = revised_plans((1, 0), (1, 0), targets=(W1, W2))
         for branch in enumerate_branches(Scenario("revised", plans)):
-            tracker = CarrierTracker(1)  # one coin flip happened
-            assert equal_up_to_sign(branch.world, tracker.expected_state())
+            assert equal_up_to_sign(branch.world, g_state())  # one coin flip happened
 
     @pytest.mark.parametrize(
         "variant,strategy,plans",
@@ -645,8 +644,8 @@ class TestEnumeration:
         # Plans are not checked when built, so each consumer must check them.
         rngs = Rngs(*(np.random.default_rng(k) for k in range(3)))
         consumers = (
-            lambda: original_round(chi_state(), original, CarrierTracker(), rngs),
-            lambda: revised_round(chi_state(), revised, CarrierTracker(), rngs),
+            lambda: original_round(chi_state(), original, 0, rngs),
+            lambda: revised_round(chi_state(), revised, 0, rngs),
             lambda: Scenario("original", (original,)),
             lambda: Scenario("revised", (revised,)),
         )
@@ -749,18 +748,19 @@ def _replay_branches(scenario):
         decider = TapeDecider(tape)
         attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
         rngs = Rngs(bob=decider, charlie=decider, attack=decider)
-        world = chi_state()
-        tracker = CarrierTracker()
+        world, parity = chi_state(), 0
         transcripts = []
         for plan in scenario.plans:
             if scenario.variant == "original":
                 if plan.round_index > 1:
-                    world = hadamard_layer(world, CARRIER, tracker)
+                    world = hadamard_layer(world)
+                    parity ^= 1
                     if attack is not None:
                         world = attack.sync_hadamard(world)
-                world, t = original_round(world, plan, tracker, rngs, attack)
+                world, t = original_round(world, plan, parity, rngs, attack)
             else:
-                world, t = revised_round(world, plan, tracker, rngs, attack)
+                world, t = revised_round(world, plan, parity, rngs, attack)
+                parity ^= plan.alice_hadamard
             transcripts.append(t)
         prob = 1.0
         for t in transcripts:
@@ -1110,8 +1110,7 @@ def _reference_session(cfg, make_attack=build_attack):
         attack=stream(cfg.seed, harness.STREAM_ATTACK),
     )
     attack = make_attack(cfg.strategy, coins=rngs.attack)
-    world = chi_state()
-    tracker = CarrierTracker()
+    world, parity = chi_state(), 0
     transcripts = []
     for i in range(1, cfg.rounds + 1):
         if cfg.secret_bits is not None:
@@ -1122,20 +1121,22 @@ def _reference_session(cfg, make_attack=build_attack):
             mode = ProductPair(secret) if i % 2 == 1 else EntangledPair(secret)
             plan = RoundPlan(i, mode)
             if i > 1:
-                world = hadamard_layer(world, CARRIER, tracker)
+                world = hadamard_layer(world)
+                parity ^= 1
                 if attack is not None:
                     world = attack.sync_hadamard(world)
-            world, t = original_round(world, plan, tracker, rngs, attack)
+            world, t = original_round(world, plan, parity, rngs, attack)
         else:
             coin = int(alice.random() < cfg.hadamard_bias)
-            if coin ^ tracker.hadamard_parity:
+            if coin ^ parity:
                 mode = EntangledPair(secret)
             else:
                 q1 = int(alice.integers(0, 2))
                 target = W1 if alice.random() < 0.5 else W2
                 mode = SinglePair(q1, q1 ^ secret, target)
             plan = RoundPlan(i, mode, alice_hadamard=coin)
-            world, t = revised_round(world, plan, tracker, rngs, attack)
+            world, t = revised_round(world, plan, parity, rngs, attack)
+            parity ^= coin
         transcripts.append(t)
     error_rate, detected, _ = check_phase(
         transcripts, cfg.check_fraction, stream(cfg.seed, harness.STREAM_CHECK), cfg.detect_threshold

@@ -9,7 +9,6 @@ from ghzqss.protocol import (
     CARRIER,
     W1,
     W2,
-    CarrierTracker,
     EntangledPair,
     ProductPair,
     Rngs,
@@ -26,7 +25,7 @@ from ghzqss.protocol import (
     revised_round,
     transcripts_to_jsonl,
 )
-from ghzqss.qsim import apply_h, basis_state, discard, equal_up_to_sign, state_from_terms, tensor
+from ghzqss.qsim import apply_h, basis_state, equal_up_to_sign, state_from_terms, tensor
 
 RH = 1.0 / np.sqrt(2.0)
 
@@ -63,45 +62,22 @@ class TestCarrierForms:
                 form().amps[0] = 0.0
 
     def test_layer_is_an_involution_on_the_carrier(self):
-        tracker = CarrierTracker()
-        st = hadamard_layer(chi_state(), CARRIER, tracker)
-        assert tracker.expected_form == "g"
+        st = hadamard_layer(chi_state())
         assert equal_up_to_sign(st, g_state())
-        st = hadamard_layer(st, CARRIER, tracker)
-        assert tracker.expected_form == "chi"
+        st = hadamard_layer(st)
         assert equal_up_to_sign(st, chi_state())
 
-    def test_partial_layer_does_not_flip_the_tracker(self):
-        tracker = CarrierTracker()
-        tracker.record_layer(("a", "b"))
-        assert tracker.hadamard_parity == 0
-        tracker.record_layer(("c", "b", "a"))
-        assert tracker.hadamard_parity == 1
-
-    @pytest.mark.parametrize(
-        "labels,form",
-        [
-            (("a", "a", "b", "c"), None),  # H twice on a: neither form
-            (("a", "b", "c", "a", "b", "c"), "chi"),
-            (("a", "a", "a", "b", "c"), "g"),
-            (("a", "b", "c", "e1"), "g"),  # a qubit beside the carrier
-        ],
-    )
-    def test_a_layer_flips_the_tracker_iff_it_turns_each_carrier_qubit_an_odd_number_of_times(self, labels, form):
-        tracker = CarrierTracker()
-        world = tensor(chi_state(), basis_state([("e1", 0)])) if "e1" in labels else chi_state()
-        world = hadamard_layer(world, labels, tracker)
-        if "e1" in labels:
-            world = discard(apply_h(world, "e1"), "e1")
-        # A layer that leaves neither form leaves the tracker as it was.
-        assert tracker.expected_form == (form or "chi")
-        assert equal_up_to_sign(world, chi_state()) == (form == "chi")
-        assert equal_up_to_sign(world, g_state()) == (form == "g")
-
-    def test_tracker_validates_parity(self):
-        with pytest.raises(ValueError):
-            CarrierTracker(2)
-        assert CarrierTracker(1).expected_form == "g"
+    @pytest.mark.parametrize("parity", [2, -1, True, 1.0, None])
+    def test_a_round_takes_the_parity_as_the_int_0_or_1(self, parity):
+        # Each plan is valid against the g form, parity 1, which True and 1.0 equal.
+        for play, plan, coin_flip in (
+            (original_round, RoundPlan(2, EntangledPair(0)), False),
+            (revised_round, RoundPlan(1, EntangledPair(0), alice_hadamard=0), True),
+        ):
+            with pytest.raises(ValueError, match="parity"):
+                play(g_state(), plan, parity, _rngs())
+            with pytest.raises(ValueError, match="parity"):
+                check_plan(plan, parity, coin_flip)
 
 
 class TestPlans:
@@ -131,16 +107,14 @@ class TestRevisedRound:
     def test_pair_round_decodes_exactly(self, parity, secret):
         # The entangled encoding requires coin XOR parity == 1.
         coin = 1 ^ parity
-        tracker = CarrierTracker(parity)
-        world = tracker.expected_state()
+        world = g_state() if parity else chi_state()
         plan = RoundPlan(1, EntangledPair(secret), alice_hadamard=coin)
         for seed in range(8):
-            tr = CarrierTracker(parity)
-            out, t = revised_round(world, plan, tr, _rngs(seed))
+            out, t = revised_round(world, plan, parity, _rngs(seed))
             assert t.recovered == secret
             assert t.mode == "pair"
             assert out.labels == CARRIER
-            assert tr.expected_form == ("g" if parity ^ coin else "chi")
+            assert equal_up_to_sign(out, g_state() if parity ^ coin else chi_state())
 
     @pytest.mark.parametrize("parity", [0, 1])
     @pytest.mark.parametrize("q1", [0, 1])
@@ -148,18 +122,16 @@ class TestRevisedRound:
     @pytest.mark.parametrize("target", [W1, W2])
     def test_single_round_decodes_exactly(self, parity, q1, secret, target):
         coin = parity  # singles require coin XOR parity == 0
-        tracker = CarrierTracker(parity)
-        world = tracker.expected_state()
+        world = g_state() if parity else chi_state()
         plan = RoundPlan(1, SinglePair(q1, q1 ^ secret, target), alice_hadamard=coin)
-        out, t = revised_round(world, plan, tracker, _rngs(3))
+        out, t = revised_round(world, plan, parity, _rngs(3))
         assert t.recovered == secret
         assert t.target == target
         assert out.labels == CARRIER
 
     def test_round_events_follow_announcement_order(self):
-        tracker = CarrierTracker()
         plan = RoundPlan(1, SinglePair(1, 0, W2), alice_hadamard=0)
-        _, t = revised_round(chi_state(), plan, tracker, _rngs(9))
+        _, t = revised_round(chi_state(), plan, 0, _rngs(9))
         kinds = [ev["event"] for ev in t.events]
         assert kinds == [
             "receipt_confirmed",
@@ -173,9 +145,8 @@ class TestRevisedRound:
         assert t.events[3]["bit"] == t.bob
 
     def test_pair_round_has_no_target_announcement(self):
-        tracker = CarrierTracker()
         plan = RoundPlan(1, EntangledPair(1), alice_hadamard=1)
-        _, t = revised_round(chi_state(), plan, tracker, _rngs(4))
+        _, t = revised_round(chi_state(), plan, 0, _rngs(4))
         kinds = [ev["event"] for ev in t.events]
         assert kinds == ["receipt_confirmed", "hadamard_announced", "measurement_announced"]
 
@@ -186,27 +157,27 @@ class TestRevisedRound:
             revised_round(
                 chi_state(),
                 RoundPlan(1, EntangledPair(0), alice_hadamard=0),
-                CarrierTracker(),
+                0,
                 _rngs(),
             )
         with pytest.raises(ValueError, match="decode would not be exact"):
             revised_round(
                 chi_state(),
                 RoundPlan(1, SinglePair(0, 0, W1), alice_hadamard=1),
-                CarrierTracker(),
+                0,
                 _rngs(),
             )
 
     def test_coin_is_mandatory(self):
         with pytest.raises(ValueError, match="alice_hadamard 0 or 1"):
-            revised_round(chi_state(), RoundPlan(1, EntangledPair(0)), CarrierTracker(), _rngs())
+            revised_round(chi_state(), RoundPlan(1, EntangledPair(0)), 0, _rngs())
 
     def test_product_encoding_is_rejected(self):
         with pytest.raises(ValueError, match="product"):
             revised_round(
                 chi_state(),
                 RoundPlan(1, ProductPair(0), alice_hadamard=0),
-                CarrierTracker(),
+                0,
                 _rngs(),
             )
 
@@ -214,14 +185,14 @@ class TestRevisedRound:
         world = tensor(chi_state(), basis_state([(W1, 0)]))
         with pytest.raises(ValueError, match="not cleaned up"):
             revised_round(
-                world, RoundPlan(1, EntangledPair(0), alice_hadamard=1), CarrierTracker(), _rngs()
+                world, RoundPlan(1, EntangledPair(0), alice_hadamard=1), 0, _rngs()
             )
 
     def test_missing_carrier_qubit_is_rejected(self):
         world = basis_state([("a", 0), ("c", 0)])
         with pytest.raises(ValueError, match="missing carrier"):
             revised_round(
-                world, RoundPlan(1, EntangledPair(0), alice_hadamard=1), CarrierTracker(), _rngs()
+                world, RoundPlan(1, EntangledPair(0), alice_hadamard=1), 0, _rngs()
             )
 
     def test_bad_payload_bit_fails_at_encode_time(self):
@@ -229,34 +200,33 @@ class TestRevisedRound:
             revised_round(
                 chi_state(),
                 RoundPlan(1, EntangledPair(2), alice_hadamard=1),
-                CarrierTracker(),
+                0,
                 _rngs(),
             )
 
     def test_long_honest_session_restores_the_carrier(self):
         rng = np.random.default_rng(77)
-        world = chi_state()
-        tracker = CarrierTracker()
+        world, parity = chi_state(), 0
         for i in range(1, 101):
             coin = int(rng.integers(0, 2))
             secret = int(rng.integers(0, 2))
-            if coin ^ tracker.hadamard_parity:
+            if coin ^ parity:
                 mode = EntangledPair(secret)
             else:
                 q1 = int(rng.integers(0, 2))
                 mode = SinglePair(q1, q1 ^ secret, W1 if rng.random() < 0.5 else W2)
             world, t = revised_round(
-                world, RoundPlan(i, mode, alice_hadamard=coin), tracker, _rngs(i)
+                world, RoundPlan(i, mode, alice_hadamard=coin), parity, _rngs(i)
             )
+            parity ^= coin
             assert t.recovered == secret
-            assert equal_up_to_sign(world, tracker.expected_state())
+            assert equal_up_to_sign(world, g_state() if parity else chi_state())
 
 
 class TestOriginalRounds:
     @pytest.mark.parametrize("q", [0, 1])
     def test_odd_round_decodes_via_bob(self, q):
-        tracker = CarrierTracker()
-        world, t = original_round(chi_state(), RoundPlan(1, ProductPair(q)), tracker, _rngs(1))
+        world, t = original_round(chi_state(), RoundPlan(1, ProductPair(q)), 0, _rngs(1))
         assert t.recovered == q
         assert t.bob == q and t.charlie == q
         assert t.mode == "product"
@@ -264,47 +234,45 @@ class TestOriginalRounds:
 
     @pytest.mark.parametrize("q", [0, 1])
     def test_even_round_decodes_via_xor(self, q):
-        tracker = CarrierTracker(1)
-        world, t = original_round(g_state(), RoundPlan(2, EntangledPair(q)), tracker, _rngs(2))
+        world, t = original_round(g_state(), RoundPlan(2, EntangledPair(q)), 1, _rngs(2))
         assert t.recovered == (t.bob ^ t.charlie) == q
         assert t.mode == "pair"
         kinds = [ev["event"] for ev in t.events]
         assert kinds == ["receipt_confirmed", "measurement_announced"]
 
     def test_odd_round_announces_nothing_but_receipt(self):
-        _, t = original_round(chi_state(), RoundPlan(1, ProductPair(1)), CarrierTracker(), _rngs())
+        _, t = original_round(chi_state(), RoundPlan(1, ProductPair(1)), 0, _rngs())
         assert [ev["event"] for ev in t.events] == ["receipt_confirmed"]
 
     def test_round_index_and_mode_must_agree(self):
         with pytest.raises(ValueError, match="ProductPair"):
-            original_round(chi_state(), RoundPlan(1, EntangledPair(0)), CarrierTracker(), _rngs())
+            original_round(chi_state(), RoundPlan(1, EntangledPair(0)), 0, _rngs())
         with pytest.raises(ValueError, match="EntangledPair"):
-            original_round(g_state(), RoundPlan(2, ProductPair(0)), CarrierTracker(1), _rngs())
+            original_round(g_state(), RoundPlan(2, ProductPair(0)), 1, _rngs())
 
     def test_rounds_insist_on_the_right_carrier_form(self):
         with pytest.raises(ValueError, match="chi carrier form"):
-            original_round(g_state(), RoundPlan(1, ProductPair(0)), CarrierTracker(1), _rngs())
+            original_round(g_state(), RoundPlan(1, ProductPair(0)), 1, _rngs())
         with pytest.raises(ValueError, match="g carrier form"):
-            original_round(chi_state(), RoundPlan(2, EntangledPair(0)), CarrierTracker(0), _rngs())
+            original_round(chi_state(), RoundPlan(2, EntangledPair(0)), 0, _rngs())
 
     def test_no_coin_in_the_alternating_variant(self):
         with pytest.raises(ValueError, match="no per-round coin"):
             original_round(
-                chi_state(), RoundPlan(1, ProductPair(0), alice_hadamard=0), CarrierTracker(), _rngs()
+                chi_state(), RoundPlan(1, ProductPair(0), alice_hadamard=0), 0, _rngs()
             )
 
     def test_alternating_session_with_layers(self):
         rng = np.random.default_rng(55)
-        world = chi_state()
-        tracker = CarrierTracker()
+        world, parity = chi_state(), 0
         for i in range(1, 11):
             if i > 1:
-                world = hadamard_layer(world, CARRIER, tracker)
+                world, parity = hadamard_layer(world), parity ^ 1
             secret = int(rng.integers(0, 2))
             mode = ProductPair(secret) if i % 2 == 1 else EntangledPair(secret)
-            world, t = original_round(world, RoundPlan(i, mode), tracker, _rngs(100 + i))
+            world, t = original_round(world, RoundPlan(i, mode), parity, _rngs(100 + i))
             assert t.recovered == secret
-        assert equal_up_to_sign(world, tracker.expected_state())
+        assert equal_up_to_sign(world, g_state() if parity else chi_state())
 
 
 def _fake_transcript(i, secret, recovered):
