@@ -9,11 +9,9 @@ its first draw, and no check stream when every round is checked.
 ``enumerate_branches`` plays every measurement branch of a short
 scripted scenario as a session of its own.  One tape of outcomes serves
 the whole enumeration as every branch's Bob, Charlie and attack streams,
-and counts through the outcomes in binary.  A branch agrees with the one
-before it up to the round that draws its last tape bit, so the tape
-serves the rounds before from that branch's recorded leaves and the rest
-play through the round table.  Each branch reports its exact
-probability (1/2 to the power of its ``random()`` draws, as every
+and counts through the outcomes in binary.  Every branch plays each of
+its rounds through the round table, as a session does, and reports its
+exact probability (1/2 to the power of its ``random()`` draws, as every
 measurement forks at a Born weight of 1/2), which turns Monte Carlo
 claims into closed-form numbers for small scenarios.
 
@@ -62,7 +60,7 @@ from .protocol import (
     revised_round,
 )
 from .qsim import PureState, require_number
-from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, replay_leaf, transcript
+from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, transcript
 
 VARIANTS = ("original", "revised")
 
@@ -313,18 +311,16 @@ def _play_round(
 ROUND_TABLE = RoundTable(_play_round)
 
 
-def _play_rounds(table: RoundTable, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
+def _play_rounds(node: Node, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
     """The one session loop: each ``(round index, plan class)`` of ``plans``
-    played through ``table`` from the node the leaf before names, the first
-    from ``chi_state()`` at parity 0, with the draws of ``script`` and
-    ``attack``.  A session passes ``ROUND_TABLE``; an enumerated branch
-    passes its enumeration's ``_Tape``, which serves the rounds the branch
-    keeps from the branch before it and plays the rest through the table
-    it fronts.  Returns the final world and per round
-    ``row(round index, plan class, payload)``."""
-    node, rows = table.node(chi_state(), 0, attack), []
+    played through ``ROUND_TABLE`` from the node the leaf before names, the
+    first from the start ``node``, with the draws of ``script`` and
+    ``attack``.  The caller looks the start node up once: a session per
+    session, an enumeration once for all its branches.  Returns the final
+    world and per round ``row(round index, plan class, payload)``."""
+    play, rows = ROUND_TABLE.play, []
     for i, plan_class in plans:
-        node, payload = table.play(script, node, (i, plan_class), attack)
+        node, payload = play(script, node, i, plan_class, attack)
         rows.append(row(i, plan_class, payload))
     return node.world, rows
 
@@ -352,7 +348,8 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
         w1=lambda: uniform() < 0.5,
     )
     row = transcript if transcribe else compact_row
-    world, rows = _play_rounds(ROUND_TABLE, script, itertools.islice(plans, cfg.rounds), attack, row)
+    start = ROUND_TABLE.node(chi_state(), 0, attack)
+    world, rows = _play_rounds(start, script, itertools.islice(plans, cfg.rounds), attack, row)
     return world, attack, rows
 
 
@@ -442,8 +439,7 @@ class Branch:
 
 
 class _Tape:
-    """Bob's, Charlie's and the attack stream of every branch of one
-    enumeration, and the record of the current branch's rounds.
+    """Bob's, Charlie's and the attack stream of every branch of one enumeration.
 
     A branch's k-th ``random()`` returns 0.0 (outcome 1) if bit k of
     ``bits`` is set and 1.0 (outcome 0, which no Born weight reaches)
@@ -451,37 +447,19 @@ class _Tape:
     k-th ``integers(0, 2)`` is the k-th coin of
     ``np.random.default_rng(seed)``, drawn once, by the first branch that
     needs it, and kept.  The generator is set up at the first coin.
-
-    The tape fronts ``table`` in ``_play_rounds`` and looks up the start
-    node of every branch in it once.  A round the branch keeps from the
-    branch before (``round_index - 1 < len(rounds)``) comes back as that
-    branch's recorded leaf: the tape restores the counts after it and
-    applies the leaf to the attack, as a table hit does.  Every later
-    round plays through ``table`` and appends to ``rounds`` its leaf and
-    the ``random()`` and coin counts after it.  ``next_branch`` moves the
-    tape to the next branch.
+    ``next_branch`` moves the tape to the next branch.
     """
 
-    __slots__ = ("table", "bits", "drawn", "coins", "rounds", "_kept", "_gen", "_start")
+    __slots__ = ("bits", "drawn", "coins", "_kept", "_gen")
 
-    def __init__(self, table: RoundTable, seed: int) -> None:
-        self.table = table
+    def __init__(self, seed: int) -> None:
         self.bits: list[int] = []
         self.drawn = 0  # random() calls so far
         self.coins = 0  # integers() calls so far
-        self.rounds: list[tuple] = []  # (leaf, drawn, coins) per round
         self._kept: list[int] = []  # the coins drawn so far
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
         self._gen = PCG64Stream(lambda: np.random.default_rng(seed))
-        self._start: Node | None = None
-
-    def node(self, world: PureState, parity: int, attack) -> Node:
-        """Every branch's start node, looked up in ``table`` at the first branch."""
-        start = self._start
-        if start is None:
-            start = self._start = self.table.node(world, parity, attack)
-        return start
 
     def random(self) -> float:
         k = self.drawn
@@ -495,33 +473,15 @@ class _Tape:
             kept.append(self._gen.integers(low, high))
         return kept[k]
 
-    def play(self, script: Script, node: Node, plan: tuple, attack) -> tuple:
-        """A kept round's recorded leaf, else the table's play with the round recorded."""
-        round_index, rounds = plan[0], self.rounds
-        if round_index - 1 < len(rounds):
-            leaf, self.drawn, self.coins = rounds[round_index - 1]
-            replay_leaf(round_index, leaf, attack)
-            return leaf
-        leaf = self.table.play(script, node, plan, attack)
-        rounds.append((leaf, self.drawn, self.coins))
-        return leaf
-
     def next_branch(self) -> bool:
         """Move to the next branch, ``False`` after the last one.  Its bits
-        are those drawn without their trailing 1s and with the last 0 turned
-        to 1, and it keeps the rounds before the first that draws that bit."""
+        are those drawn without their trailing 1s and with the last 0 turned to 1."""
         bits = self.bits[: self.drawn] + [0] * (self.drawn - len(self.bits))
         while bits and bits[-1]:
             bits.pop()
         if not bits:
             return False
         bits[-1] = 1
-        # Rounds end at rising random() counts, and the last drew them all.
-        rounds = self.rounds
-        start = len(rounds) - 1
-        while start and rounds[start - 1][1] >= len(bits):
-            start -= 1
-        del rounds[start:]
         self.bits, self.drawn, self.coins = bits, 0, 0
         return True
 
@@ -530,26 +490,28 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
     """Every measurement branch of the scenario, each played as a session.
 
     A branch's rounds go through ``_play_rounds`` like a session's, with
-    one ``_Tape`` for the whole enumeration as its table, its quantum
-    streams and its attacker's coins, and one ``Script`` on that tape.
-    Branches come out in the lexicographic order of their outcomes, so a
-    branch draws what the branch before drew on every round before the
-    first that draws its last tape bit: the tape serves those rounds from
-    the branch before's leaves, and plays the rest through ``ROUND_TABLE``.
-    Each branch builds its own attack and transcripts.  Its probability
-    is 1/2 to the power of its ``random()`` draws, and its transcripts
-    hold the table's frozen events and records until read.  The
-    probabilities are dyadic and sum to exactly 1.0.  Raises
-    ``RuntimeError`` once there are more than ``MAX_ENUM_BRANCHES``
-    branches, which short scripted scenarios never reach.
+    one ``_Tape`` for the whole enumeration as its quantum streams and its
+    attacker's coins, and one ``Script`` on that tape.  The start node is
+    looked up once, with the first branch's attack: every branch's fresh
+    attack has the same class and ``state``.  Branches come out in the
+    lexicographic order of their outcomes, and every branch plays each of
+    its rounds through ``ROUND_TABLE``.  Each branch builds its own
+    attack and transcripts.  Its probability is 1/2 to the power of its
+    ``random()`` draws, and its transcripts hold the table's frozen
+    events and records until read.  The probabilities are dyadic and sum
+    to exactly 1.0.  Raises ``RuntimeError`` once there are more than
+    ``MAX_ENUM_BRANCHES`` branches, which short scripted scenarios never
+    reach.
     """
     plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
-    tape = _Tape(ROUND_TABLE, scenario.attack_seed)
+    tape = _Tape(scenario.attack_seed)
     script = Script((tape, tape, tape))
-    branches = []
+    start, branches = None, []
     while True:
         attack = build_attack(scenario.strategy, coins=script.tap(2))
-        world, transcripts = _play_rounds(tape, script, plans, attack, transcript)
+        if start is None:
+            start = ROUND_TABLE.node(chi_state(), 0, attack)
+        world, transcripts = _play_rounds(start, script, plans, attack, transcript)
         branches.append(Branch(0.5 ** tape.drawn, tuple(transcripts), world, attack))
         if len(branches) > MAX_ENUM_BRANCHES:
             raise RuntimeError(f"scenario exceeded {MAX_ENUM_BRANCHES} branches")

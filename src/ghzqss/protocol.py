@@ -358,16 +358,16 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
     rounds against ``chi`` and ``EntangledPair`` in even rounds against
     ``g``; the coin-flip variant pairs encoding, coin and form per the
     rule in the module docstring.  Rounds count from 1, a single
-    encoding targets ``w1`` or ``w2``, and every payload bit and coin is
-    the int 0 or 1, not a bool or a float: the harness interns plans by
-    value, so equal plans must be equal in type too.
+    encoding targets ``w1`` or ``w2``, the round index is an int, and every
+    payload bit and coin is the int 0 or 1, not a bool or a float: the
+    harness interns plans by value, so equal plans must be equal in type too.
     """
     if type(parity) is not int or parity not in (0, 1):
         raise ValueError(f"carrier parity must be the int 0 or 1, got {parity!r}")
     mode, coin = plan.mode, plan.alice_hadamard
     kind = type(mode)
-    if plan.round_index < 1:
-        raise ValueError("round_index starts at 1")
+    if type(plan.round_index) is not int or plan.round_index < 1:
+        raise ValueError(f"round_index must be an int and starts at 1, got {plan.round_index!r}")
     if kind is SinglePair and mode.target not in (W1, W2):
         raise ValueError(f"target must be {W1!r} or {W2!r}, got {mode.target!r}")
     if coin_flip:

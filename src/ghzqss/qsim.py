@@ -53,16 +53,22 @@ class MeasurementRecord:
     probability: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PureState:
     """Immutable n-qubit pure state with real amplitudes.
 
     ``labels`` orders the qubits most-significant first; ``amps`` has
-    length ``2**len(labels)`` and unit norm.
+    length ``2**len(labels)`` and unit norm.  Two states are equal when
+    their labels and amplitudes are exactly equal; a state is not hashable.
     """
 
     labels: tuple[str, ...]
     amps: np.ndarray
+
+    def __eq__(self, other):
+        if type(other) is not PureState:
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.amps, other.amps)
 
     @property
     def num_qubits(self) -> int:

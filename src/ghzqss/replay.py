@@ -9,9 +9,8 @@ only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
 statevector play would draw, so sessions stay byte-identical.  The
 table is a graph of ``Node``s, and either way a round comes back as one
-leaf, (next node, payload).  A session applies it to its attack with
-``replay_leaf`` and builds its row with ``compact_row`` or
-``transcript``.
+leaf, (next node, payload), already applied to the session's attack.  A
+session builds its row with ``compact_row`` or ``transcript``.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
@@ -33,9 +32,8 @@ and an enumerated branch's probability is 1/2 to the power of its
 The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
 sessions and exact enumeration alike: an enumerated branch is a session
 whose streams are a tape of outcomes, one tape for the whole
-enumeration.  The tape serves the rounds before the first that draws
-differently from the branch before from that branch's leaves, and plays
-the rest through the table (``harness.enumerate_branches``).
+enumeration, and it plays every round through the table
+(``harness.enumerate_branches``).
 """
 
 from __future__ import annotations
@@ -209,13 +207,6 @@ class _Tap:
         raise TypeError(_SCALAR_ONLY)
 
 
-def replay_leaf(round_index: int, leaf: tuple, attack) -> None:
-    """Apply to ``attack`` what the round of ``leaf`` did to it, at round ``round_index``."""
-    recorded = leaf[1][6]
-    if recorded is not None:
-        attack.replay_round(round_index, recorded)
-
-
 def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
     """The compact row ``(round_index, secret, recovered, mode, target)`` of a round's leaf payload."""
     return round_index, plan_class.secret, payload[2], plan_class.mode_name, plan_class.target
@@ -313,12 +304,12 @@ class RoundTable:
         node.world = get(self._worlds, self._world_key(node.world), node.world)
         return get(self._nodes, (id(node.world), node.parity, node.attack, node.state), node)
 
-    def play(self, session: Script, node: Node, plan: tuple, attack) -> tuple[Node, tuple]:
-        """Round ``plan``, a (round index, plan class) pair, of the session whose ``Script`` is
+    def play(self, session: Script, node: Node, round_index: int, plan_class, attack) -> tuple[Node, tuple]:
+        """Round ``round_index`` of class ``plan_class`` of the session whose ``Script`` is
         ``session``, from ``node``: replayed from its live streams when recorded, else played
         through it by the table's round function and recorded.  Returns the round's leaf,
-        (next node, payload), where the payload is everything else the round produced."""
-        round_index, plan_class = plan
+        (next node, payload), where the payload is everything else the round produced, after
+        applying to ``attack`` what the round did to it."""
         tree = node.edges.get(plan_class)
         drawn = []
         gens = session.live
@@ -332,16 +323,17 @@ class RoundTable:
                 tree = tree[1 + (value < 0.5)]
             drawn.append((code, value))
         if tree is None:
-            return self._record(session, drawn, node, plan, attack)
+            return self._record(session, drawn, node, round_index, plan_class, attack)
         self.hits += 1
-        replay_leaf(round_index, tree, attack)
+        recorded = tree[1][6]
+        if recorded is not None:
+            attack.replay_round(round_index, recorded)
         return tree
 
-    def _record(self, script, drawn, node, plan, attack):
+    def _record(self, script, drawn, node, round_index, plan_class, attack):
         self.misses += 1
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
-        round_index, plan_class = plan
         plan = RoundPlan(round_index, plan_class.mode, plan_class.coin)
         world, parity, t = self._play_round(node.world, plan, node.parity, script.rngs, attack)
         if script.pos != len(script.log):

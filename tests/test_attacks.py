@@ -106,10 +106,9 @@ class TestRoundReplay:
         seen = []
         inner = RoundTable.play
 
-        def spy(self, session, node, plan, attack):
-            _, plan_class = plan
+        def spy(self, session, node, round_index, plan_class, attack):
             seen.append((node.parity, plan_class.mode_name, plan_class.coin, attack.state))
-            return inner(self, session, node, plan, attack)
+            return inner(self, session, node, round_index, plan_class, attack)
 
         monkeypatch.setattr(RoundTable, "play", spy)
         harness.run_simulation(harness.SimConfig(variant="original", strategy="a2", rounds=6, seed=4))

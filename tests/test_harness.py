@@ -672,6 +672,23 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="payload bits"):
             Scenario(variant, plans)
 
+    @pytest.mark.parametrize(
+        "plans",
+        [
+            (RoundPlan(1.0, ProductPair(0)),),
+            (RoundPlan(True, ProductPair(0)),),
+            (RoundPlan(np.int64(1), ProductPair(0)),),
+            (RoundPlan(1, ProductPair(0)), RoundPlan(2.0, EntangledPair(1))),
+            (RoundPlan(1.0, EntangledPair(1), alice_hadamard=1),),
+        ],
+    )
+    def test_scenarios_reject_a_round_index_that_is_not_an_int(self, plans):
+        # Equal to the round's position but not an int: the JSONL
+        # transcript would read 1.0 or true, or fail to encode.
+        variant = "revised" if plans[0].alice_hadamard is not None else "original"
+        with pytest.raises(ValueError, match="round_index"):
+            Scenario(variant, plans)
+
     def test_the_branch_cap_counts_branches(self, monkeypatch):
         scenario = GATE2[45]  # 32 branches, as every Gate-2 scenario
         monkeypatch.setattr(harness, "MAX_ENUM_BRANCHES", 32)
@@ -904,11 +921,10 @@ class TestForkingWalk:
             assert {id(t._events), id(t._records), id(t._eve_notes)} <= frozen
         assert [_fingerprint(b) for b in branches] == [_fingerprint(b) for b in _replay_branches(scenario)]
 
-    def test_a_branch_plays_only_from_where_it_leaves_the_branch_before(self, table):
-        # A branch takes the rounds before the first round that draws its
-        # last tape bit from the branch before, and plays the rest through
-        # the table.  Playing every Gate-2 branch from round 1 would make
-        # 32 x 6 = 192 table plays per scenario.
+    def test_every_branch_replays_each_round_from_the_table(self, table):
+        # A branch plays every round through the table, as a session does:
+        # 32 x 6 = 192 table plays per Gate-2 scenario and two per branch
+        # of a two-round Gate-5 scenario, all hits once the table is warm.
         for scenario in (*GATE2, *GATE5):
             enumerate_branches(scenario)
         misses = table.misses
@@ -918,12 +934,28 @@ class TestForkingWalk:
             branches = enumerate_branches(scenario)
             return len(branches), table.hits + table.misses - before
 
-        assert plays(GATE2[45]) == (32, 53)
-        assert {plays(scenario) for scenario in GATE2} == {(32, 53)}
+        assert {plays(scenario) for scenario in GATE2} == {(32, 192)}
         for scenario in GATE5:
             count, played = plays(scenario)
-            assert count <= played <= 2 * count
+            assert played == 2 * count
         assert table.misses == misses
+
+    def test_an_enumeration_looks_up_its_start_node_once(self, table, monkeypatch):
+        lookups, inner = [], RoundTable.node
+
+        def spy(self, world, parity, attack):
+            lookups.append(parity)
+            return inner(self, world, parity, attack)
+
+        monkeypatch.setattr(RoundTable, "node", spy)
+        for scenario in (GATE2[45], GATE5[6], DISHONEST_FORKING[0]):
+            lookups.clear()
+            assert len(enumerate_branches(scenario)) > 1
+            assert lookups == [0], scenario
+        for variant, strategy in PAIRS:
+            lookups.clear()
+            run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=20, seed=2))
+            assert lookups == [0], (variant, strategy)
 
     @pytest.mark.parametrize(
         "scenario", [GATE2[45], GATE5[6], DISHONEST_FORKING[0]], ids=["a2", "a2-probe", "dishonest-bob"]
@@ -1474,7 +1506,7 @@ class TestRoundTable:
         for _ in range(2):  # recorded, then replayed
             for parity, state in itertools.product((0, 1), repeat=2):
                 attack.state = state
-                after, payload = table.play(script, table.node(world, parity, attack), plan, attack)
+                after, payload = table.play(script, table.node(world, parity, attack), *plan, attack)
                 assert after.world is world and after.parity == parity and attack.state == state
                 assert replay.transcript(*plan, payload).eve_notes == {"parity": parity, "state": state}
         assert (table.entries, table.misses, table.hits) == (4, 4, 4)
@@ -1495,8 +1527,8 @@ class TestRoundTable:
         assert len(worlds) == cfg.rounds
         seen, inner = [], RoundTable.play
 
-        def spy(self, session, node, plan, attack):
-            leaf = inner(self, session, node, plan, attack)
+        def spy(self, session, node, round_index, plan_class, attack):
+            leaf = inner(self, session, node, round_index, plan_class, attack)
             after = leaf[0]
             state = None if attack is None else attack.state
             seen.append((after.state == state, (after.world.labels, after.world.amps.tobytes())))

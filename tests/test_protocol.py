@@ -61,6 +61,10 @@ class TestCarrierForms:
             with pytest.raises(ValueError):
                 form().amps[0] = 0.0
 
+    def test_carrier_forms_compare_by_value(self):
+        assert chi_state() == chi_state() and g_state() == g_state()
+        assert chi_state() != g_state()
+
     def test_layer_is_an_involution_on_the_carrier(self):
         st = hadamard_layer(chi_state())
         assert equal_up_to_sign(st, g_state())
@@ -86,6 +90,19 @@ class TestPlans:
             check_plan(RoundPlan(0, ProductPair(0)), 0, coin_flip=False)
         with pytest.raises(ValueError, match="alice_hadamard"):
             check_plan(RoundPlan(1, EntangledPair(0), alice_hadamard=2), 1, coin_flip=True)
+
+    @pytest.mark.parametrize("round_index", [1.0, True, np.int64(1), 0])
+    def test_a_round_index_is_an_int_of_at_least_1(self, round_index):
+        # A float, bool or numpy int would reach the JSONL transcript as
+        # 1.0, true or a value json cannot encode.
+        for play, plan, coin_flip in (
+            (original_round, RoundPlan(round_index, ProductPair(1)), False),
+            (revised_round, RoundPlan(round_index, EntangledPair(1), alice_hadamard=1), True),
+        ):
+            with pytest.raises(ValueError, match="round_index"):
+                play(chi_state(), plan, 0, _rngs())
+            with pytest.raises(ValueError, match="round_index"):
+                check_plan(plan, 0, coin_flip)
 
     def test_single_pair_target_validation(self):
         with pytest.raises(ValueError, match="target"):

@@ -368,6 +368,18 @@ class TestComparison:
             assert equal_up_to_sign(st, flipped)
             assert deviation_up_to_sign(st, flipped) < 1e-15
 
+    def test_states_are_equal_when_labels_and_amplitudes_are(self):
+        assert ghz_carrier() == ghz_carrier()
+        assert ghz_carrier() != ghz_carrier(("a", "b", "d"))
+        # Equal up to sign is not equal.
+        st = ghz_carrier()
+        flipped = state_from_terms(st.labels, {"000": -st.amps[0], "111": -st.amps[7]})
+        assert equal_up_to_sign(st, flipped) and st != flipped
+        assert basis_state([("a", 0)]) != basis_state([("a", 1)])
+        assert ghz_carrier() != ghz_carrier().labels
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(ghz_carrier())
+
     def test_comparison_reorders_axes(self):
         st = tensor(basis_state([("a", 1)]), prepare_pair_qbar(1, ("x", "y")))
         shuffled = reorder(st, ("y", "a", "x"))
