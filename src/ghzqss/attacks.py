@@ -112,8 +112,9 @@ class ChannelAttack:
         records, inferred, self.state = recorded
         if records:
             self.records.extend(records)
-        if inferred:
-            self.inferred.extend([(round_index + dr, value, meaning) for dr, value, meaning in inferred])
+        # At most one inference: a plain loop builds no function and no list.
+        for dr, value, meaning in inferred:
+            self.inferred.append((round_index + dr, value, meaning))
 
 
 class ProbeAttack(ChannelAttack):

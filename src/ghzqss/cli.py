@@ -125,10 +125,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _entries(option: str, text: str, kind: type, noun: str) -> list:
+    """The non-empty comma-separated entries of ``option``'s ``text``, each read by ``kind``."""
+    entries = []
+    for entry in filter(None, text.split(",")):
+        try:
+            entries.append(kind(entry))
+        except ValueError:
+            raise ValueError(f"{option} entries must be {noun}, got {entry!r}") from None
+    return entries
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     strategies = [s for s in args.attacks.split(",") if s]
-    rounds_list = [int(x) for x in args.rounds.split(",") if x]
-    fractions = [float(x) for x in args.check_fractions.split(",") if x]
+    rounds_list = _entries("--rounds", args.rounds, int, "integers")
+    fractions = _entries("--check-fractions", args.check_fractions, float, "numbers")
     reports = run_grid(
         args.protocol, strategies, rounds_list, fractions, args.repeats, _seed(args)
     )

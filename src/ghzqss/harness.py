@@ -423,7 +423,7 @@ class Scenario:
         object.__setattr__(self, "attack_seed", _require_int("attack_seed", self.attack_seed, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """One measurement branch of a scenario and its exact probability; it
     owns its attack object and its transcripts."""
@@ -444,9 +444,10 @@ class _Tape:
     A branch's k-th ``random()`` returns 0.0 (outcome 1) if bit k of
     ``bits`` is set and 1.0 (outcome 0, which no Born weight reaches)
     otherwise, also past the tape.  Every branch sees the same coins: its
-    k-th ``integers(0, 2)`` is the k-th coin of
+    k-th ``bit()`` or ``integers(0, 2)`` is the k-th coin of
     ``np.random.default_rng(seed)``, drawn once, by the first branch that
-    needs it, and kept.  The generator is set up at the first coin.
+    needs it, and kept; other bounds raise ``TypeError`` before a draw, as
+    on a ``PCG64Stream``.  The generator is set up at the first coin.
     ``next_branch`` moves the tape to the next branch.
     """
 
@@ -466,23 +467,27 @@ class _Tape:
         self.drawn = k + 1
         return 0.0 if k < len(self.bits) and self.bits[k] else 1.0
 
-    def integers(self, low: int, high: int) -> int:
+    integers = PCG64Stream.integers  # (0, 2) only, then ``bit()``
+
+    def bit(self) -> int:
         k, kept = self.coins, self._kept
         self.coins = k + 1
         if k == len(kept):
-            kept.append(self._gen.integers(low, high))
+            kept.append(self._gen.bit())
         return kept[k]
 
     def next_branch(self) -> bool:
         """Move to the next branch, ``False`` after the last one.  Its bits
         are those drawn without their trailing 1s and with the last 0 turned to 1."""
-        bits = self.bits[: self.drawn] + [0] * (self.drawn - len(self.bits))
+        bits, drawn = self.bits, self.drawn
+        del bits[drawn:]
+        bits += [0] * (drawn - len(bits))
         while bits and bits[-1]:
             bits.pop()
         if not bits:
             return False
         bits[-1] = 1
-        self.bits, self.drawn, self.coins = bits, 0, 0
+        self.drawn = self.coins = 0
         return True
 
 
@@ -520,9 +525,11 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
 
 
 def _script_ints(name: str, entries: Iterable[int]) -> tuple[int, ...]:
-    """Script entries as ints; a float is an error, never truncated."""
+    """Script entries as ints; a float or a bool is an error, never read as a bit."""
     entries = tuple(entries)
     try:
+        if any(type(entry) is bool for entry in entries):
+            raise TypeError
         return tuple(map(operator.index, entries))
     except TypeError:
         raise ValueError(f"{name} entries must be integers, got {entries!r}") from None

@@ -22,12 +22,12 @@ decode numpy's own values from raw PCG64 words (O'Neill 2014) fetched in
 blocks, without a numpy call per draw, and may set up their bit generator
 only at their first word; they and the script's taps refuse any other
 use.  A stream's draws are plain methods with exact positional
-arguments, and Alice's bits come from its zero-argument ``bit()``, so
-neither a fork walk nor a plan draw leaves the interpreter's inlined
-calls.  Every fork of the paper's Clifford circuits has weight
-1/2, so a round that forks otherwise raises instead of playing slowly,
-and an enumerated branch's probability is 1/2 to the power of its
-``random()`` draws.
+arguments, and Alice's bits and a fork walk's coins come from its
+zero-argument ``bit()``, so neither leaves the interpreter's inlined
+calls.  Every fork of the paper's Clifford circuits has weight 1/2, so
+a round that forks otherwise raises instead of playing slowly, and an
+enumerated branch's probability is 1/2 to the power of its ``random()``
+draws.
 
 The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
 sessions and exact enumeration alike: an enumerated branch is a session
@@ -209,18 +209,15 @@ class _Tap:
 
 def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
     """The compact row ``(round_index, secret, recovered, mode, target)`` of a round's leaf payload."""
-    return round_index, plan_class.secret, payload[2], plan_class.mode_name, plan_class.target
+    args = payload[0]
+    return round_index, args[3], args[6], args[0], args[2]
 
 
 def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
     """The transcript of a round's leaf payload, a new one on every call.  It
     holds the payload's frozen events, records and notes and builds its own
     list or dict of each on the first read, so no transcript shares one."""
-    bob, charlie, recovered, events, records, notes, _ = payload
-    return RoundTranscript(
-        round_index, plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret,
-        bob, charlie, recovered, events, records, notes,
-    )
+    return RoundTranscript(round_index, *payload[0])
 
 
 class Node:
@@ -248,21 +245,25 @@ class RoundTable:
     labels and amplitude bytes; only ``node`` and a miss look a node up.
     A plan class's coin names the variant, and a round reads its index
     only through what the parity, plan class and ``state`` name.  A leaf's
-    payload is ``(bob, charlie, recovered, events, records, notes,
-    recorded)``: the events, records and note items as interned tuples,
-    and ``recorded`` the attack's ``recorded_round`` (``None`` without an
-    attack or if the round left it as it was).  Replaying a tree draws
-    from the session's real streams exactly what the statevector play
-    draws, because every fork is a coin or a Born weight of exactly 1/2
-    (``qsim.measure``).
+    payload is ``(args, recorded)``: ``args`` the round's ``RoundTranscript``
+    arguments after its index, its plan class's fields first and the
+    events, records and note items as interned tuples, and ``recorded``
+    the attack's ``recorded_round`` (``None`` without an attack or if the
+    round left it as it was).  Replaying a tree draws from the session's
+    real streams exactly what the statevector play draws, because every
+    fork is a coin or a Born weight of exactly 1/2 (``qsim.measure``); the
+    walk keeps only its outcome path, an int and its depth.
 
     A miss plays the round with ``play_round`` through the session's
-    ``Script``, which hands back first the values the tree walk already
-    drew, and stores the path it logged, and the node if it was not.  A
-    play that forks other than at a recorded Born weight of 1/2, stored or
-    not, raises ``RuntimeError``: a tree could not replay it.  Once
-    ``MAX_TABLE_ENTRIES`` (node, plan class) trees are stored, new ones
-    play unstored, and their leaves name new nodes that are not stored.
+    ``Script``, which hands back first the walk's draws, rebuilt along its
+    path: a coin is its outcome, a ``random()`` the tape's stand-in, 0.0
+    for outcome 1 and 1.0 for outcome 0, which ``qsim.measure`` reads at
+    weight 1/2 only as below 1/2 or not.  It stores the path the script
+    logged, and the node if it was not.  A play that forks other than at a
+    recorded Born weight of 1/2, stored or not, raises ``RuntimeError``: a
+    tree could not replay it.  Once ``MAX_TABLE_ENTRIES`` (node, plan
+    class) trees are stored, new ones play unstored, and their leaves name
+    new nodes that are not stored.
     """
 
     def __init__(self, play_round: Callable) -> None:
@@ -310,28 +311,33 @@ class RoundTable:
         through it by the table's round function and recorded.  Returns the round's leaf,
         (next node, payload), where the payload is everything else the round produced, after
         applying to ``attack`` what the round did to it."""
-        tree = node.edges.get(plan_class)
-        drawn = []
+        root = tree = node.edges.get(plan_class)
         gens = session.live
+        path = depth = 0  # outcome k is bit k of path
         while tree is not None and type(tree[0]) is int:
             code = tree[0]
             if code & 1:
-                value = gens[code >> 1].integers(0, 2)
-                tree = tree[1 + value]
+                outcome = gens[code >> 1].bit()
             else:
-                value = gens[code >> 1].random()
-                tree = tree[1 + (value < 0.5)]
-            drawn.append((code, value))
+                outcome = gens[code >> 1].random() < 0.5
+            tree = tree[1 + outcome]
+            path |= outcome << depth
+            depth += 1
         if tree is None:
-            return self._record(session, drawn, node, round_index, plan_class, attack)
+            return self._record(session, root, path, depth, node, round_index, plan_class, attack)
         self.hits += 1
-        recorded = tree[1][6]
+        recorded = tree[1][1]
         if recorded is not None:
             attack.replay_round(round_index, recorded)
         return tree
 
-    def _record(self, script, drawn, node, round_index, plan_class, attack):
+    def _record(self, script, tree, path, depth, node, round_index, plan_class, attack):
         self.misses += 1
+        drawn = []  # the walk's draws, rebuilt along its path (see the class docstring)
+        for k in range(depth):
+            code, outcome = tree[0], path >> k & 1
+            drawn.append((code, outcome if code & 1 else 0.0 if outcome else 1.0))
+            tree = tree[1 + outcome]
         script.reset(drawn)
         mark = attack.round_mark() if attack is not None else None
         plan = RoundPlan(round_index, plan_class.mode, plan_class.coin)
@@ -346,11 +352,12 @@ class RoundTable:
             raise RuntimeError("a round forked other than at a recorded Born weight of 1/2")
         notes = t.eve_notes
         after = Node(world, parity, node.attack, None if recorded is None else recorded[2])
-        payload = (
-            t.bob, t.charlie, t.recovered, tuple(tuple(event.items()) for event in t.events),
-            tuple(t.records), None if notes is None else tuple(notes.items()),
-            None if recorded == ((), (), node.state) else recorded,
+        args = (
+            plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret, t.bob, t.charlie,
+            t.recovered, tuple(tuple(event.items()) for event in t.events), tuple(t.records),
+            None if notes is None else tuple(notes.items()),
         )
+        payload = args, None if recorded == ((), (), node.state) else recorded
         # Sessions in other threads may store at the same time; a world
         # interned outside the lock could key a node on the id of a world
         # the table does not keep alive.
@@ -363,9 +370,9 @@ class RoundTable:
                 self.entries += 1
                 here = self._node(node, store=True)
             intern = self._intern
-            *bits, events, records, notes, recorded = payload
-            parts = (tuple(map(intern, events)), tuple(map(intern, records)), notes, recorded)
-            leaf = self._node(after, store=True), intern((*bits, *map(intern, parts)))
+            *fields, events, records, notes = args
+            args = (*fields, *map(intern, (tuple(map(intern, events)), tuple(map(intern, records)), notes)))
+            leaf = self._node(after, store=True), intern((intern(args), intern(payload[1])))
             here.edges[plan_class] = self._grow(tree, script.log, leaf)
             return leaf
 

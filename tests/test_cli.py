@@ -237,6 +237,21 @@ class TestSweepCommand:
         assert "seed must be at least 0" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--rounds", "4.0", "--rounds entries must be integers, got '4.0'"),
+            ("--rounds", "8,x,16", "--rounds entries must be integers, got 'x'"),
+            ("--check-fractions", "x", "--check-fractions entries must be numbers, got 'x'"),
+            ("--check-fractions", "0.25,,1/2", "--check-fractions entries must be numbers, got '1/2'"),
+        ],
+    )
+    def test_a_bad_grid_entry_is_usage_error_naming_the_option(self, capsys, option, value, message):
+        code, out, err = _run(capsys, ["sweep", option, value])
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = _run(
             capsys, ["sweep", "--attacks", "none", "--rounds", "15", "--format", "json"]

@@ -1,5 +1,6 @@
 """Session driver tests: Monte Carlo reproducibility, enumeration, sweeps."""
 
+import dataclasses
 import gc
 import inspect
 import itertools
@@ -915,7 +916,7 @@ class TestForkingWalk:
     def test_enumeration_leaves_its_transcripts_unbuilt(self, scenario, table):
         # On a cold table, so the first branch's rounds are misses.
         branches = enumerate_branches(scenario)
-        frozen = {id(part) for payload in _leaf_payloads(table) for part in payload[3:6]}
+        frozen = {id(part) for payload in _leaf_payloads(table) for part in payload[0][7:10]}
         for t in (t for b in branches for t in b.transcripts):
             assert type(t._events) is tuple and type(t._records) is tuple
             assert {id(t._events), id(t._records), id(t._eve_notes)} <= frozen
@@ -1003,6 +1004,35 @@ class TestForkingWalk:
         assert [_fingerprint(b) for b in enumerate_branches(scenario)] == [_fingerprint(b) for b in branches]
         assert calls == []
 
+    @pytest.mark.parametrize("bounds", [(0, 3), (1, 2), (0, 1)])
+    def test_a_tape_coin_outside_0_and_2_raises_and_draws_nothing(self, bounds):
+        tape = harness._Tape(5)
+        with pytest.raises(TypeError, match="only random"):
+            tape.integers(*bounds)
+        assert tape.coins == 0 and tape._kept == [] and tape._gen._bits is None
+
+    def test_a_tape_bit_is_its_next_kept_coin(self):
+        tape, want = harness._Tape(5), np.random.default_rng(5)
+        coins = [tape.bit() for _ in range(40)]
+        assert coins == [int(want.integers(0, 2)) for _ in range(40)]
+        tape.random()
+        assert tape.next_branch() and tape.coins == 0
+        # The next branch reads the same coins, whichever way it draws them.
+        assert [tape.bit() if k % 3 else tape.integers(0, 2) for k in range(40)] == coins
+        assert len(tape._kept) == 40
+
+    def test_a_branch_is_immutable_and_counts_its_errors(self):
+        branches = enumerate_branches(GATE5[6])
+        errors = [sum(t.recovered != t.secret for t in b.transcripts) for b in branches]
+        assert [b.errors for b in branches] == errors and 0 < max(errors)
+        branch = branches[0]
+        for field in ("probability", "transcripts", "world", "attack"):
+            with pytest.raises(AttributeError):
+                setattr(branch, field, None)
+        # The benchmark's negative controls build a changed copy this way.
+        halved = dataclasses.replace(branch, probability=branch.probability / 2)
+        assert halved.probability == branch.probability / 2 and halved.transcripts is branch.transcripts
+
 
 class TestPlansBuilders:
     def test_original_plans_alternate(self):
@@ -1046,13 +1076,23 @@ class TestPlansBuilders:
             revised_plans((0,), (1,), targets=())
         with pytest.raises(ValueError, match="target must be"):
             revised_plans((0,), (1,), targets=("w3",))
-        # Floats are rejected, not truncated to a valid bit.
+        # Floats and bools are rejected, not read as a valid bit.
         with pytest.raises(ValueError, match="secrets entries must be integers"):
             original_plans([1.9, 0.4])
         with pytest.raises(ValueError, match="coins entries must be integers"):
             revised_plans((0.6,), (True,))
         with pytest.raises(ValueError, match="q1_bits entries must be integers"):
             revised_plans((0,), (1,), q1_bits=(1.7,))
+        for name, build in (
+            ("secrets", lambda: original_plans((True, False))),
+            ("secrets", lambda: original_plans((0, False))),
+            ("coins", lambda: revised_plans((True,), (0,))),
+            ("secrets", lambda: revised_plans((1,), (False,))),
+            ("q1_bits", lambda: revised_plans((0,), (1,), q1_bits=(True,))),
+            ("q1_bits", lambda: revised_plans((0,), (1,), q1_bits=(np.bool_(True),))),
+        ):
+            with pytest.raises(ValueError, match=f"{name} entries must be integers"):
+                build()
         # Any iterable of entries is accepted, and checked alike.
         want = revised_plans((1, 0, 0), (0, 1, 1), q1_bits=(0, 1, 0), targets=(W1, W2, W2))
         steered = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (W1, W2, W2))
@@ -1449,11 +1489,31 @@ class TestRoundTable:
             assert [t.to_record() for t in unread] == [t.to_record() for t in read]
             assert transcripts_to_jsonl(unread) == transcripts_to_jsonl(read)
 
+    def test_a_miss_below_a_recorded_fork_replays_the_walk_from_the_tree(self, table, monkeypatch):
+        # A session that takes the other side of a fork an earlier session
+        # recorded misses below it: its statevector play gets the walk's
+        # draws back, rebuilt from the tree with the tape's stand-ins.
+        rebuilt, reset = [], Script.reset
+
+        def spy(self, drawn):
+            rebuilt.extend(drawn)
+            reset(self, drawn)
+
+        monkeypatch.setattr(Script, "reset", spy)
+        for variant, strategy in PAIRS:
+            table.clear()
+            for seed in range(3):
+                cfg = SimConfig(variant=variant, strategy=strategy, rounds=40, seed=seed)
+                want = _session_bytes(*_reference_session(cfg))
+                assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, (variant, strategy, seed)
+        assert {value for code, value in rebuilt if not code & 1} == {0.0, 1.0}
+        assert {value for code, value in rebuilt if code & 1} == {0, 1}
+
     def test_transcripts_of_one_leaf_share_no_events_after_a_check(self, table):
         run_simulation(SimConfig(strategy="a1", rounds=60, seed=2))
-        plan_class = harness.PLAN_CLASSES[1][0][0]  # only the fields of the transcript
+        plan_class = harness.PLAN_CLASSES[1][0][0]  # not read: a payload holds its class's fields
         for payload in _leaf_payloads(table):
-            events = payload[3]
+            events = payload[0][7]
             first, second = (replay.transcript(7, plan_class, payload) for _ in range(2))
             first.add_event({"event": "check_announced", "round": 7, "secret": 0})
             assert first.events is not second.events
@@ -1461,7 +1521,7 @@ class TestRoundTable:
             second.add_event({"event": "check_announced", "round": 7, "secret": 0})
             second.events.append({"event": "appended"})
             assert first.events == second.events[:-1]
-            assert payload[3] is events and replay.transcript(7, plan_class, payload).events == first.events[:-1]
+            assert payload[0][7] is events and replay.transcript(7, plan_class, payload).events == first.events[:-1]
 
     @pytest.mark.parametrize("variant,strategy", PAIRS)
     def test_the_mode_tally_reads_rows_and_transcripts_alike(self, variant, strategy, table):
@@ -1798,7 +1858,7 @@ class TestRoundTable:
                 run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=300, seed=seed, hadamard_bias=bias))
         for scenario in (*GATE2, *GATE5, *DISHONEST_FORKING):
             enumerate_branches(scenario)
-        plan_class = harness.PLAN_CLASSES[1][0][0]  # only the fields of the transcript
+        plan_class = harness.PLAN_CLASSES[1][0][0]  # not read: a payload holds its class's fields
         weights = set()
         # Each stored tree with the number of random() forks on the path to it.
         trees = [(tree, 0) for stored in table._nodes.values() for tree in stored.edges.values()]
@@ -1810,7 +1870,7 @@ class TestRoundTable:
                 trees += [(sub, forks + (tree[0] & 1 == 0)) for sub in tree[1:]]
                 continue
             payload = tree[1]
-            t, recorded = replay.transcript(7, plan_class, payload), payload[6]
+            t, recorded = replay.transcript(7, plan_class, payload), payload[1]
             weight = math.prod(r.probability for r in (*t.records, *(recorded[0] if recorded else ())))
             assert weight == 0.5 ** forks
             weights.add(weight)
