@@ -316,13 +316,15 @@ class Rngs:
 # Internal helpers
 
 
-def _require_clean_world(world: PureState) -> None:
+def _require_clean_world(world: PureState, attack) -> None:
     missing = [lab for lab in CARRIER if lab not in world.labels]
     if missing:
         raise ValueError(f"world is missing carrier qubits {missing}")
     stale = [lab for lab in TRANSIT_LABELS if lab in world.labels]
     if stale:
         raise ValueError(f"transit labels {stale} already present; previous round not cleaned up")
+    if attack is None and world.labels != CARRIER:
+        raise ValueError(f"an honest round plays on the bare carrier {CARRIER}, got {world.labels}")
 
 
 def _cleanup_transit(world: PureState) -> PureState:
@@ -339,8 +341,6 @@ def _cleanup_transit(world: PureState) -> PureState:
 
 
 def _assert_carrier(world: PureState, parity: int) -> None:
-    if world.labels != CARRIER:
-        raise AssertionError(f"unexpected residual qubits {world.labels} after honest round")
     if not equal_up_to_sign(world, g_state() if parity else chi_state()):
         raise AssertionError(f"carrier failed to return to its {'g' if parity else 'chi'} form")
 
@@ -409,11 +409,13 @@ def _play(
     block, Charlie's block, finish.
 
     The variants differ only in the encoding and in the coin, which is
-    ``None`` in the alternating variant.  An honest round must leave the
-    carrier in the form ``parity ^ coin``, the caller's next parity.
+    ``None`` in the alternating variant.  An honest round takes the bare
+    carrier, labeled ``CARRIER`` in that order, else it raises
+    ``ValueError`` before playing; it must leave the carrier in the form
+    ``parity ^ coin``, the caller's next parity.
     """
     check_plan(plan, parity, coin_flip)
-    _require_clean_world(world)
+    _require_clean_world(world, attack)
     mode, coin = plan.mode, plan.alice_hadamard
     kind = type(mode)
     single = kind is SinglePair

@@ -86,15 +86,14 @@ class PureState:
 
 
 def _make(labels: Sequence[str], amps: np.ndarray) -> PureState:
-    """Validate and freeze a state; every public constructor funnels through here."""
+    """Validate and freeze a state; every public constructor funnels through here,
+    each with ``2 ** len(labels)`` amplitudes by construction."""
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate qubit labels: {labels}")
     if len(labels) > MAX_QUBITS:
         raise ValueError(f"register of {len(labels)} qubits exceeds cap of {MAX_QUBITS}")
     amps = np.asarray(amps, dtype=np.float64).reshape(-1)
-    if amps.shape != (2 ** len(labels),):
-        raise ValueError(f"amplitude vector of length {amps.size} does not match {len(labels)} qubits")
     norm = float(np.sqrt(np.dot(amps, amps)))
     if not abs(norm - 1.0) <= ATOL:  # NaN fails too
         raise ValueError(f"state norm {norm!r} deviates from 1 by more than {ATOL}")

@@ -6,6 +6,7 @@ exhaustive branch enumeration rather than sampling, so the assertions
 are exact.
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -84,6 +85,9 @@ class TestBaseInterface:
         assert isinstance(build_attack("dishonest-bob"), DishonestBobAttack)
         with pytest.raises(ValueError, match="unknown strategy"):
             build_attack("a3")
+        for name in (["a1"], {"a1": 1}, None, 1):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                build_attack(name)
         assert STRATEGIES == ("none", "a1", "a2", "a2-probe", "dishonest-bob")
 
 
@@ -125,6 +129,37 @@ class TestRoundReplay:
             harness.run_simulation(harness.SimConfig(strategy=strategy, rounds=6, seed=4))
             assert [state for *_, state in seen] == [False] + [True] * 5
             assert all(type(coin) is int for _, _, coin, _ in seen)
+
+    @pytest.mark.parametrize("strategy", ["a2", "a1", "a2-probe", "dishonest-bob"])
+    def test_a_fresh_attack_given_the_state_plays_each_round_alike(self, strategy):
+        # A round table node knows an attack only by its class and state.
+        # So before each round of a cold session, a fresh attack given the
+        # live attack's state must play that round exactly as the live one.
+        cls = attacks.ATTACKS[strategy]
+        for seed in range(4):
+            coins, secrets, q1_bits, targets = np.random.default_rng(seed).integers(0, 2, size=(4, 10)).tolist()
+            if cls.variant == "original":
+                plans = original_plans(secrets)
+            else:
+                plans = revised_plans(coins, secrets, q1_bits, [(W1, W2)[t] for t in targets])
+            streams = Rngs(*(np.random.default_rng([seed, k]) for k in range(3)))
+            live = cls(streams.attack)
+            world, parity = chi_state(), 0
+            for plan in plans:
+                fresh = cls()
+                fresh.state = live.state
+                played = []
+                for attack in (live, fresh):
+                    # Each play draws from its own copy of the streams; the
+                    # coins share the attack stream, as in a session.
+                    rngs = copy.deepcopy(streams)
+                    attack.coins = rngs.attack
+                    mark = attack.round_mark()
+                    *after, t = harness._play_round(world, plan, parity, rngs, attack)
+                    drawn = [gen.bit_generator.state for gen in (rngs.bob, rngs.charlie, rngs.attack)]
+                    played.append((*after, t, attack.recorded_round(mark, plan.round_index), drawn, rngs))
+                assert played[1][:5] == played[0][:5], (seed, plan)
+                world, parity, *_, streams = played[0]
 
 
 class TestPersistentProbes:
@@ -249,6 +284,11 @@ class TestEveReconstruct:
         assert missing == ()
         guesses, _ = eve_reconstruct([(2, 1, "secret")], {})
         assert guesses == {2: 1}
+
+    @pytest.mark.parametrize("secret", [7, -1, True, 1.0, np.int64(1), None], ids=repr)
+    def test_an_announced_secret_is_the_int_0_or_1(self, secret):
+        with pytest.raises(ValueError, match="ints 0 or 1"):
+            eve_reconstruct([(3, 1, "xor_with_round1_secret")], {1: secret})
 
 
 class TestDishonestBob:

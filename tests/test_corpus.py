@@ -1,4 +1,4 @@
-"""The identity corpus's arguments, and the state comparison's tolerance."""
+"""The identity corpus's arguments and scripted assertions, and the state comparison's tolerance."""
 
 import math
 
@@ -25,3 +25,22 @@ def test_the_tolerance_is_checked_before_any_replay(compare, atol, monkeypatch):
         monkeypatch.setattr(module, "deviation_up_to_sign", None)
     with pytest.raises(ValueError, match="atol"):
         compare(atol)
+
+
+@pytest.mark.parametrize(
+    "pair,match",
+    [
+        (lambda q: qsim.prepare_pair_qbar(1 - q), "should still decode in-round"),
+        (lambda q: qsim.apply_h(qsim.basis_state([("w1", 0), ("w2", 0)]), "w2"), "unexpected random measurement"),
+    ],
+    ids=["flipped-payload", "random-w2"],
+)
+def test_a_corrupted_pair_trips_the_scripted_assertions(pair, match, monkeypatch):
+    monkeypatch.setattr(corpus, "prepare_pair_qbar", pair)
+    with pytest.raises(AssertionError, match=match):
+        verify_equation_corpus()
+
+
+def test_an_unknown_identity_is_refused():
+    with pytest.raises(ValueError, match="unknown identity 'E99'"):
+        verify_equation_corpus(corrupt="E99")

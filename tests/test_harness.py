@@ -51,7 +51,7 @@ from ghzqss.protocol import (
     revised_round,
     transcripts_to_jsonl,
 )
-from ghzqss.qsim import discard, equal_up_to_sign, measure, state_from_terms, tensor
+from ghzqss.qsim import apply_h, basis_state, discard, equal_up_to_sign, measure, state_from_terms, tensor
 
 
 class TestSeeding:
@@ -1303,6 +1303,26 @@ class _FlippingAttack(ChannelAttack):
         return world, W1, W2
 
 
+class _CountingAttack(ChannelAttack):
+    """Breaks the attack contract on purpose: in its k-th round it measures
+    ``draws[k]`` ancillas of its own in ``|+>``, a count kept outside its
+    ``state``, so two rounds the round table keys alike draw differently."""
+
+    name = "counting"
+
+    def __init__(self, draws):
+        super().__init__()
+        self.draws, self.played = draws, 0
+
+    def intercept(self, world, round_index, rngs):
+        for _ in range(self.draws[self.played]):
+            world = apply_h(tensor(world, basis_state([("x", 0)])), "x")
+            rec, world = measure(world, "x", rngs.attack, drop=True)
+            self.records.append(rec)
+        self.played += 1
+        return world, W1, W2
+
+
 def _leaf_payloads(table):
     """The payload of every leaf the table stores."""
     nodes, payloads = [tree for stored in table._nodes.values() for tree in stored.edges.values()], []
@@ -1883,3 +1903,40 @@ class TestRoundTable:
             assert walked == [_fingerprint(b) for b in _replay_branches(scenario)]
         assert (table.entries, table.hits) == (0, 0) and table.misses > 0
         assert not any(node.edges for node in table._nodes.values())
+
+    # Each single-encoding class that targets w1 or w2, at coin 0 from chi:
+    # its honest decode draws nothing, so only the attack's draws fork.
+    SINGLES = [harness._class_of(RoundPlan(1, SinglePair(0, 0, target), 0)) for target in (W1, W2)]
+
+    def test_a_round_that_draws_less_than_its_recording_raises(self, table):
+        attack = _CountingAttack(draws=(1, 0))
+        tape = harness._Tape(0)
+        tape.bits[:] = [0, 1]  # the first round's ancilla reads 0, the walk of the second takes 1
+        script = Script((tape,) * 3)
+        start = table.node(chi_state(), 0, attack)
+        table.play(script, start, 1, self.SINGLES[0], attack)
+        # The walk draws the recorded fork, misses below it, and the
+        # statevector play then draws nothing.
+        with pytest.raises(RuntimeError, match="drew less than its recording: the round table key misses state"):
+            table.play(script, start, 2, self.SINGLES[0], attack)
+
+    @pytest.mark.parametrize("first,second", [(1, 0), (0, 1)], ids=["ends-at-a-fork", "goes-past-a-leaf"])
+    def test_a_round_that_forks_unlike_its_recording_raises(self, first, second, table, monkeypatch):
+        # Session A stores two trees: its second round draws ``first`` times.
+        monkeypatch.setattr(replay, "MAX_TABLE_ENTRIES", 2)
+        tape = harness._Tape(0)
+        tape.bits[:] = [1]  # the one ancilla, A's or B's, reads 1
+        script = Script((tape,) * 3)
+        a = _CountingAttack(draws=(0, first))
+        start = table.node(chi_state(), 0, a)
+        node, _ = table.play(script, start, 1, self.SINGLES[0], a)
+        table.play(script, node, 2, self.SINGLES[0], a)
+        assert table.entries == 2
+        # Session B plays another class at the start node of the full table,
+        # so its leaf names an unstored node with the key A stored.
+        b = _CountingAttack(draws=(0, second))
+        unstored, _ = table.play(script, table.node(chi_state(), 0, b), 1, self.SINGLES[1], b)
+        assert unstored is not node and table._node(unstored) is node and not unstored.edges
+        # B's next round misses there, draws ``second`` times and grows A's tree.
+        with pytest.raises(RuntimeError, match="forked unlike its recording: the round table key misses state"):
+            table.play(script, unstored, 2, self.SINGLES[0], b)

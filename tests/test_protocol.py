@@ -25,7 +25,7 @@ from ghzqss.protocol import (
     revised_round,
     transcripts_to_jsonl,
 )
-from ghzqss.qsim import apply_h, basis_state, equal_up_to_sign, state_from_terms, tensor
+from ghzqss.qsim import apply_h, basis_state, equal_up_to_sign, reorder, state_from_terms, tensor
 
 RH = 1.0 / np.sqrt(2.0)
 
@@ -211,6 +211,20 @@ class TestRevisedRound:
             revised_round(
                 world, RoundPlan(1, EntangledPair(0), alice_hadamard=1), 0, _rngs()
             )
+
+    @pytest.mark.parametrize("variant", ["original", "revised"])
+    def test_an_honest_round_takes_only_the_bare_carrier(self, variant):
+        play, plan = {
+            "original": (original_round, RoundPlan(1, ProductPair(0), None)),
+            "revised": (revised_round, RoundPlan(1, EntangledPair(0), alice_hadamard=1)),
+        }[variant]
+        for world in (tensor(chi_state(), basis_state([("x", 0)])), reorder(chi_state(), ("b", "a", "c"))):
+            rngs = _rngs()
+            with pytest.raises(ValueError, match="bare carrier"):
+                play(world, plan, 0, rngs)
+            # It raised before playing: no stream was drawn from.
+            unused = _rngs()
+            assert (rngs.bob.random(), rngs.charlie.random()) == (unused.bob.random(), unused.charlie.random())
 
     def test_bad_payload_bit_fails_at_encode_time(self):
         with pytest.raises(ValueError):
@@ -414,6 +428,12 @@ class TestTranscriptSerialization:
         ]
         assert blob.startswith('{"round":1,')
         assert blob.endswith("\n")
+
+    def test_a_transcript_equals_only_a_transcript(self):
+        t = _fake_transcript(1, 0, 0)
+        assert t == _fake_transcript(1, 0, 0) and t != _fake_transcript(1, 1, 1)
+        # Against another type ``==`` defers to the other side, so it is False.
+        assert t != t._fields() and t != 1
 
     def test_empty_transcript_list(self):
         assert transcripts_to_jsonl([]) == ""

@@ -266,6 +266,11 @@ class TestConstructors:
             with pytest.raises(ValueError, match="payload"):
                 prepare_pair_qbar(q)
 
+    def test_a_transit_pair_is_two_qubits(self):
+        for labels in (("w1",), ("w1", "w2", "w3")):
+            with pytest.raises(ValueError, match="exactly two qubits"):
+                prepare_pair_qbar(0, labels)
+
     def test_amplitudes_are_frozen(self):
         st = ghz_carrier()
         with pytest.raises(ValueError):
@@ -298,6 +303,14 @@ class TestTensorDiscardReorder:
         right = basis_state([(f"y{i}", 0) for i in range(MAX_QUBITS - 6)])
         with pytest.raises(ValueError, match="cap"):
             tensor(left, right)
+
+    def test_constructors_enforce_register_cap(self):
+        labels = [f"x{i}" for i in range(MAX_QUBITS + 1)]
+        with pytest.raises(ValueError, match="exceeds cap"):
+            basis_state([(lab, 0) for lab in labels])
+        with pytest.raises(ValueError, match="exceeds cap"):
+            state_from_terms(labels, {"0" * len(labels): 1.0})
+        assert basis_state([(lab, 0) for lab in labels[1:]]).num_qubits == MAX_QUBITS
 
     def test_discard_removes_definite_qubit(self):
         rng = np.random.default_rng(111)
