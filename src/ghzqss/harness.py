@@ -78,14 +78,56 @@ MAX_ENUM_ROUNDS = 6
 MAX_ENUM_BRANCHES = 2 ** 20
 
 
+# numpy's ``SeedSequence`` output hash: word i is w ^ w >> 16, w = (pool[i % 4] ^ x) * m mod 2**32.
+_OUTPUT_HASH = tuple(itertools.pairwise(0x8B51F9DD * 0x58F38DED ** i & 0xFFFFFFFF for i in range(9)))
+
+
+def _words(n: int, pad: int = 1) -> bytes:
+    """numpy's little-endian uint32 seed words of an int, one for 0, zero-padded to ``pad``."""
+    n = operator.index(n)
+    if n < 0:  # as numpy: a negative int has no words
+        raise ValueError("expected non-negative integer")
+    return n.to_bytes(4 * max(pad, -(-n.bit_length() // 32)), "little")
+
+
+def _seed_words(entropy: bytes, n: int) -> list[int]:
+    """The first ``n`` words of ``generate_state`` of a ``SeedSequence`` of the uint32 words
+    of ``entropy``: numpy mixes the pool in C, the output hash runs here without its wrappers."""
+    pool = np.random.SeedSequence(np.frombuffer(entropy, "<u4")).pool.tolist()
+    return [(w := (pool[i & 3] ^ x) * m & 0xFFFFFFFF) ^ w >> 16 for i, (x, m) in enumerate(_OUTPUT_HASH[:n])]
+
+
+@functools.cache
+def _seed_state() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` the seed words it is given,
+    made at the first generator, as numpy imports ``numpy.random`` lazily."""
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=None):
+            return self.state
+
+    return SeedState
+
+
+def _generator(entropy: bytes) -> np.random.Generator:
+    """``default_rng`` of a ``SeedSequence`` of the uint32 words of ``entropy``."""
+    w = _seed_words(entropy, 8)  # PCG64 takes them as four uint64 words, low half first
+    state = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32], np.uint64)
+    return np.random.Generator(np.random.PCG64(_seed_state()(state)))
+
+
 def stream(seed: int, k: int) -> np.random.Generator:
-    """The k-th independent substream of a session seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+    """The k-th independent substream of a session seed, numpy's
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``."""
+    return _generator(_words(seed, 4) + _words(k))  # the seed's words padded to the pool size, then k's
 
 
 def derived_seed(*parts: int) -> int:
-    """Stable scalar seed derived from a tuple (used by sweeps)."""
-    return int(np.random.SeedSequence(entropy=tuple(operator.index(p) for p in parts)).generate_state(1)[0])
+    """Stable scalar seed derived from a tuple (used by sweeps): numpy's ``SeedSequence(parts)``'s first word."""
+    return _seed_words(b"".join(map(_words, parts)), 1)[0]
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -460,7 +502,7 @@ class _Tape:
         self._kept: list[int] = []  # the coins drawn so far
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
-        self._gen = PCG64Stream(lambda: np.random.default_rng(seed))
+        self._gen = PCG64Stream(lambda: _generator(_words(seed)))
 
     def random(self) -> float:
         k = self.drawn

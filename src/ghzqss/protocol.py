@@ -591,7 +591,10 @@ def check_phase(
             index, secret, recovered = t[:3]
         else:
             index, secret, recovered = t.round_index, t.secret, t.recovered
-            t.add_event(ev_check(index, secret))
+            if type(t._events) is tuple:  # the round table's frozen events take the event's items
+                t._events += ((("event", "check_announced"), ("round", int(index)), ("secret", int(secret))),)
+            else:
+                t.add_event(ev_check(index, secret))
         errors += recovered != secret
         announced.append(index)
     error_rate = errors / k

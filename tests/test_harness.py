@@ -6,7 +6,10 @@ import inspect
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import threading
 import types
@@ -65,6 +68,62 @@ class TestSeeding:
     def test_derived_seed_is_stable(self):
         assert derived_seed(1, 2, 3) == derived_seed(1, 2, 3)
         assert derived_seed(1, 2, 3) != derived_seed(1, 2, 4)
+
+    # Seeds at the edges of numpy's uint32 words and of its pool of four.
+    EDGES = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 96, 2 ** 128 - 1, 2 ** 128 + 7, 2 ** 200 + 3)
+
+    def test_a_stream_is_numpys_spawned_seed_sequence(self):
+        rnd = random.Random(33)
+        seeds = [*self.EDGES, np.uint64(2 ** 64 - 1), np.int64(7)]
+        seeds += [rnd.getrandbits(bits) for bits in (32, 64) for _ in range(500)]
+        for seed in seeds:
+            for k in range(5):
+                got = stream(seed, k).bit_generator
+                want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))).bit_generator
+                assert got.state == want.state, (seed, k)
+                assert got.random_raw(3).tolist() == want.random_raw(3).tolist(), (seed, k)
+
+    def test_a_derived_seed_is_numpys_first_generated_word(self):
+        rnd = random.Random(33)
+        cases = [(0,), (0, 0, 0), (1, 2, 3), (2 ** 32, 0, 1), (5, 2 ** 40 + 3, 0), (np.int64(3), 2 ** 96, 2 ** 32 - 1)]
+        cases += [tuple(rnd.getrandbits(rnd.choice((0, 8, 32, 33, 64, 130))) for _ in range(rnd.randrange(1, 5)))
+                  for _ in range(300)]
+        for parts in cases:
+            assert derived_seed(*parts) == int(np.random.SeedSequence(entropy=parts).generate_state(1)[0]), parts
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 7])
+    def test_a_tapes_coins_are_those_of_default_rng(self, seed):
+        tape, want, n = harness._Tape(seed), np.random.default_rng(seed), 3 * BLOCK_WORDS  # past the first block
+        assert [tape.bit() for _ in range(n)] == [int(want.integers(0, 2)) for _ in range(n)]
+
+    @pytest.mark.parametrize("negative", [-1, -(2 ** 40), np.int64(-3)], ids=["int", "wide", "numpy"])
+    def test_a_negative_seed_raises_as_numpy_does(self, negative):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence(entropy=negative, spawn_key=(0,))
+        for make in (
+            lambda: stream(negative, 0),
+            lambda: stream(0, negative),
+            lambda: derived_seed(1, negative),
+            lambda: harness._Tape(negative).bit(),
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                make()
+
+    def test_numpy_random_stays_unloaded_until_a_stream_is_opened(self):
+        # A fresh interpreter: the import and a coin-free enumeration leave
+        # numpy.random unloaded, and the first stream loads it.
+        child = "\n".join((
+            "import sys, ghzqss.cli",
+            "from ghzqss.harness import Scenario, enumerate_branches, original_plans, stream",
+            "assert 'numpy.random' not in sys.modules, 'import'",
+            "branches = enumerate_branches(Scenario('original', original_plans((1, 0, 1, 1, 0, 0)), strategy='a2'))",
+            "assert len(branches) == 32 and 'numpy.random' not in sys.modules, 'enumeration'",
+            "stream(1, 0)",
+            "assert 'numpy.random' in sys.modules, 'stream'",
+        ))
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(harness.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
 
 
 def _mixed_draws(rnd, n):
@@ -564,8 +623,8 @@ class TestEnumeration:
 
     def test_a_branch_sets_up_its_coin_generator_at_its_first_coin(self, monkeypatch):
         built = []
-        real = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed) or real(seed))
+        real = harness._words  # the generator reads its seed's words when it is set up
+        monkeypatch.setattr(harness, "_words", lambda seed, *pad: built.append(seed) or real(seed, *pad))
         plans = revised_plans((1, 1, 0, 1), (0, 1, 1, 0), targets=(W1, W2, W2, W1))
         assert enumerate_branches(Scenario("revised", plans, strategy="a1"))
         assert built == []  # a probe draws no coin
