@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import itertools
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -58,6 +59,7 @@ from .protocol import (
     hadamard_layer,
     original_round,
     revised_round,
+    transcript_fields,
 )
 from .qsim import PureState, require_number
 from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, transcript
@@ -169,6 +171,8 @@ class SimConfig:
         _validate_combo(self.variant, self.strategy)
         # Kept as Python ints, so a numpy integer never reaches the JSON report.
         object.__setattr__(self, "rounds", _require_int("rounds", self.rounds, 1))
+        if self.rounds > sys.maxsize:  # a session slices its plans to ``rounds``
+            raise ValueError(f"rounds must be at most {sys.maxsize}, got {self.rounds}")
         object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
         check_settings(self.check_fraction, self.detect_threshold, "detect_threshold")
         require_number("hadamard_bias", self.hadamard_bias)
@@ -207,18 +211,18 @@ class SimReport:
         return dataclasses.asdict(self)
 
 
-# The (mode, target, secret, recovered) of a compact row and of a transcript.
+# The (mode, target, secret, recovered) of a compact row.
 _ROW_TALLY = operator.itemgetter(3, 4, 1, 2)
-_TRANSCRIPT_TALLY = operator.attrgetter("mode", "target", "secret", "recovered")
 
 
 def _mode_breakdown(rows: Sequence) -> dict[str, dict[str, float]]:
     """Rounds and errors per mode, a single encoding per target, keyed in
     the order the modes first appear.  The rows of one session are all
     compact rows or all transcripts, and one ``Counter`` pass counts them."""
-    tally = _ROW_TALLY if rows and type(rows[0]) is tuple else _TRANSCRIPT_TALLY
+    compact = rows and type(rows[0]) is tuple
+    tallies = map(_ROW_TALLY, rows) if compact else transcript_fields(rows, "mode", "target", "secret", "recovered")
     counts: dict[str, list[int]] = {}
-    for (mode, target, secret, recovered), n in Counter(map(tally, rows)).items():
+    for (mode, target, secret, recovered), n in Counter(tallies).items():
         slot = counts.setdefault(f"single_{target}" if mode == "single" else mode, [0, 0])
         slot[0] += n
         if recovered != secret:
@@ -240,7 +244,7 @@ def _score_eve(attack, rows: Sequence, checked: Sequence[int]) -> float | None:
     if attack is None or attack.readout is None:
         return None
     # A session's rows hold rounds 1, 2, ... in order.
-    secrets = [row[1] for row in rows] if rows and type(rows[0]) is tuple else [t.secret for t in rows]
+    secrets = [row[1] for row in rows] if rows and type(rows[0]) is tuple else list(transcript_fields(rows, "secret"))
     announced = {}
     if attack.readout == "relative":
         announced = dict(enumerate(secrets[:2], start=1))

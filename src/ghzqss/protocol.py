@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,18 +192,19 @@ def ev_check(round_index: int, secret: int) -> dict:
     return {"event": "check_announced", "round": int(round_index), "secret": int(secret)}
 
 
-def _built_on_read(slot: str, build) -> property:
-    """A transcript field kept in ``slot``; a round table's frozen tuple there
-    is built by ``build`` into the transcript's own value on first read."""
+def _field(i: int, build=None) -> property:
+    """Field ``i`` of a transcript's ``_args``.  With ``build``, a round
+    table's frozen tuple there is built into the transcript's own value on
+    first read and stored back."""
 
     def read(self):
-        value = getattr(self, slot)
+        value = self._args[i]
         if type(value) is tuple:
             value = build(value)
-            setattr(self, slot, value)
+            self._put(i, value)
         return value
 
-    return property(read, lambda self, value: setattr(self, slot, value))
+    return property(read if build else lambda self: self._args[i], lambda self, value: self._put(i, value))
 
 
 class RoundTranscript:
@@ -215,16 +217,21 @@ class RoundTranscript:
     excluded from serialization: it is knowledge of the eavesdropper,
     not part of the public record.
 
+    A transcript is two slots, ``round_index`` and ``_args``: every other
+    field in constructor order, the shape of a round table leaf's ``args``.
+    Each field is a property over ``_args``, and a write gives the
+    transcript a new ``_args``, so ``replayed`` adopts a leaf's interned
+    ``args``, shared with the leaf's other transcripts until one writes.
     ``events`` (a list of dicts), ``records`` (a list) and ``eve_notes``
-    (a dict or ``None``) are the transcript's own.  A replayed round passes
-    the round table's frozen tuples of event items, records and note items
+    (a dict or ``None``) are the transcript's own.  A replayed round holds
+    the table's frozen tuples of event items, records and note items
     instead, each built into a new list or dict when first read (also by
-    ``==``, ``repr`` and ``to_record``).
+    ``==``, ``repr`` and ``to_record``), as is a constructor default ``()``.
     """
 
     __match_args__ = ("round_index", "mode", "hadamard", "target", "secret", "bob", "charlie", "recovered",
                       "events", "records", "eve_notes")  # the field order of the constructor, repr and ==
-    __slots__ = (*__match_args__[:8], "_events", "_records", "_eve_notes")
+    __slots__ = ("round_index", "_args")
     __hash__ = None  # mutable and compared by value
 
     def __init__(
@@ -233,28 +240,32 @@ class RoundTranscript:
         records: list[MeasurementRecord] | tuple = (), eve_notes: dict | tuple | None = None,
     ) -> None:
         self.round_index = round_index
-        self.mode = mode
-        self.hadamard = hadamard
-        self.target = target
-        self.secret = secret
-        self.bob = bob
-        self.charlie = charlie
-        self.recovered = recovered
-        self._events = events
-        self._records = records
-        self._eve_notes = eve_notes
+        self._args = (mode, hadamard, target, secret, bob, charlie, recovered, events, records, eve_notes)
 
-    events = _built_on_read("_events", lambda events: [dict(event) for event in events])
-    records = _built_on_read("_records", list)
-    eve_notes = _built_on_read("_eve_notes", dict)
+    @classmethod
+    def replayed(cls, round_index: int, args: tuple, _new=object.__new__) -> RoundTranscript:
+        """The transcript of round ``round_index`` that adopts ``args`` as its ``_args``, uncopied."""
+        t = _new(cls)
+        t.round_index, t._args = round_index, args
+        return t
+
+    mode, hadamard, target, secret, bob, charlie, recovered = map(_field, range(7))
+    events = _field(7, lambda events: [dict(event) for event in events])
+    records = _field(8, list)
+    eve_notes = _field(9, dict)
+
+    def _put(self, i: int, value) -> None:
+        args = list(self._args)
+        args[i] = value
+        self._args = tuple(args)
 
     def add_event(self, event: dict) -> None:
         """Append ``event`` to ``events``.  Events still held as the round
         table's frozen tuple stay frozen: the transcript keeps a new tuple
         with the event's items added, built on first read like the rest."""
-        events = self._events
+        events = self._args[7]
         if type(events) is tuple:
-            self._events = (*events, tuple(event.items()))
+            self._put(7, (*events, tuple(event.items())))
         else:
             events.append(event)
 
@@ -271,22 +282,22 @@ class RoundTranscript:
         return f"{type(self).__qualname__}({fields})"
 
     def to_record(self) -> dict:
-        return {
-            "round": self.round_index,
-            "mode": self.mode,
-            "hadamard": self.hadamard,
-            "target": self.target,
-            "secret": self.secret,
-            "bob": self.bob,
-            "charlie": self.charlie,
-            "recovered": self.recovered,
-            "events": self.events,
-        }
+        a = self._args
+        return {"round": self.round_index, "mode": a[0], "hadamard": a[1], "target": a[2], "secret": a[3],
+                "bob": a[4], "charlie": a[5], "recovered": a[6], "events": self.events}
+
+
+def transcript_fields(transcripts: Iterable[RoundTranscript], *names: str) -> Iterator:
+    """The named fields of each transcript (a value for one name, else a tuple),
+    read in C from its ``_args``: a property costs four times as much."""
+    get = operator.itemgetter(*(RoundTranscript.__match_args__.index(name) - 1 for name in names))
+    return map(get, map(operator.attrgetter("_args"), transcripts))
 
 
 def transcripts_to_jsonl(transcripts: Sequence[RoundTranscript]) -> str:
     """One JSON object per line, stable key order, trailing newline."""
-    lines = [json.dumps(t.to_record(), separators=(",", ":")) for t in transcripts]
+    encode = json.JSONEncoder(separators=(",", ":")).encode  # as json.dumps, which builds an encoder per call
+    lines = [encode(t.to_record()) for t in transcripts]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -590,9 +601,10 @@ def check_phase(
         if type(t) is tuple:
             index, secret, recovered = t[:3]
         else:
-            index, secret, recovered = t.round_index, t.secret, t.recovered
-            if type(t._events) is tuple:  # the round table's frozen events take the event's items
-                t._events += ((("event", "check_announced"), ("round", int(index)), ("secret", int(secret))),)
+            index, args = t.round_index, t._args
+            secret, recovered, events = args[3], args[6], args[7]
+            if type(events) is tuple:  # the round table's frozen events take the event's items
+                t._put(7, (*events, (("event", "check_announced"), ("round", int(index)), ("secret", int(secret)))))
             else:
                 t.add_event(ev_check(index, secret))
         errors += recovered != secret

@@ -215,9 +215,10 @@ def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
 
 def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
     """The transcript of a round's leaf payload, a new one on every call.  It
-    holds the payload's frozen events, records and notes and builds its own
-    list or dict of each on the first read, so no transcript shares one."""
-    return RoundTranscript(round_index, *payload[0])
+    adopts the payload's interned ``args`` and builds its own list or dict of
+    the frozen events, records and notes on the first read, so no transcript
+    shares one."""
+    return RoundTranscript.replayed(round_index, payload[0])
 
 
 class Node:

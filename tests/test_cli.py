@@ -106,6 +106,12 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_a_round_count_past_sys_maxsize_is_usage_error_naming_rounds(self, capsys):
+        code, out, err = _run(capsys, ["run", "--rounds", "99999999999999999999"])
+        assert code == 2
+        assert err == f"error: rounds must be at most {sys.maxsize}, got 99999999999999999999\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

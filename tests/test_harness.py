@@ -382,6 +382,7 @@ class TestSimConfigValidation:
             (dict(check_fraction="0.5"), "check_fraction must be a number"),
             (dict(hadamard_bias="0.5"), "hadamard_bias must be a number"),
             (dict(rounds=1, secret_bits=1), "secret_bits must be a string"),
+            (dict(rounds=sys.maxsize + 1), "rounds must be at most"),
         ],
     )
     def test_bad_configs_are_rejected(self, kwargs, match):
@@ -977,8 +978,9 @@ class TestForkingWalk:
         branches = enumerate_branches(scenario)
         frozen = {id(part) for payload in _leaf_payloads(table) for part in payload[0][7:10]}
         for t in (t for b in branches for t in b.transcripts):
-            assert type(t._events) is tuple and type(t._records) is tuple
-            assert {id(t._events), id(t._records), id(t._eve_notes)} <= frozen
+            events, records, notes = t._args[7:10]
+            assert type(events) is tuple and type(records) is tuple
+            assert {id(events), id(records), id(notes)} <= frozen
         assert [_fingerprint(b) for b in branches] == [_fingerprint(b) for b in _replay_branches(scenario)]
 
     def test_every_branch_replays_each_round_from_the_table(self, table):
@@ -1558,7 +1560,7 @@ class TestRoundTable:
                     for t in transcripts:
                         t.events
                 else:
-                    assert all(type(t._events) is tuple for t in transcripts)
+                    assert all(type(t._args[7]) is tuple for t in transcripts)
                 check_phase(transcripts, 0.5, stream(cfg.seed, harness.STREAM_CHECK))
                 sides.append(transcripts)
             unread, read = sides
@@ -1601,6 +1603,71 @@ class TestRoundTable:
             second.events.append({"event": "appended"})
             assert first.events == second.events[:-1]
             assert payload[0][7] is events and replay.transcript(7, plan_class, payload).events == first.events[:-1]
+
+    def test_a_replayed_transcript_holds_its_leafs_args_until_it_writes(self, table, monkeypatch):
+        cfg = SimConfig(strategy="a1", rounds=60, seed=2, check_fraction=0.5)
+        run_simulation(cfg)  # records every round the session plays
+        adopted = []
+
+        def adopting(round_index, plan_class, payload):
+            t = replay.transcript(round_index, plan_class, payload)
+            adopted.append((t, payload[0]))
+            return t
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "transcript", adopting)
+            transcripts = harness._play_session(cfg, True)[2]
+        assert len(adopted) == 60 and all(t._args is args for t, args in adopted)
+        _, _, announced = check_phase(transcripts, 0.5, stream(cfg.seed, harness.STREAM_CHECK))
+        assert [t.round_index for t, args in adopted if t._args is args] == sorted(set(range(1, 61)) - set(announced))
+
+        # Two transcripts of one leaf; the first is set field by field and then appended to.
+        names = RoundTranscript.__match_args__[1:]
+        plan_class = harness.PLAN_CLASSES[1][0][0]  # not read: a payload holds its class's fields
+        for payload in _leaf_payloads(table):
+            values = ("edited", 1, "w9", 9, 8, 7, 6, [{"event": "set"}], ["set"], {"set": True})
+            args, before = payload[0], repr(payload)
+            first, second = (replay.transcript(7, plan_class, payload) for _ in range(2))
+            for name, value in zip(names, values):
+                setattr(first, name, value)
+            assert [getattr(first, name) for name in names] == list(values)
+            first.events.append({"event": "appended"})
+            first.add_event({"event": "check_announced", "round": 7, "secret": 0})
+            assert [event["event"] for event in first.events] == ["set", "appended", "check_announced"]
+            assert first.records == ["set"] and first.eve_notes == {"set": True}
+            assert second._args is args and payload[0] is args and repr(payload) == before
+            # A frozen transcript keeps what is done to the lists and dict it builds on first read.
+            third = replay.transcript(7, plan_class, payload)
+            third.events.append({"event": "appended"})
+            third.records.append("record")
+            if third.eve_notes is not None:
+                third.eve_notes["edited"] = True
+            assert third.events[-1] == {"event": "appended"} and third.records[-1] == "record"
+            assert third.eve_notes is None or third.eve_notes["edited"]
+            # It takes a check event in a tuple of its own.
+            fourth = replay.transcript(7, plan_class, payload)
+            fourth.add_event({"event": "check_announced", "round": 7, "secret": 0})
+            assert fourth._args is not args and fourth.events[-1] == {"event": "check_announced", "round": 7, "secret": 0}
+            assert second._args is args and repr(payload) == before
+            assert second == replay.transcript(7, plan_class, payload) and fourth.events[:-1] == second.events
+
+        # A later session replays every round and is still the statevector play's, byte for byte.
+        misses = table.misses
+        report, transcripts, attack, world = _table_session(cfg, monkeypatch)
+        assert table.misses == misses
+        reference = _reference_session(cfg)
+        assert transcripts == reference[1] and repr(transcripts) == repr(reference[1])
+        assert [t.to_record() for t in transcripts] == [t.to_record() for t in reference[1]]
+        assert _session_bytes(report, transcripts, attack, world) == _session_bytes(*reference)
+
+    def test_a_constructor_default_reads_as_a_fresh_empty_list(self):
+        first, second = (RoundTranscript(1, "single", 0, "w1", 0, 0, 0, 0) for _ in range(2))
+        assert first.events == first.records == [] and first.eve_notes is None
+        assert first.events is not second.events and first.records is not second.records
+        first.events.append({"event": "appended"})
+        first.records.append("record")
+        assert (first.events, first.records) == ([{"event": "appended"}], ["record"])
+        assert second.events == second.records == []
 
     @pytest.mark.parametrize("variant,strategy", PAIRS)
     def test_the_mode_tally_reads_rows_and_transcripts_alike(self, variant, strategy, table):
@@ -1843,6 +1910,13 @@ class TestRoundTable:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
+        replayed = RoundTranscript.replayed
+
+        def counting_replayed(cls, *args):
+            built[RoundTranscript] += 1
+            return replayed(*args)
+
+        monkeypatch.setattr(RoundTranscript, "replayed", classmethod(counting_replayed))
         cfg = SimConfig(variant=variant, strategy=strategy, rounds=500, seed=3)
         run_simulation(cfg)  # records every round the session plays
         for transcripts in (None, []):
