@@ -15,9 +15,10 @@ exact probability (1/2 to the power of its ``random()`` draws, as every
 measurement forks at a Born weight of 1/2), which turns Monte Carlo
 claims into closed-form numbers for small scenarios.
 
-Sessions and branches share ``_play_rounds``, the one session loop, and
-``_play_round``, the one per-round step.  The loop plays each round
-through ``ROUND_TABLE = RoundTable(_play_round)``, a bounded
+A session plays the plan list ``_round_plans`` builds, and a branch its
+scenario's plans as plan classes, both through the one session loop,
+``ROUND_TABLE.play_rounds``, and ``_play_round``, the one per-round
+step.  ``ROUND_TABLE = RoundTable(_play_round)`` is a bounded
 process-wide memo of recorded statevector rounds (``ghzqss.replay``)
 stored as a graph of (world, carrier parity, attack class, attacker
 state) nodes: a round whose node and plan class were seen before is
@@ -37,7 +38,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,13 +57,14 @@ from .protocol import (
     check_size,
     check_settings,
     chi_state,
+    compact_row,
     hadamard_layer,
     original_round,
     revised_round,
     transcript_fields,
 )
 from .qsim import PureState, require_number
-from .replay import Node, PCG64Stream, RoundTable, Script, compact_row, transcript
+from .replay import PCG64Stream, RoundTable, Script
 
 VARIANTS = ("original", "revised")
 
@@ -171,7 +173,9 @@ class SimConfig:
         _validate_combo(self.variant, self.strategy)
         # Kept as Python ints, so a numpy integer never reaches the JSON report.
         object.__setattr__(self, "rounds", _require_int("rounds", self.rounds, 1))
-        if self.rounds > sys.maxsize:  # a session slices its plans to ``rounds``
+        # A session's plan list holds one entry per round, as its rows do,
+        # and a list holds at most ``sys.maxsize`` entries.
+        if self.rounds > sys.maxsize:
             raise ValueError(f"rounds must be at most {sys.maxsize}, got {self.rounds}")
         object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
         check_settings(self.check_fraction, self.detect_threshold, "detect_threshold")
@@ -297,38 +301,41 @@ def _class_of(plan: RoundPlan) -> PlanClass:
 
 def _round_plans(
     variant: str,
+    rounds: int,
     secret: Callable[[], int],
-    coin: Callable[[], int] | None = None,
     q1: Callable[[], int] | None = None,
-    w1: Callable[[], bool] | None = None,
-) -> Iterator[tuple[int, PlanClass]]:
-    """``(round index, plan class)`` pairs from round 1 on, the one source
-    of round plans.  Each draw is a function without arguments that
-    returns 0 or 1, or a bool (``w1`` is true if a single encoding
-    targets ``w1``), and picks the class from ``PLAN_CLASSES`` by its
-    value.  A round calls ``secret``, then in the
-    coin-flip variant ``coin``, and for a single encoding ``q1`` and
-    ``w1``, in the order a session draws them from Alice's stream.  The
-    coin-flip variant picks the encoding per the form rule; the carrier
-    form is the XOR of the coins so far.
+    coin: Callable[[], float] | None = None,
+    w1: Callable[[], float] | None = None,
+    bias: float = 0.5,
+) -> list[tuple[int, PlanClass]]:
+    """The ``(round index, plan class)`` pairs of rounds 1 to ``rounds``, the
+    one source of round plans.  ``secret`` and ``q1`` return 0 or 1, and
+    ``coin`` and ``w1`` a uniform draw: the coin is 1 if it is below
+    ``bias``, and a single encoding targets ``w1`` if that draw is below
+    1/2.  Each draw's value picks the class from ``PLAN_CLASSES``.  A
+    round calls ``secret``, then in the coin-flip variant ``coin``, and for
+    a single encoding ``q1`` and ``w1``, in the order a session draws them
+    from Alice's stream.  The coin-flip variant picks the encoding per the
+    form rule; the carrier form is the XOR of the coins so far.
 
-    A session passes Alice's ``PCG64Stream.bit`` and lambdas over her
-    ``random``: Python calls with exact arguments, which CPython 3.11
-    inlines.  A C-level wrapper such as a ``functools.partial`` or a
-    ``map`` would enter a fresh interpreter frame on every draw."""
+    A session passes Alice's ``PCG64Stream`` methods themselves, ``bit``
+    and ``random``, and the comparisons are made here: a Python method
+    called with its exact arguments is inlined by CPython 3.11, where a
+    lambda around it would add a frame per draw and a C-level wrapper such
+    as a ``functools.partial`` a fresh interpreter frame."""
     alternating, pairs, singles = PLAN_CLASSES
     if variant == "original":
-        for i in itertools.count(1):
-            yield i, alternating[i & 1][secret()]
-    parity = 0
-    for i in itertools.count(1):
+        return [(i, alternating[i & 1][secret()]) for i in range(1, rounds + 1)]
+    plans, parity = [], 0
+    for i in range(1, rounds + 1):
         q = secret()
-        c = coin()
+        c = coin() < bias
         if c ^ parity:
-            yield i, pairs[c][q]
+            plans.append((i, pairs[c][q]))
         else:
-            yield i, singles[c][q][q1()][w1()]
+            plans.append((i, singles[c][q][q1()][w1() < 0.5]))
         parity ^= c
+    return plans
 
 
 def _play_round(
@@ -357,20 +364,6 @@ def _play_round(
 ROUND_TABLE = RoundTable(_play_round)
 
 
-def _play_rounds(node: Node, script: Script, plans: Iterable, attack, row) -> tuple[PureState, list]:
-    """The one session loop: each ``(round index, plan class)`` of ``plans``
-    played through ``ROUND_TABLE`` from the node the leaf before names, the
-    first from the start ``node``, with the draws of ``script`` and
-    ``attack``.  The caller looks the start node up once: a session per
-    session, an enumeration once for all its branches.  Returns the final
-    world and per round ``row(round index, plan class, payload)``."""
-    play, rows = ROUND_TABLE.play, []
-    for i, plan_class in plans:
-        node, payload = play(script, node, i, plan_class, attack)
-        rows.append(row(i, plan_class, payload))
-    return node.world, rows
-
-
 def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
     """All rounds of one session: the final world, the attack and per round
     its transcript if ``transcribe``, else its compact row."""
@@ -385,18 +378,14 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
     attack = build_attack(cfg.strategy, coins=script.tap(2))
     # Draws that CPython inlines (see ``_round_plans``); a given secret is
     # read from the string in C, which calls no Python function.
-    uniform, bias = alice.random, cfg.hadamard_bias
+    secret = alice.bit if cfg.secret_bits is None else map(int, cfg.secret_bits).__next__
     plans = _round_plans(
-        cfg.variant,
-        secret=alice.bit if cfg.secret_bits is None else map(int, cfg.secret_bits).__next__,
-        coin=lambda: uniform() < bias,
-        q1=alice.bit,
-        w1=lambda: uniform() < 0.5,
+        cfg.variant, cfg.rounds, secret, q1=alice.bit, coin=alice.random, w1=alice.random, bias=cfg.hadamard_bias
     )
-    row = transcript if transcribe else compact_row
+    row = RoundTranscript.replayed if transcribe else compact_row
     start = ROUND_TABLE.node(chi_state(), 0, attack)
-    world, rows = _play_rounds(start, script, itertools.islice(plans, cfg.rounds), attack, row)
-    return world, attack, rows
+    end, rows = ROUND_TABLE.play_rounds(script, start, plans, attack, row)
+    return end.world, attack, rows
 
 
 def run_simulation(
@@ -540,9 +529,9 @@ class _Tape:
 def enumerate_branches(scenario: Scenario) -> list[Branch]:
     """Every measurement branch of the scenario, each played as a session.
 
-    A branch's rounds go through ``_play_rounds`` like a session's, with
-    one ``_Tape`` for the whole enumeration as its quantum streams and its
-    attacker's coins, and one ``Script`` on that tape.  The start node is
+    A branch's rounds go through ``RoundTable.play_rounds`` like a
+    session's, with one ``_Tape`` for the whole enumeration as its quantum
+    streams and its attacker's coins, and one ``Script`` on that tape.  The start node is
     looked up once, with the first branch's attack: every branch's fresh
     attack has the same class and ``state``.  Branches come out in the
     lexicographic order of their outcomes, and every branch plays each of
@@ -562,8 +551,8 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
         attack = build_attack(scenario.strategy, coins=script.tap(2))
         if start is None:
             start = ROUND_TABLE.node(chi_state(), 0, attack)
-        world, transcripts = _play_rounds(start, script, plans, attack, transcript)
-        branches.append(Branch(0.5 ** tape.drawn, tuple(transcripts), world, attack))
+        end, transcripts = ROUND_TABLE.play_rounds(script, start, plans, attack, RoundTranscript.replayed)
+        branches.append(Branch(0.5 ** tape.drawn, tuple(transcripts), end.world, attack))
         if len(branches) > MAX_ENUM_BRANCHES:
             raise RuntimeError(f"scenario exceeded {MAX_ENUM_BRANCHES} branches")
         if not tape.next_branch():
@@ -585,13 +574,15 @@ _BIT_ERROR = "payload bits of round {round} must be the ints 0 or 1, got {entry!
 
 
 def _scripted(variant: str, rounds: int, **columns: tuple) -> tuple[RoundPlan, ...]:
-    """The first ``rounds`` plans of ``_round_plans`` with each draw given as a
-    column ``(entries, values, error)``: in round r the draw returns the index
-    in ``values`` of ``entries[r - 1]``, and an entry not among ``values``
-    raises ``ValueError(error)`` before any class is looked up.  A draw the
-    round does not make leaves its entry unread.  Plans built from the
-    classes are left for ``Scenario`` to check."""
-    at = 0
+    """The plans of ``_round_plans`` for ``rounds`` rounds with each draw given
+    as a column ``(entries, values, error)``: in round r the draw returns the
+    index in ``values`` of ``entries[r - 1]``, so ``coin`` and ``w1``, which
+    ``_round_plans`` compares with 1/2, list first the value that a draw
+    below it picks.  An entry not among ``values`` raises
+    ``ValueError(error)`` before any class is looked up.  A draw the round
+    does not make leaves its entry unread.  Plans built from the classes are
+    left for ``Scenario`` to check."""
+    at = -1
 
     def column(entries: tuple, values: tuple, error: str) -> Callable[[], int]:
         def draw() -> int:
@@ -602,12 +593,15 @@ def _scripted(variant: str, rounds: int, **columns: tuple) -> tuple[RoundPlan, .
 
         return draw
 
-    plans = _round_plans(variant, **{name: column(*spec) for name, spec in columns.items()})
-    scripted = []
-    for at in range(rounds):
-        i, c = next(plans)
-        scripted.append(RoundPlan(i, c.mode, c.coin))
-    return tuple(scripted)
+    draws = {name: column(*spec) for name, spec in columns.items()}
+    secret = draws.pop("secret")
+
+    def first() -> int:  # each round draws its secret first
+        nonlocal at
+        at += 1
+        return secret()
+
+    return tuple(RoundPlan(i, c.mode, c.coin) for i, c in _round_plans(variant, rounds, first, **draws))
 
 
 def original_plans(secrets: Iterable[int]) -> tuple[RoundPlan, ...]:
@@ -640,9 +634,9 @@ def revised_plans(
     return _scripted(
         "revised", rounds,
         secret=(secrets, (0, 1), _BIT_ERROR),
-        coin=(coins, (0, 1), "coin-flip variant plans need alice_hadamard 0 or 1, got {entry!r}"),
+        coin=(coins, (1, 0), "coin-flip variant plans need alice_hadamard 0 or 1, got {entry!r}"),
         q1=(q1_bits, (0, 1), _BIT_ERROR),
-        w1=(targets, (W2, W1), f"target must be {W1!r} or {W2!r}, got {{entry!r}}"),
+        w1=(targets, (W1, W2), f"target must be {W1!r} or {W2!r}, got {{entry!r}}"),
     )
 
 

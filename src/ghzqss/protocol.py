@@ -50,7 +50,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -218,7 +218,8 @@ class RoundTranscript:
     not part of the public record.
 
     A transcript is two slots, ``round_index`` and ``_args``: every other
-    field in constructor order, the shape of a round table leaf's ``args``.
+    field in constructor order.  A round table leaf's ``args`` are the
+    played transcript's ``frozen_args``.
     Each field is a property over ``_args``, and a write gives the
     transcript a new ``_args``, so ``replayed`` adopts a leaf's interned
     ``args``, shared with the leaf's other transcripts until one writes.
@@ -269,6 +270,17 @@ class RoundTranscript:
         else:
             events.append(event)
 
+    def frozen_args(self, intern: Callable = lambda value: value) -> tuple:
+        """``_args`` as a round table leaf keeps them, which ``replayed`` adopts:
+        the events as tuples of their items, the records and note items as
+        tuples, with each event and record, the three tuples and the whole
+        passed through ``intern``."""
+        events = intern(tuple(intern(tuple(event.items())) for event in self.events))
+        records = intern(tuple(map(intern, self.records)))
+        notes = self.eve_notes
+        notes = intern(None if notes is None else tuple(notes.items()))
+        return intern((*self._args[:7], events, records, notes))
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
@@ -292,6 +304,13 @@ def transcript_fields(transcripts: Iterable[RoundTranscript], *names: str) -> It
     read in C from its ``_args``: a property costs four times as much."""
     get = operator.itemgetter(*(RoundTranscript.__match_args__.index(name) - 1 for name in names))
     return map(get, map(operator.attrgetter("_args"), transcripts))
+
+
+def compact_row(round_index: int, args: tuple) -> tuple:
+    """The compact row ``(round_index, secret, recovered, mode, target)`` of
+    the round whose transcript would be ``RoundTranscript.replayed(round_index,
+    args)``, the view of a round that ``check_phase`` takes in its place."""
+    return round_index, args[3], args[6], args[0], args[2]
 
 
 def transcripts_to_jsonl(transcripts: Sequence[RoundTranscript]) -> str:

@@ -8,9 +8,12 @@ such a world once per outcome path, with the statevector round as the
 only engine, and replays the recording when the same round comes back.
 A replay draws from the session's own streams exactly what the
 statevector play would draw, so sessions stay byte-identical.  The
-table is a graph of ``Node``s, and either way a round comes back as one
-leaf, (next node, payload), already applied to the session's attack.  A
-session builds its row with ``compact_row`` or ``transcript``.
+table is a graph of ``Node``s, and either way a round comes to one leaf,
+(next node, payload), applied to the session's attack.
+``RoundTable.play_rounds`` is the one session loop: it plays a session's
+or a branch's whole plan list, and builds each round's row from the
+leaf's ``args`` with one call, ``RoundTranscript.replayed`` or
+``protocol.compact_row``.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
@@ -44,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .protocol import Rngs, RoundPlan, RoundTranscript
+from .protocol import Rngs, RoundPlan
 from .qsim import PureState
 
 MAX_TABLE_ENTRIES = 4096
@@ -207,20 +210,6 @@ class _Tap:
         raise TypeError(_SCALAR_ONLY)
 
 
-def compact_row(round_index: int, plan_class, payload: tuple) -> tuple:
-    """The compact row ``(round_index, secret, recovered, mode, target)`` of a round's leaf payload."""
-    args = payload[0]
-    return round_index, args[3], args[6], args[0], args[2]
-
-
-def transcript(round_index: int, plan_class, payload: tuple) -> RoundTranscript:
-    """The transcript of a round's leaf payload, a new one on every call.  It
-    adopts the payload's interned ``args`` and builds its own list or dict of
-    the frozen events, records and notes on the first read, so no transcript
-    shares one."""
-    return RoundTranscript.replayed(round_index, payload[0])
-
-
 class Node:
     """A state of the round graph (see ``RoundTable``)."""
 
@@ -239,16 +228,16 @@ class RoundTable:
     class and the attack's ``state``; its ``edges`` map a plan class to
     the round's fork tree, built one outcome path at a time.  A fork is
     ``(code, outcome-0 subtree, outcome-1 subtree)`` with its ``Script``
-    code, a leaf is what ``play`` returns, (next node, payload), and
-    ``None`` is an outcome not yet recorded.  ``_nodes`` maps (world,
+    code, a leaf is (next node, payload), and ``None`` is an outcome not
+    yet recorded.  ``_nodes`` maps (world,
     parity, attack class, ``state``) to the stored node, the world being
     the id of its copy in ``_worlds``, which interns worlds by their exact
     labels and amplitude bytes; only ``node`` and a miss look a node up.
     A plan class's coin names the variant, and a round reads its index
     only through what the parity, plan class and ``state`` name.  A leaf's
-    payload is ``(args, recorded)``: ``args`` the round's ``RoundTranscript``
-    arguments after its index, its plan class's fields first and the
-    events, records and note items as interned tuples, and ``recorded``
+    payload is ``(args, recorded)``: ``args`` the played transcript's
+    ``frozen_args``, its events, records and note items as interned
+    tuples, which ``RoundTranscript.replayed`` adopts, and ``recorded``
     the attack's ``recorded_round`` (``None`` without an attack or if the
     round left it as it was).  Replaying a tree draws from the session's
     real streams exactly what the statevector play draws, because every
@@ -306,31 +295,38 @@ class RoundTable:
         node.world = get(self._worlds, self._world_key(node.world), node.world)
         return get(self._nodes, (id(node.world), node.parity, node.attack, node.state), node)
 
-    def play(self, session: Script, node: Node, round_index: int, plan_class, attack) -> tuple[Node, tuple]:
-        """Round ``round_index`` of class ``plan_class`` of the session whose ``Script`` is
-        ``session``, from ``node``: replayed from its live streams when recorded, else played
-        through it by the table's round function and recorded.  Returns the round's leaf,
-        (next node, payload), where the payload is everything else the round produced, after
-        applying to ``attack`` what the round did to it."""
-        root = tree = node.edges.get(plan_class)
-        gens = session.live
-        path = depth = 0  # outcome k is bit k of path
-        while tree is not None and type(tree[0]) is int:
-            code = tree[0]
-            if code & 1:
-                outcome = gens[code >> 1].bit()
+    def play_rounds(self, script: Script, node: Node, plans: list, attack, row: Callable) -> tuple[Node, list]:
+        """The one session loop: each ``(round index, plan class)`` of ``plans``
+        played in turn with the draws of the session whose ``Script`` is
+        ``script``, the first from ``node`` and each later one from the node
+        the round before led to.  A round is replayed from the session's live
+        streams when recorded, applying to ``attack`` what it did to it, and
+        else played through the script by the table's round function and
+        recorded.  Returns the node after the last round and per round
+        ``row(round index, args)`` of its leaf's ``args``."""
+        gens, rows, hits = script.live, [], 0
+        for i, plan_class in plans:
+            root = tree = node.edges.get(plan_class)
+            path = depth = 0  # outcome k is bit k of path
+            while tree is not None and type(tree[0]) is int:
+                code = tree[0]
+                if code & 1:
+                    outcome = gens[code >> 1].bit()
+                else:
+                    outcome = gens[code >> 1].random() < 0.5
+                tree = tree[1 + outcome]
+                path |= outcome << depth
+                depth += 1
+            if tree is None:
+                node, (args, _) = self._record(script, root, path, depth, node, i, plan_class, attack)
             else:
-                outcome = gens[code >> 1].random() < 0.5
-            tree = tree[1 + outcome]
-            path |= outcome << depth
-            depth += 1
-        if tree is None:
-            return self._record(session, root, path, depth, node, round_index, plan_class, attack)
-        self.hits += 1
-        recorded = tree[1][1]
-        if recorded is not None:
-            attack.replay_round(round_index, recorded)
-        return tree
+                node, (args, recorded) = tree
+                hits += 1
+                if recorded is not None:
+                    attack.replay_round(i, recorded)
+            rows.append(row(i, args))
+        self.hits += hits
+        return node, rows
 
     def _record(self, script, tree, path, depth, node, round_index, plan_class, attack):
         self.misses += 1
@@ -351,14 +347,9 @@ class RoundTable:
         coins = sum(code & 1 for code, _ in script.log)
         if len(forks) != len(script.log) - coins or any(p != 0.5 for p in forks):
             raise RuntimeError("a round forked other than at a recorded Born weight of 1/2")
-        notes = t.eve_notes
         after = Node(world, parity, node.attack, None if recorded is None else recorded[2])
-        args = (
-            plan_class.mode_name, plan_class.coin, plan_class.target, plan_class.secret, t.bob, t.charlie,
-            t.recovered, tuple(tuple(event.items()) for event in t.events), tuple(t.records),
-            None if notes is None else tuple(notes.items()),
-        )
-        payload = args, None if recorded == ((), (), node.state) else recorded
+        if recorded == ((), (), node.state):
+            recorded = None
         # Sessions in other threads may store at the same time; a world
         # interned outside the lock could key a node on the id of a world
         # the table does not keep alive.
@@ -367,13 +358,11 @@ class RoundTable:
             tree = here.edges.get(plan_class)
             if tree is None:
                 if self.entries >= MAX_TABLE_ENTRIES:
-                    return after, payload  # unstored
+                    return after, (t.frozen_args(), recorded)  # unstored
                 self.entries += 1
                 here = self._node(node, store=True)
             intern = self._intern
-            *fields, events, records, notes = args
-            args = (*fields, *map(intern, (tuple(map(intern, events)), tuple(map(intern, records)), notes)))
-            leaf = self._node(after, store=True), intern((intern(args), intern(payload[1])))
+            leaf = self._node(after, store=True), intern((t.frozen_args(intern), intern(recorded)))
             here.edges[plan_class] = self._grow(tree, script.log, leaf)
             return leaf
 

@@ -108,13 +108,17 @@ class TestRoundReplay:
 
     def test_the_table_keys_each_round_on_what_it_reads(self, monkeypatch):
         seen = []
-        inner = RoundTable.play
+        inner = RoundTable.play_rounds
 
-        def spy(self, session, node, round_index, plan_class, attack):
-            seen.append((node.parity, plan_class.mode_name, plan_class.coin, attack.state))
-            return inner(self, session, node, round_index, plan_class, attack)
+        def spy(self, script, node, plans, attack, row):
+            rows = []
+            for plan in plans:  # one round at a time, from the node the round before led to
+                seen.append((node.parity, plan[1].mode_name, plan[1].coin, attack.state))
+                node, played = inner(self, script, node, [plan], attack, row)
+                rows += played
+            return node, rows
 
-        monkeypatch.setattr(RoundTable, "play", spy)
+        monkeypatch.setattr(RoundTable, "play_rounds", spy)
         harness.run_simulation(harness.SimConfig(variant="original", strategy="a2", rounds=6, seed=4))
         # Rounds 1, 2, odd from 3 and even from 4: four distinct keys.
         both = ("e1", "e2")

@@ -48,6 +48,7 @@ from ghzqss.protocol import (
     SinglePair,
     check_phase,
     chi_state,
+    compact_row,
     g_state,
     hadamard_layer,
     original_round,
@@ -262,13 +263,12 @@ class TestAlicePlans:
     def test_a_session_plays_alice_draws_in_the_documented_order(self, monkeypatch):
         played = []
 
-        def spy(table, script, plans, attack, row, *start):
-            plans = list(plans)
+        def spy(table, script, node, plans, attack, row):
             played.append([(i, c.mode, c.coin) for i, c in plans])
-            return loop(table, script, plans, attack, row, *start)
+            return loop(table, script, node, plans, attack, row)
 
-        loop = harness._play_rounds
-        monkeypatch.setattr(harness, "_play_rounds", spy)
+        loop = RoundTable.play_rounds
+        monkeypatch.setattr(RoundTable, "play_rounds", spy)
         rnd = random.Random(64)
         for variant in ("original", "revised"):
             for seed in range(200):
@@ -284,13 +284,12 @@ class TestAlicePlans:
     def test_sessions_at_a_certain_coin_play_alice_draws(self, monkeypatch, variant, bias):
         played = []
 
-        def spy(table, script, plans, attack, row, *start):
-            plans = list(plans)
+        def spy(table, script, node, plans, attack, row):
             played.append([(i, c.mode, c.coin) for i, c in plans])
-            return loop(table, script, plans, attack, row, *start)
+            return loop(table, script, node, plans, attack, row)
 
-        loop = harness._play_rounds
-        monkeypatch.setattr(harness, "_play_rounds", spy)
+        loop = RoundTable.play_rounds
+        monkeypatch.setattr(RoundTable, "play_rounds", spy)
         for seed in range(40):
             cfg = SimConfig(variant=variant, rounds=64, seed=seed, hadamard_bias=bias)
             played.clear()
@@ -300,27 +299,32 @@ class TestAlicePlans:
                 assert {coin for _, _, coin in played[0]} == {int(bias)}
 
     def test_a_session_passes_only_draws_that_inline(self, monkeypatch):
-        # A C-level wrapper around a Python draw (a functools.partial, a map
-        # over iter(random, None)) enters a fresh interpreter frame on every
-        # call.  A given secret reads the string in C and calls no Python.
+        # A lambda around a draw adds a Python frame per call, and a C-level
+        # wrapper (a functools.partial, a map over iter(random, None)) a
+        # fresh interpreter frame.  A session passes Alice's stream methods
+        # themselves; a given secret reads the string in C and calls no Python.
         passed = []
 
-        def spy(variant, **draws):
-            passed.append(draws)
-            return plans(variant, **draws)
+        def spy(variant, rounds, secret, **draws):
+            passed.append(dict(draws, secret=secret))
+            return plans(variant, rounds, secret, **draws)
 
         plans = harness._round_plans
         monkeypatch.setattr(harness, "_round_plans", spy)
         for variant in ("original", "revised"):
             for kwargs in (dict(), dict(hadamard_bias=0.3), dict(secret_bits="0110")):
                 passed.clear()
-                harness._play_session(SimConfig(variant=variant, rounds=4, seed=1, **kwargs), False)
+                cfg = SimConfig(variant=variant, rounds=4, seed=1, **kwargs)
+                harness._play_session(cfg, False)
                 (draws,) = passed
+                assert draws.pop("bias") == cfg.hadamard_bias
                 assert set(draws) == {"secret", "coin", "q1", "w1"}
                 if "secret_bits" in kwargs:
-                    del draws["secret"]
+                    secret = draws.pop("secret")
+                    assert type(secret.__self__) is map and secret.__name__ == "__next__", (variant, kwargs)
                 for name, draw in draws.items():
-                    assert type(draw) in (types.FunctionType, types.MethodType), (variant, kwargs, name, draw)
+                    assert type(draw) is types.MethodType, (variant, kwargs, name, draw)
+                    assert type(draw.__self__) is PCG64Stream, (variant, kwargs, name, draw)
 
     def test_the_class_table_and_the_plan_lookup_agree(self):
         alternating, pairs, singles = harness.PLAN_CLASSES
@@ -1491,14 +1495,14 @@ class TestRoundTable:
         assert self._leaks(table, monkeypatch, PAIRS) == set()
 
     def test_a_replay_that_shares_an_events_list_is_caught(self, table, monkeypatch):
-        shared = {}
+        shared, replayed = {}, RoundTranscript.replayed
 
-        def sharing(round_index, plan_class, payload):
-            t = replay.transcript(round_index, plan_class, payload)
-            t.events = shared.setdefault(id(payload), t.events)
+        def sharing(round_index, args):
+            t = replayed(round_index, args)
+            t.events = shared.setdefault(id(args), t.events)
             return t
 
-        monkeypatch.setattr(harness, "transcript", sharing)
+        monkeypatch.setattr(RoundTranscript, "replayed", staticmethod(sharing))
         assert self._mismatches(monkeypatch, PAIRS) == set(PAIRS)
         # Sharing any of the three parts lets edits leak into later
         # sessions; only attacked rounds have notes.
@@ -1506,17 +1510,17 @@ class TestRoundTable:
         for part, expected in (("events", set(PAIRS)), ("records", set(PAIRS)), ("eve_notes", attacked)):
             shared.clear()
 
-            def sharing_part(round_index, plan_class, payload, part=part):
-                t = replay.transcript(round_index, plan_class, payload)
-                setattr(t, part, shared.setdefault(id(payload), getattr(t, part)))
+            def sharing_part(round_index, args, part=part):
+                t = replayed(round_index, args)
+                setattr(t, part, shared.setdefault(id(args), getattr(t, part)))
                 return t
 
-            monkeypatch.setattr(harness, "transcript", sharing_part)
+            monkeypatch.setattr(RoundTranscript, "replayed", staticmethod(sharing_part))
             table.clear()
             assert self._leaks(table, monkeypatch, PAIRS) == expected, part
 
     def test_a_replayed_transcript_equals_the_played_one_before_and_after_it_is_read(self, table, monkeypatch):
-        played, built = {}, {}
+        played, built, replayed = {}, {}, RoundTranscript.replayed
 
         def capture(inner):
             def play(*args):
@@ -1528,11 +1532,11 @@ class TestRoundTable:
 
         def building(*args):
             built[args[0]] = args
-            return replay.transcript(*args)
+            return replayed(*args)
 
         monkeypatch.setattr(harness, "original_round", capture(original_round))
         monkeypatch.setattr(harness, "revised_round", capture(revised_round))
-        monkeypatch.setattr(harness, "transcript", building)
+        monkeypatch.setattr(RoundTranscript, "replayed", staticmethod(building))
         for variant, strategy in PAIRS:
             table.clear()
             played.clear()
@@ -1545,7 +1549,7 @@ class TestRoundTable:
                 )
                 # Each view read first, then all of them again.
                 for first in views:
-                    t = replay.transcript(*built[i])
+                    t = replayed(*built[i])
                     assert first(t) == first(eager), (variant, strategy, i)
                     assert [view(t) for view in views] == [view(eager) for view in views], (variant, strategy, i)
 
@@ -1592,30 +1596,29 @@ class TestRoundTable:
 
     def test_transcripts_of_one_leaf_share_no_events_after_a_check(self, table):
         run_simulation(SimConfig(strategy="a1", rounds=60, seed=2))
-        plan_class = harness.PLAN_CLASSES[1][0][0]  # not read: a payload holds its class's fields
         for payload in _leaf_payloads(table):
             events = payload[0][7]
-            first, second = (replay.transcript(7, plan_class, payload) for _ in range(2))
+            first, second = (RoundTranscript.replayed(7, payload[0]) for _ in range(2))
             first.add_event({"event": "check_announced", "round": 7, "secret": 0})
             assert first.events is not second.events
             assert first.events[:-1] == second.events == [dict(event) for event in events]
             second.add_event({"event": "check_announced", "round": 7, "secret": 0})
             second.events.append({"event": "appended"})
             assert first.events == second.events[:-1]
-            assert payload[0][7] is events and replay.transcript(7, plan_class, payload).events == first.events[:-1]
+            assert payload[0][7] is events and RoundTranscript.replayed(7, payload[0]).events == first.events[:-1]
 
     def test_a_replayed_transcript_holds_its_leafs_args_until_it_writes(self, table, monkeypatch):
         cfg = SimConfig(strategy="a1", rounds=60, seed=2, check_fraction=0.5)
         run_simulation(cfg)  # records every round the session plays
-        adopted = []
+        adopted, replayed = [], RoundTranscript.replayed
 
-        def adopting(round_index, plan_class, payload):
-            t = replay.transcript(round_index, plan_class, payload)
-            adopted.append((t, payload[0]))
+        def adopting(round_index, args):
+            t = replayed(round_index, args)
+            adopted.append((t, args))
             return t
 
         with monkeypatch.context() as m:
-            m.setattr(harness, "transcript", adopting)
+            m.setattr(RoundTranscript, "replayed", staticmethod(adopting))
             transcripts = harness._play_session(cfg, True)[2]
         assert len(adopted) == 60 and all(t._args is args for t, args in adopted)
         _, _, announced = check_phase(transcripts, 0.5, stream(cfg.seed, harness.STREAM_CHECK))
@@ -1623,11 +1626,10 @@ class TestRoundTable:
 
         # Two transcripts of one leaf; the first is set field by field and then appended to.
         names = RoundTranscript.__match_args__[1:]
-        plan_class = harness.PLAN_CLASSES[1][0][0]  # not read: a payload holds its class's fields
         for payload in _leaf_payloads(table):
             values = ("edited", 1, "w9", 9, 8, 7, 6, [{"event": "set"}], ["set"], {"set": True})
             args, before = payload[0], repr(payload)
-            first, second = (replay.transcript(7, plan_class, payload) for _ in range(2))
+            first, second = (RoundTranscript.replayed(7, args) for _ in range(2))
             for name, value in zip(names, values):
                 setattr(first, name, value)
             assert [getattr(first, name) for name in names] == list(values)
@@ -1637,7 +1639,7 @@ class TestRoundTable:
             assert first.records == ["set"] and first.eve_notes == {"set": True}
             assert second._args is args and payload[0] is args and repr(payload) == before
             # A frozen transcript keeps what is done to the lists and dict it builds on first read.
-            third = replay.transcript(7, plan_class, payload)
+            third = RoundTranscript.replayed(7, args)
             third.events.append({"event": "appended"})
             third.records.append("record")
             if third.eve_notes is not None:
@@ -1645,11 +1647,11 @@ class TestRoundTable:
             assert third.events[-1] == {"event": "appended"} and third.records[-1] == "record"
             assert third.eve_notes is None or third.eve_notes["edited"]
             # It takes a check event in a tuple of its own.
-            fourth = replay.transcript(7, plan_class, payload)
+            fourth = RoundTranscript.replayed(7, args)
             fourth.add_event({"event": "check_announced", "round": 7, "secret": 0})
             assert fourth._args is not args and fourth.events[-1] == {"event": "check_announced", "round": 7, "secret": 0}
             assert second._args is args and repr(payload) == before
-            assert second == replay.transcript(7, plan_class, payload) and fourth.events[:-1] == second.events
+            assert second == RoundTranscript.replayed(7, args) and fourth.events[:-1] == second.events
 
         # A later session replays every round and is still the statevector play's, byte for byte.
         misses = table.misses
@@ -1712,9 +1714,10 @@ class TestRoundTable:
         for _ in range(2):  # recorded, then replayed
             for parity, state in itertools.product((0, 1), repeat=2):
                 attack.state = state
-                after, payload = table.play(script, table.node(world, parity, attack), *plan, attack)
+                start = table.node(world, parity, attack)
+                after, (t,) = table.play_rounds(script, start, [plan], attack, RoundTranscript.replayed)
                 assert after.world is world and after.parity == parity and attack.state == state
-                assert replay.transcript(*plan, payload).eve_notes == {"parity": parity, "state": state}
+                assert t.eve_notes == {"parity": parity, "state": state}
         assert (table.entries, table.misses, table.hits) == (4, 4, 4)
 
     @pytest.mark.parametrize("variant,strategy", PAIRS)
@@ -1731,16 +1734,18 @@ class TestRoundTable:
             monkeypatch.setattr(module, name, playing)
         _reference_session(cfg)
         assert len(worlds) == cfg.rounds
-        seen, inner = [], RoundTable.play
+        seen, inner = [], RoundTable.play_rounds
 
-        def spy(self, session, node, round_index, plan_class, attack):
-            leaf = inner(self, session, node, round_index, plan_class, attack)
-            after = leaf[0]
-            state = None if attack is None else attack.state
-            seen.append((after.state == state, (after.world.labels, after.world.amps.tobytes())))
-            return leaf
+        def spy(self, script, node, plans, attack, row):
+            rows = []
+            for plan in plans:  # one round at a time, from the node the round before led to
+                node, played = inner(self, script, node, [plan], attack, row)
+                rows += played
+                state = None if attack is None else attack.state
+                seen.append((node.state == state, (node.world.labels, node.world.amps.tobytes())))
+            return node, rows
 
-        monkeypatch.setattr(RoundTable, "play", spy)
+        monkeypatch.setattr(RoundTable, "play_rounds", spy)
         for run in ("cold", "warm"):
             seen.clear()
             misses = table.misses
@@ -2011,7 +2016,6 @@ class TestRoundTable:
                 run_simulation(SimConfig(variant=variant, strategy=strategy, rounds=300, seed=seed, hadamard_bias=bias))
         for scenario in (*GATE2, *GATE5, *DISHONEST_FORKING):
             enumerate_branches(scenario)
-        plan_class = harness.PLAN_CLASSES[1][0][0]  # not read: a payload holds its class's fields
         weights = set()
         # Each stored tree with the number of random() forks on the path to it.
         trees = [(tree, 0) for stored in table._nodes.values() for tree in stored.edges.values()]
@@ -2023,7 +2027,7 @@ class TestRoundTable:
                 trees += [(sub, forks + (tree[0] & 1 == 0)) for sub in tree[1:]]
                 continue
             payload = tree[1]
-            t, recorded = replay.transcript(7, plan_class, payload), payload[1]
+            t, recorded = RoundTranscript.replayed(7, payload[0]), payload[1]
             weight = math.prod(r.probability for r in (*t.records, *(recorded[0] if recorded else ())))
             assert weight == 0.5 ** forks
             weights.add(weight)
@@ -2037,6 +2041,47 @@ class TestRoundTable:
         assert (table.entries, table.hits) == (0, 0) and table.misses > 0
         assert not any(node.edges for node in table._nodes.values())
 
+    def test_every_round_counts_once_as_a_hit_or_a_miss_and_a_miss_replays_nothing(self, table, monkeypatch):
+        # What happens in each round, in order: a miss, a replay onto the attack, its row.
+        events = []
+        play_rounds, record, replay_round = RoundTable.play_rounds, RoundTable._record, ChannelAttack.replay_round
+
+        def playing(self, script, node, plans, attack, row):
+            def marking(round_index, args):
+                events.append("row")
+                return row(round_index, args)
+
+            return play_rounds(self, script, node, plans, attack, marking)
+
+        def recording(self, *args):
+            events.append("miss")
+            return record(self, *args)
+
+        def replaying(self, round_index, recorded):
+            events.append("replay")
+            replay_round(self, round_index, recorded)
+
+        monkeypatch.setattr(RoundTable, "play_rounds", playing)
+        monkeypatch.setattr(RoundTable, "_record", recording)
+        monkeypatch.setattr(ChannelAttack, "replay_round", replaying)
+        honest = [Scenario("original", original_plans((0, 1, 1))), Scenario("revised", revised_plans((1, 0), (0, 1)))]
+        table.clear()
+        for warm in (False, True):
+            misses = table.misses
+            for variant, strategy in PAIRS:
+                cfg = SimConfig(variant=variant, strategy=strategy, rounds=120, seed=8)
+                before = table.hits + table.misses
+                run_simulation(cfg)
+                assert table.hits + table.misses - before == cfg.rounds, (warm, variant, strategy)
+            for scenario in (*honest, GATE2[5], GATE5[2], GATE5[5], DISHONEST_FORKING[1]):
+                before = table.hits + table.misses
+                branches = enumerate_branches(scenario)
+                assert table.hits + table.misses - before == len(branches) * len(scenario.plans), (warm, scenario)
+            assert (table.misses == misses) == warm
+        assert (events.count("miss"), events.count("row")) == (table.misses, table.hits + table.misses)
+        # A miss leaves its round applied to the attack by the play; only a hit replays it.
+        assert "replay" in events and ("miss", "replay") not in set(itertools.pairwise(events))
+
     # Each single-encoding class that targets w1 or w2, at coin 0 from chi:
     # its honest decode draws nothing, so only the attack's draws fork.
     SINGLES = [harness._class_of(RoundPlan(1, SinglePair(0, 0, target), 0)) for target in (W1, W2)]
@@ -2047,11 +2092,11 @@ class TestRoundTable:
         tape.bits[:] = [0, 1]  # the first round's ancilla reads 0, the walk of the second takes 1
         script = Script((tape,) * 3)
         start = table.node(chi_state(), 0, attack)
-        table.play(script, start, 1, self.SINGLES[0], attack)
+        table.play_rounds(script, start, [(1, self.SINGLES[0])], attack, compact_row)
         # The walk draws the recorded fork, misses below it, and the
         # statevector play then draws nothing.
         with pytest.raises(RuntimeError, match="drew less than its recording: the round table key misses state"):
-            table.play(script, start, 2, self.SINGLES[0], attack)
+            table.play_rounds(script, start, [(2, self.SINGLES[0])], attack, compact_row)
 
     @pytest.mark.parametrize("first,second", [(1, 0), (0, 1)], ids=["ends-at-a-fork", "goes-past-a-leaf"])
     def test_a_round_that_forks_unlike_its_recording_raises(self, first, second, table, monkeypatch):
@@ -2062,14 +2107,14 @@ class TestRoundTable:
         script = Script((tape,) * 3)
         a = _CountingAttack(draws=(0, first))
         start = table.node(chi_state(), 0, a)
-        node, _ = table.play(script, start, 1, self.SINGLES[0], a)
-        table.play(script, node, 2, self.SINGLES[0], a)
+        node, _ = table.play_rounds(script, start, [(1, self.SINGLES[0])], a, compact_row)
+        table.play_rounds(script, node, [(2, self.SINGLES[0])], a, compact_row)
         assert table.entries == 2
         # Session B plays another class at the start node of the full table,
         # so its leaf names an unstored node with the key A stored.
         b = _CountingAttack(draws=(0, second))
-        unstored, _ = table.play(script, table.node(chi_state(), 0, b), 1, self.SINGLES[1], b)
+        unstored, _ = table.play_rounds(script, table.node(chi_state(), 0, b), [(1, self.SINGLES[1])], b, compact_row)
         assert unstored is not node and table._node(unstored) is node and not unstored.edges
         # B's next round misses there, draws ``second`` times and grows A's tree.
         with pytest.raises(RuntimeError, match="forked unlike its recording: the round table key misses state"):
-            table.play(script, unstored, 2, self.SINGLES[0], b)
+            table.play_rounds(script, unstored, [(2, self.SINGLES[0])], b, compact_row)
