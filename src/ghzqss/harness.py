@@ -26,7 +26,8 @@ replayed from the recording against the session's own streams, drawing
 exactly what the statevector play would draw, and any other round is
 played by ``_play_round`` through the session's ``replay.Script`` and
 recorded.  A session follows each round's leaf to the next node and
-turns the leaf into a compact row, or a transcript if asked for one.
+keeps the leaf's ``args`` as the round's row, from which the report is
+read and transcripts are built only if asked for.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ from .protocol import (
     check_size,
     check_settings,
     chi_state,
-    compact_row,
     hadamard_layer,
     original_round,
     revised_round,
+    session_transcripts,
     transcript_fields,
 )
 from .qsim import PureState, require_number
@@ -215,16 +216,11 @@ class SimReport:
         return dataclasses.asdict(self)
 
 
-# The (mode, target, secret, recovered) of a compact row.
-_ROW_TALLY = operator.itemgetter(3, 4, 1, 2)
-
-
-def _mode_breakdown(rows: Sequence) -> dict[str, dict[str, float]]:
+def _mode_breakdown(rows: Sequence[tuple]) -> dict[str, dict[str, float]]:
     """Rounds and errors per mode, a single encoding per target, keyed in
-    the order the modes first appear.  The rows of one session are all
-    compact rows or all transcripts, and one ``Counter`` pass counts them."""
-    compact = rows and type(rows[0]) is tuple
-    tallies = map(_ROW_TALLY, rows) if compact else transcript_fields(rows, "mode", "target", "secret", "recovered")
+    the order the modes first appear, from a session's rows in one
+    ``Counter`` pass."""
+    tallies = transcript_fields(rows, "mode", "target", "secret", "recovered")
     counts: dict[str, list[int]] = {}
     for (mode, target, secret, recovered), n in Counter(tallies).items():
         slot = counts.setdefault(f"single_{target}" if mode == "single" else mode, [0, 0])
@@ -234,7 +230,7 @@ def _mode_breakdown(rows: Sequence) -> dict[str, dict[str, float]]:
     return {key: {"rounds": n, "errors": e, "error_rate": e / n} for key, (n, e) in counts.items()}
 
 
-def _score_eve(attack, rows: Sequence, checked: Sequence[int]) -> float | None:
+def _score_eve(attack, rows: Sequence[tuple], checked: Sequence[int]) -> float | None:
     """Fraction of round secrets the attacker can name correctly.
 
     Only strategies that produce readouts are scored (``attack.readout``).
@@ -248,7 +244,7 @@ def _score_eve(attack, rows: Sequence, checked: Sequence[int]) -> float | None:
     if attack is None or attack.readout is None:
         return None
     # A session's rows hold rounds 1, 2, ... in order.
-    secrets = [row[1] for row in rows] if rows and type(rows[0]) is tuple else list(transcript_fields(rows, "secret"))
+    secrets = list(transcript_fields(rows, "secret"))
     announced = {}
     if attack.readout == "relative":
         announced = dict(enumerate(secrets[:2], start=1))
@@ -307,9 +303,9 @@ def _round_plans(
     coin: Callable[[], float] | None = None,
     w1: Callable[[], float] | None = None,
     bias: float = 0.5,
-) -> list[tuple[int, PlanClass]]:
-    """The ``(round index, plan class)`` pairs of rounds 1 to ``rounds``, the
-    one source of round plans.  ``secret`` and ``q1`` return 0 or 1, and
+) -> list[PlanClass]:
+    """The plan classes of rounds 1 to ``rounds`` in order, the one source
+    of round plans.  ``secret`` and ``q1`` return 0 or 1, and
     ``coin`` and ``w1`` a uniform draw: the coin is 1 if it is below
     ``bias``, and a single encoding targets ``w1`` if that draw is below
     1/2.  Each draw's value picks the class from ``PLAN_CLASSES``.  A
@@ -325,15 +321,15 @@ def _round_plans(
     as a ``functools.partial`` a fresh interpreter frame."""
     alternating, pairs, singles = PLAN_CLASSES
     if variant == "original":
-        return [(i, alternating[i & 1][secret()]) for i in range(1, rounds + 1)]
+        return [alternating[i & 1][secret()] for i in range(1, rounds + 1)]
     plans, parity = [], 0
-    for i in range(1, rounds + 1):
+    for _ in range(rounds):
         q = secret()
         c = coin() < bias
         if c ^ parity:
-            plans.append((i, pairs[c][q]))
+            plans.append(pairs[c][q])
         else:
-            plans.append((i, singles[c][q][q1()][w1() < 0.5]))
+            plans.append(singles[c][q][q1()][w1() < 0.5])
         parity ^= c
     return plans
 
@@ -364,9 +360,8 @@ def _play_round(
 ROUND_TABLE = RoundTable(_play_round)
 
 
-def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, list]:
-    """All rounds of one session: the final world, the attack and per round
-    its transcript if ``transcribe``, else its compact row."""
+def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[tuple]]:
+    """All rounds of one session: the final world, the attack and each round's row."""
     # Set up at their first word: Alice's, Charlie's and the attack
     # stream go undrawn in many sessions.
     alice = PCG64Stream(functools.partial(stream, cfg.seed, STREAM_ALICE))
@@ -382,25 +377,25 @@ def _play_session(cfg: SimConfig, transcribe: bool) -> tuple[PureState, object, 
     plans = _round_plans(
         cfg.variant, cfg.rounds, secret, q1=alice.bit, coin=alice.random, w1=alice.random, bias=cfg.hadamard_bias
     )
-    row = RoundTranscript.replayed if transcribe else compact_row
     start = ROUND_TABLE.node(chi_state(), 0, attack)
-    end, rows = ROUND_TABLE.play_rounds(script, start, plans, attack, row)
+    end, rows = ROUND_TABLE.play_rounds(script, start, plans, attack)
     return end.world, attack, rows
 
 
 def run_simulation(
     cfg: SimConfig, transcripts_out: list[RoundTranscript] | None = None
 ) -> SimReport:
-    """Play one full session followed by the check phase; transcripts
-    are built only if ``transcripts_out`` asks for them."""
-    _, attack, rows = _play_session(cfg, transcripts_out is not None)
+    """Play one full session followed by the check phase; transcripts are
+    built from the rows only if ``transcripts_out`` asks for them, and checked."""
+    _, attack, rows = _play_session(cfg)
+    checking = rows if transcripts_out is None else session_transcripts(rows)
     # A check of every round draws nothing, so it gets no stream.
     every = check_size(cfg.check_fraction, len(rows)) == len(rows)
     error_rate, detected, checked = check_phase(
-        rows, cfg.check_fraction, None if every else stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
+        checking, cfg.check_fraction, None if every else stream(cfg.seed, STREAM_CHECK), cfg.detect_threshold
     )
     if transcripts_out is not None:
-        transcripts_out.extend(rows)
+        transcripts_out.extend(checking)
     return SimReport(
         variant=cfg.variant,
         strategy=cfg.strategy,
@@ -543,7 +538,7 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
     ``MAX_ENUM_BRANCHES`` branches, which short scripted scenarios never
     reach.
     """
-    plans = [(p.round_index, _class_of(p)) for p in scenario.plans]
+    plans = list(map(_class_of, scenario.plans))
     tape = _Tape(scenario.attack_seed)
     script = Script((tape, tape, tape))
     start, branches = None, []
@@ -551,8 +546,8 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
         attack = build_attack(scenario.strategy, coins=script.tap(2))
         if start is None:
             start = ROUND_TABLE.node(chi_state(), 0, attack)
-        end, transcripts = ROUND_TABLE.play_rounds(script, start, plans, attack, RoundTranscript.replayed)
-        branches.append(Branch(0.5 ** tape.drawn, tuple(transcripts), end.world, attack))
+        end, rows = ROUND_TABLE.play_rounds(script, start, plans, attack)
+        branches.append(Branch(0.5 ** tape.drawn, tuple(session_transcripts(rows)), end.world, attack))
         if len(branches) > MAX_ENUM_BRANCHES:
             raise RuntimeError(f"scenario exceeded {MAX_ENUM_BRANCHES} branches")
         if not tape.next_branch():
@@ -601,7 +596,7 @@ def _scripted(variant: str, rounds: int, **columns: tuple) -> tuple[RoundPlan, .
         at += 1
         return secret()
 
-    return tuple(RoundPlan(i, c.mode, c.coin) for i, c in _round_plans(variant, rounds, first, **draws))
+    return tuple(RoundPlan(i, c.mode, c.coin) for i, c in enumerate(_round_plans(variant, rounds, first, **draws), 1))
 
 
 def original_plans(secrets: Iterable[int]) -> tuple[RoundPlan, ...]:

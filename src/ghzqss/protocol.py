@@ -219,10 +219,11 @@ class RoundTranscript:
 
     A transcript is two slots, ``round_index`` and ``_args``: every other
     field in constructor order.  A round table leaf's ``args`` are the
-    played transcript's ``frozen_args``.
+    played transcript's ``frozen_args`` and a session's row of the round,
+    and a transcript indexes as its row: ``t[k]`` is ``t._args[k]``.
     Each field is a property over ``_args``, and a write gives the
-    transcript a new ``_args``, so ``replayed`` adopts a leaf's interned
-    ``args``, shared with the leaf's other transcripts until one writes.
+    transcript a new ``_args``, so ``session_transcripts`` adopts a leaf's
+    interned ``args``, shared with the leaf's other transcripts until one writes.
     ``events`` (a list of dicts), ``records`` (a list) and ``eve_notes``
     (a dict or ``None``) are the transcript's own.  A replayed round holds
     the table's frozen tuples of event items, records and note items
@@ -243,17 +244,13 @@ class RoundTranscript:
         self.round_index = round_index
         self._args = (mode, hadamard, target, secret, bob, charlie, recovered, events, records, eve_notes)
 
-    @classmethod
-    def replayed(cls, round_index: int, args: tuple, _new=object.__new__) -> RoundTranscript:
-        """The transcript of round ``round_index`` that adopts ``args`` as its ``_args``, uncopied."""
-        t = _new(cls)
-        t.round_index, t._args = round_index, args
-        return t
-
     mode, hadamard, target, secret, bob, charlie, recovered = map(_field, range(7))
     events = _field(7, lambda events: [dict(event) for event in events])
     records = _field(8, list)
     eve_notes = _field(9, dict)
+
+    def __getitem__(self, i: int):
+        return self._args[i]
 
     def _put(self, i: int, value) -> None:
         args = list(self._args)
@@ -271,7 +268,7 @@ class RoundTranscript:
             events.append(event)
 
     def frozen_args(self, intern: Callable = lambda value: value) -> tuple:
-        """``_args`` as a round table leaf keeps them, which ``replayed`` adopts:
+        """``_args`` as a round table leaf keeps them, a session's row:
         the events as tuples of their items, the records and note items as
         tuples, with each event and record, the three tuples and the whole
         passed through ``intern``."""
@@ -299,18 +296,21 @@ class RoundTranscript:
                 "bob": a[4], "charlie": a[5], "recovered": a[6], "events": self.events}
 
 
-def transcript_fields(transcripts: Iterable[RoundTranscript], *names: str) -> Iterator:
-    """The named fields of each transcript (a value for one name, else a tuple),
-    read in C from its ``_args``: a property costs four times as much."""
-    get = operator.itemgetter(*(RoundTranscript.__match_args__.index(name) - 1 for name in names))
-    return map(get, map(operator.attrgetter("_args"), transcripts))
+def transcript_fields(rows: Iterable[tuple], *names: str) -> Iterator:
+    """The named fields of each row or transcript (a value for one name,
+    else a tuple), read in C: a transcript's property costs four times as much."""
+    return map(operator.itemgetter(*(RoundTranscript.__match_args__.index(name) - 1 for name in names)), rows)
 
 
-def compact_row(round_index: int, args: tuple) -> tuple:
-    """The compact row ``(round_index, secret, recovered, mode, target)`` of
-    the round whose transcript would be ``RoundTranscript.replayed(round_index,
-    args)``, the view of a round that ``check_phase`` takes in its place."""
-    return round_index, args[3], args[6], args[0], args[2]
+def session_transcripts(rows: Iterable[tuple]) -> list[RoundTranscript]:
+    """The transcripts of a session's rows, round k + 1 at position k, each
+    adopting its row as its ``_args``, uncopied."""
+    transcripts, new = [], object.__new__
+    for round_index, args in enumerate(rows, 1):
+        t = new(RoundTranscript)
+        t.round_index, t._args = round_index, args
+        transcripts.append(t)
+    return transcripts
 
 
 def transcripts_to_jsonl(transcripts: Sequence[RoundTranscript]) -> str:
@@ -587,7 +587,7 @@ def check_size(check_fraction: float, n: int) -> int:
 
 
 def check_phase(
-    transcripts: Sequence[RoundTranscript] | Sequence[tuple],
+    transcripts: Sequence[RoundTranscript | tuple],
     check_fraction: float,
     rng: np.random.Generator | None,
     threshold: float = 0.0,
@@ -602,8 +602,9 @@ def check_phase(
     where ``detected`` is true when the error rate among checked rounds
     exceeds ``threshold`` and ``announced`` holds the checked rounds'
     indices in order.  A ``check_announced`` event is appended to each
-    sacrificed round's transcript.  A round may instead come as a view that
-    needs no transcript: a tuple starting with index, secret, recovered bit.
+    sacrificed round's transcript.  A round may instead come as its row, a
+    round table leaf's ``args``, which takes no event: the row at position
+    k of a session is round k + 1.
     """
     check_settings(check_fraction, threshold)
     if not transcripts:
@@ -618,7 +619,7 @@ def check_phase(
     for i in picked:
         t = transcripts[i]
         if type(t) is tuple:
-            index, secret, recovered = t[:3]
+            index, secret, recovered = i + 1, t[3], t[6]
         else:
             index, args = t.round_index, t._args
             secret, recovered, events = args[3], args[6], args[7]

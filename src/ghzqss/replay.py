@@ -11,9 +11,8 @@ statevector play would draw, so sessions stay byte-identical.  The
 table is a graph of ``Node``s, and either way a round comes to one leaf,
 (next node, payload), applied to the session's attack.
 ``RoundTable.play_rounds`` is the one session loop: it plays a session's
-or a branch's whole plan list, and builds each round's row from the
-leaf's ``args`` with one call, ``RoundTranscript.replayed`` or
-``protocol.compact_row``.
+or a branch's whole list of plan classes, and a round's row is its
+leaf's ``args``, kept by reference: the one row shape.
 
 ``Script`` scripts the draws of every statevector round play: a miss
 logs the outcome path it records through the script of the session or
@@ -237,7 +236,7 @@ class RoundTable:
     only through what the parity, plan class and ``state`` name.  A leaf's
     payload is ``(args, recorded)``: ``args`` the played transcript's
     ``frozen_args``, its events, records and note items as interned
-    tuples, which ``RoundTranscript.replayed`` adopts, and ``recorded``
+    tuples, which a session keeps as the round's row, and ``recorded``
     the attack's ``recorded_round`` (``None`` without an attack or if the
     round left it as it was).  Replaying a tree draws from the session's
     real streams exactly what the statevector play draws, because every
@@ -295,37 +294,39 @@ class RoundTable:
         node.world = get(self._worlds, self._world_key(node.world), node.world)
         return get(self._nodes, (id(node.world), node.parity, node.attack, node.state), node)
 
-    def play_rounds(self, script: Script, node: Node, plans: list, attack, row: Callable) -> tuple[Node, list]:
-        """The one session loop: each ``(round index, plan class)`` of ``plans``
-        played in turn with the draws of the session whose ``Script`` is
+    def play_rounds(self, script: Script, node: Node, plans: list, attack, first: int = 1) -> tuple[Node, list]:
+        """The one session loop: ``plans[k]``, a plan class, played as round
+        ``first + k`` with the draws of the session whose ``Script`` is
         ``script``, the first from ``node`` and each later one from the node
         the round before led to.  A round is replayed from the session's live
         streams when recorded, applying to ``attack`` what it did to it, and
         else played through the script by the table's round function and
-        recorded.  Returns the node after the last round and per round
-        ``row(round index, args)`` of its leaf's ``args``."""
+        recorded.  Returns the node after the last round and each round's
+        row, its leaf's ``args``; the hits count also if a round raises."""
         gens, rows, hits = script.live, [], 0
-        for i, plan_class in plans:
-            root = tree = node.edges.get(plan_class)
-            path = depth = 0  # outcome k is bit k of path
-            while tree is not None and type(tree[0]) is int:
-                code = tree[0]
-                if code & 1:
-                    outcome = gens[code >> 1].bit()
+        try:
+            for i, plan_class in enumerate(plans, first):
+                root = tree = node.edges.get(plan_class)
+                path = depth = 0  # outcome k is bit k of path
+                while tree is not None and type(tree[0]) is int:
+                    code = tree[0]
+                    if code & 1:
+                        outcome = gens[code >> 1].bit()
+                    else:
+                        outcome = gens[code >> 1].random() < 0.5
+                    tree = tree[1 + outcome]
+                    path |= outcome << depth
+                    depth += 1
+                if tree is None:
+                    node, (args, _) = self._record(script, root, path, depth, node, i, plan_class, attack)
                 else:
-                    outcome = gens[code >> 1].random() < 0.5
-                tree = tree[1 + outcome]
-                path |= outcome << depth
-                depth += 1
-            if tree is None:
-                node, (args, _) = self._record(script, root, path, depth, node, i, plan_class, attack)
-            else:
-                node, (args, recorded) = tree
-                hits += 1
-                if recorded is not None:
-                    attack.replay_round(i, recorded)
-            rows.append(row(i, args))
-        self.hits += hits
+                    node, (args, recorded) = tree
+                    hits += 1
+                    if recorded is not None:
+                        attack.replay_round(i, recorded)
+                rows.append(args)
+        finally:
+            self.hits += hits
         return node, rows
 
     def _record(self, script, tree, path, depth, node, round_index, plan_class, attack):

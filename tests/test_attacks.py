@@ -110,11 +110,11 @@ class TestRoundReplay:
         seen = []
         inner = RoundTable.play_rounds
 
-        def spy(self, script, node, plans, attack, row):
+        def spy(self, script, node, plans, attack, first=1):
             rows = []
-            for plan in plans:  # one round at a time, from the node the round before led to
-                seen.append((node.parity, plan[1].mode_name, plan[1].coin, attack.state))
-                node, played = inner(self, script, node, [plan], attack, row)
+            for i, plan in enumerate(plans, first):  # one round at a time, from the node the round before led to
+                seen.append((node.parity, plan.mode_name, plan.coin, attack.state))
+                node, played = inner(self, script, node, [plan], attack, i)
                 rows += played
             return node, rows
 

@@ -48,11 +48,11 @@ from ghzqss.protocol import (
     SinglePair,
     check_phase,
     chi_state,
-    compact_row,
     g_state,
     hadamard_layer,
     original_round,
     revised_round,
+    session_transcripts,
     transcripts_to_jsonl,
 )
 from ghzqss.qsim import apply_h, basis_state, discard, equal_up_to_sign, measure, state_from_terms, tensor
@@ -263,9 +263,9 @@ class TestAlicePlans:
     def test_a_session_plays_alice_draws_in_the_documented_order(self, monkeypatch):
         played = []
 
-        def spy(table, script, node, plans, attack, row):
-            played.append([(i, c.mode, c.coin) for i, c in plans])
-            return loop(table, script, node, plans, attack, row)
+        def spy(table, script, node, plans, attack, first=1):
+            played.append([(i, c.mode, c.coin) for i, c in enumerate(plans, first)])
+            return loop(table, script, node, plans, attack, first)
 
         loop = RoundTable.play_rounds
         monkeypatch.setattr(RoundTable, "play_rounds", spy)
@@ -276,7 +276,7 @@ class TestAlicePlans:
                 for kwargs in (dict(hadamard_bias=0.5), dict(hadamard_bias=0.3), dict(secret_bits=bits)):
                     cfg = SimConfig(variant=variant, rounds=64, seed=seed, **kwargs)
                     played.clear()
-                    harness._play_session(cfg, False)
+                    harness._play_session(cfg)
                     assert played == [_alice_reference(cfg)], (variant, seed, kwargs)
 
     @pytest.mark.parametrize("variant", ["original", "revised"])
@@ -284,16 +284,16 @@ class TestAlicePlans:
     def test_sessions_at_a_certain_coin_play_alice_draws(self, monkeypatch, variant, bias):
         played = []
 
-        def spy(table, script, node, plans, attack, row):
-            played.append([(i, c.mode, c.coin) for i, c in plans])
-            return loop(table, script, node, plans, attack, row)
+        def spy(table, script, node, plans, attack, first=1):
+            played.append([(i, c.mode, c.coin) for i, c in enumerate(plans, first)])
+            return loop(table, script, node, plans, attack, first)
 
         loop = RoundTable.play_rounds
         monkeypatch.setattr(RoundTable, "play_rounds", spy)
         for seed in range(40):
             cfg = SimConfig(variant=variant, rounds=64, seed=seed, hadamard_bias=bias)
             played.clear()
-            harness._play_session(cfg, False)
+            harness._play_session(cfg)
             assert played == [_alice_reference(cfg)], seed
             if variant == "revised":
                 assert {coin for _, _, coin in played[0]} == {int(bias)}
@@ -315,7 +315,7 @@ class TestAlicePlans:
             for kwargs in (dict(), dict(hadamard_bias=0.3), dict(secret_bits="0110")):
                 passed.clear()
                 cfg = SimConfig(variant=variant, rounds=4, seed=1, **kwargs)
-                harness._play_session(cfg, False)
+                harness._play_session(cfg)
                 (draws,) = passed
                 assert draws.pop("bias") == cfg.hadamard_bias
                 assert set(draws) == {"secret", "coin", "q1", "w1"}
@@ -1427,10 +1427,10 @@ class TestRoundTable:
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", kwargs)
             assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", kwargs)
             # A session that asks for no transcripts reports the same from
-            # its compact rows.
+            # its rows alone.
             table.clear()
-            assert json.dumps(run_simulation(cfg).to_dict()) == want[0], ("compact cold", kwargs)
-            assert json.dumps(run_simulation(cfg).to_dict()) == want[0], ("compact warm", kwargs)
+            assert json.dumps(run_simulation(cfg).to_dict()) == want[0], ("rows cold", kwargs)
+            assert json.dumps(run_simulation(cfg).to_dict()) == want[0], ("rows warm", kwargs)
         assert table.hits > 0 and table.entries <= MAX_TABLE_ENTRIES
 
     def test_a_table_warmed_by_other_sessions_matches(self, table, monkeypatch):
@@ -1495,32 +1495,30 @@ class TestRoundTable:
         assert self._leaks(table, monkeypatch, PAIRS) == set()
 
     def test_a_replay_that_shares_an_events_list_is_caught(self, table, monkeypatch):
-        shared, replayed = {}, RoundTranscript.replayed
+        shared, transcribe = {}, harness.session_transcripts
 
-        def sharing(round_index, args):
-            t = replayed(round_index, args)
-            t.events = shared.setdefault(id(args), t.events)
-            return t
+        def sharing(part):
+            def transcripts_of(rows):
+                transcripts = transcribe(rows)
+                for t, args in zip(transcripts, rows):
+                    setattr(t, part, shared.setdefault(id(args), getattr(t, part)))
+                return transcripts
 
-        monkeypatch.setattr(RoundTranscript, "replayed", staticmethod(sharing))
+            return transcripts_of
+
+        monkeypatch.setattr(harness, "session_transcripts", sharing("events"))
         assert self._mismatches(monkeypatch, PAIRS) == set(PAIRS)
         # Sharing any of the three parts lets edits leak into later
         # sessions; only attacked rounds have notes.
         attacked = {pair for pair in PAIRS if pair[1] != "none"}
         for part, expected in (("events", set(PAIRS)), ("records", set(PAIRS)), ("eve_notes", attacked)):
             shared.clear()
-
-            def sharing_part(round_index, args, part=part):
-                t = replayed(round_index, args)
-                setattr(t, part, shared.setdefault(id(args), getattr(t, part)))
-                return t
-
-            monkeypatch.setattr(RoundTranscript, "replayed", staticmethod(sharing_part))
+            monkeypatch.setattr(harness, "session_transcripts", sharing(part))
             table.clear()
             assert self._leaks(table, monkeypatch, PAIRS) == expected, part
 
     def test_a_replayed_transcript_equals_the_played_one_before_and_after_it_is_read(self, table, monkeypatch):
-        played, built, replayed = {}, {}, RoundTranscript.replayed
+        played, built, transcribe = {}, [], harness.session_transcripts
 
         def capture(inner):
             def play(*args):
@@ -1530,13 +1528,13 @@ class TestRoundTable:
 
             return play
 
-        def building(*args):
-            built[args[0]] = args
-            return replayed(*args)
+        def building(rows):
+            built[:] = rows
+            return transcribe(rows)
 
         monkeypatch.setattr(harness, "original_round", capture(original_round))
         monkeypatch.setattr(harness, "revised_round", capture(revised_round))
-        monkeypatch.setattr(RoundTranscript, "replayed", staticmethod(building))
+        monkeypatch.setattr(harness, "session_transcripts", building)
         for variant, strategy in PAIRS:
             table.clear()
             played.clear()
@@ -1549,7 +1547,7 @@ class TestRoundTable:
                 )
                 # Each view read first, then all of them again.
                 for first in views:
-                    t = replayed(*built[i])
+                    t = session_transcripts(built)[i - 1]
                     assert first(t) == first(eager), (variant, strategy, i)
                     assert [view(t) for view in views] == [view(eager) for view in views], (variant, strategy, i)
 
@@ -1559,7 +1557,7 @@ class TestRoundTable:
             run_simulation(cfg)  # records every round the session plays
             sides = []
             for read_first in (False, True):
-                transcripts = harness._play_session(cfg, True)[2]
+                transcripts = session_transcripts(harness._play_session(cfg)[2])
                 if read_first:
                     for t in transcripts:
                         t.events
@@ -1598,28 +1596,21 @@ class TestRoundTable:
         run_simulation(SimConfig(strategy="a1", rounds=60, seed=2))
         for payload in _leaf_payloads(table):
             events = payload[0][7]
-            first, second = (RoundTranscript.replayed(7, payload[0]) for _ in range(2))
+            first, second = (session_transcripts([payload[0]])[0] for _ in range(2))
             first.add_event({"event": "check_announced", "round": 7, "secret": 0})
             assert first.events is not second.events
             assert first.events[:-1] == second.events == [dict(event) for event in events]
             second.add_event({"event": "check_announced", "round": 7, "secret": 0})
             second.events.append({"event": "appended"})
             assert first.events == second.events[:-1]
-            assert payload[0][7] is events and RoundTranscript.replayed(7, payload[0]).events == first.events[:-1]
+            assert payload[0][7] is events and session_transcripts([payload[0]])[0].events == first.events[:-1]
 
     def test_a_replayed_transcript_holds_its_leafs_args_until_it_writes(self, table, monkeypatch):
         cfg = SimConfig(strategy="a1", rounds=60, seed=2, check_fraction=0.5)
         run_simulation(cfg)  # records every round the session plays
-        adopted, replayed = [], RoundTranscript.replayed
-
-        def adopting(round_index, args):
-            t = replayed(round_index, args)
-            adopted.append((t, args))
-            return t
-
-        with monkeypatch.context() as m:
-            m.setattr(RoundTranscript, "replayed", staticmethod(adopting))
-            transcripts = harness._play_session(cfg, True)[2]
+        rows = harness._play_session(cfg)[2]
+        transcripts = session_transcripts(rows)
+        adopted = list(zip(transcripts, rows))
         assert len(adopted) == 60 and all(t._args is args for t, args in adopted)
         _, _, announced = check_phase(transcripts, 0.5, stream(cfg.seed, harness.STREAM_CHECK))
         assert [t.round_index for t, args in adopted if t._args is args] == sorted(set(range(1, 61)) - set(announced))
@@ -1629,7 +1620,7 @@ class TestRoundTable:
         for payload in _leaf_payloads(table):
             values = ("edited", 1, "w9", 9, 8, 7, 6, [{"event": "set"}], ["set"], {"set": True})
             args, before = payload[0], repr(payload)
-            first, second = (RoundTranscript.replayed(7, args) for _ in range(2))
+            first, second = (session_transcripts([args])[0] for _ in range(2))
             for name, value in zip(names, values):
                 setattr(first, name, value)
             assert [getattr(first, name) for name in names] == list(values)
@@ -1639,7 +1630,7 @@ class TestRoundTable:
             assert first.records == ["set"] and first.eve_notes == {"set": True}
             assert second._args is args and payload[0] is args and repr(payload) == before
             # A frozen transcript keeps what is done to the lists and dict it builds on first read.
-            third = RoundTranscript.replayed(7, args)
+            third = session_transcripts([args])[0]
             third.events.append({"event": "appended"})
             third.records.append("record")
             if third.eve_notes is not None:
@@ -1647,11 +1638,11 @@ class TestRoundTable:
             assert third.events[-1] == {"event": "appended"} and third.records[-1] == "record"
             assert third.eve_notes is None or third.eve_notes["edited"]
             # It takes a check event in a tuple of its own.
-            fourth = RoundTranscript.replayed(7, args)
+            fourth = session_transcripts([args])[0]
             fourth.add_event({"event": "check_announced", "round": 7, "secret": 0})
             assert fourth._args is not args and fourth.events[-1] == {"event": "check_announced", "round": 7, "secret": 0}
             assert second._args is args and repr(payload) == before
-            assert second == RoundTranscript.replayed(7, args) and fourth.events[:-1] == second.events
+            assert second == session_transcripts([args])[0] and fourth.events[:-1] == second.events
 
         # A later session replays every round and is still the statevector play's, byte for byte.
         misses = table.misses
@@ -1672,20 +1663,18 @@ class TestRoundTable:
         assert second.events == second.records == []
 
     @pytest.mark.parametrize("variant,strategy", PAIRS)
-    def test_the_mode_tally_reads_rows_and_transcripts_alike(self, variant, strategy, table):
+    def test_the_mode_tally_reads_a_sessions_rows(self, variant, strategy, table):
         for rounds, seed in ((1, 0), (4, 1), (32, 2), (500, 3)):
             cfg = SimConfig(variant=variant, strategy=strategy, rounds=rounds, seed=seed)
-            rows = harness._play_session(cfg, False)[2]
-            transcripts = harness._play_session(cfg, True)[2]
-            # Per row, keyed in order of first appearance.
+            rows = harness._play_session(cfg)[2]
+            # Per round, read through the transcript's properties and keyed in order of first appearance.
             want = {}
-            for _, secret, recovered, mode, target in rows:
-                slot = want.setdefault(f"single_{target}" if mode == "single" else mode, [0, 0])
+            for t in session_transcripts(rows):
+                slot = want.setdefault(f"single_{t.target}" if t.mode == "single" else t.mode, [0, 0])
                 slot[0] += 1
-                slot[1] += recovered != secret
+                slot[1] += t.recovered != t.secret
             want = [(key, {"rounds": n, "errors": e, "error_rate": e / n}) for key, (n, e) in want.items()]
             assert list(harness._mode_breakdown(rows).items()) == want, (rounds, seed)
-            assert list(harness._mode_breakdown(transcripts).items()) == want, (rounds, seed)
 
     def test_an_attack_state_the_world_does_not_show_is_keyed(self, table, monkeypatch):
         def make(strategy, coins=None):
@@ -1709,15 +1698,15 @@ class TestRoundTable:
 
         table = RoundTable(play_round)
         world, attack = chi_state(), ChannelAttack()
-        plan = (1, harness._class_of(RoundPlan(1, ProductPair(0))))
+        plan = harness._class_of(RoundPlan(1, ProductPair(0)))
         script = Script(tuple(np.random.default_rng(k) for k in range(3)))
         for _ in range(2):  # recorded, then replayed
             for parity, state in itertools.product((0, 1), repeat=2):
                 attack.state = state
                 start = table.node(world, parity, attack)
-                after, (t,) = table.play_rounds(script, start, [plan], attack, RoundTranscript.replayed)
+                after, (row,) = table.play_rounds(script, start, [plan], attack)
                 assert after.world is world and after.parity == parity and attack.state == state
-                assert t.eve_notes == {"parity": parity, "state": state}
+                assert session_transcripts([row])[0].eve_notes == {"parity": parity, "state": state}
         assert (table.entries, table.misses, table.hits) == (4, 4, 4)
 
     @pytest.mark.parametrize("variant,strategy", PAIRS)
@@ -1736,10 +1725,10 @@ class TestRoundTable:
         assert len(worlds) == cfg.rounds
         seen, inner = [], RoundTable.play_rounds
 
-        def spy(self, script, node, plans, attack, row):
+        def spy(self, script, node, plans, attack, first=1):
             rows = []
-            for plan in plans:  # one round at a time, from the node the round before led to
-                node, played = inner(self, script, node, [plan], attack, row)
+            for i, plan in enumerate(plans, first):  # one round at a time, from the node the round before led to
+                node, played = inner(self, script, node, [plan], attack, i)
                 rows += played
                 state = None if attack is None else attack.state
                 seen.append((node.state == state, (node.world.labels, node.world.amps.tobytes())))
@@ -1816,8 +1805,8 @@ class TestRoundTable:
             attack_part = None if attack is None else repr((attack.records, attack.inferred))
             return transcripts_to_jsonl(transcripts), attack_part, world.amps.tobytes()
 
-        # Every session runs twice: with transcripts, and with compact rows
-        # that give the report's figures.
+        # Every session runs twice: with transcripts built from its rows, and
+        # with its rows alone, which give the report's figures.
         cfgs = [SimConfig(variant=v, strategy=s, rounds=120, seed=seed) for seed in range(3) for v, s in PAIRS]
         inputs = [(cfg, transcribe) for cfg in cfgs for transcribe in (True, False)]
         want = []
@@ -1831,7 +1820,9 @@ class TestRoundTable:
         def work(first):
             for i in range(first, len(inputs), 4):
                 cfg, transcribe = inputs[i]
-                world, attack, rows = harness._play_session(cfg, transcribe)
+                world, attack, rows = harness._play_session(cfg)
+                if transcribe:
+                    rows = session_transcripts(rows)
                 rate, detected, checked = check_phase(
                     rows, cfg.check_fraction, stream(cfg.seed, harness.STREAM_CHECK), cfg.detect_threshold
                 )
@@ -1915,13 +1906,14 @@ class TestRoundTable:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        replayed = RoundTranscript.replayed
+        transcribe = harness.session_transcripts
 
-        def counting_replayed(cls, *args):
-            built[RoundTranscript] += 1
-            return replayed(*args)
+        def counting_transcripts(rows):
+            transcripts = transcribe(rows)
+            built[RoundTranscript] += len(transcripts)
+            return transcripts
 
-        monkeypatch.setattr(RoundTranscript, "replayed", classmethod(counting_replayed))
+        monkeypatch.setattr(harness, "session_transcripts", counting_transcripts)
         cfg = SimConfig(variant=variant, strategy=strategy, rounds=500, seed=3)
         run_simulation(cfg)  # records every round the session plays
         for transcripts in (None, []):
@@ -1932,7 +1924,7 @@ class TestRoundTable:
             assert built[RoundPlan] == 0
             assert built[RoundTranscript] == (0 if transcripts is None else 500)
 
-    def test_a_cold_session_without_transcripts_keeps_only_compact_rows(self, table, monkeypatch):
+    def test_a_cold_session_without_transcripts_keeps_only_its_rows(self, table, monkeypatch):
         played = []
 
         def capture(inner):
@@ -1943,9 +1935,10 @@ class TestRoundTable:
 
             return play
 
-        def session(cfg, transcribe):
-            world, attack, rows = inner_session(cfg, transcribe)
-            assert all(type(row) is tuple for row in rows)
+        def session(cfg):
+            world, attack, rows = inner_session(cfg)
+            leaves = {id(payload[0]) for payload in _leaf_payloads(table)}
+            assert all(type(row) is tuple and id(row) in leaves for row in rows)
             return world, attack, rows
 
         inner_session = harness._play_session
@@ -2027,7 +2020,7 @@ class TestRoundTable:
                 trees += [(sub, forks + (tree[0] & 1 == 0)) for sub in tree[1:]]
                 continue
             payload = tree[1]
-            t, recorded = RoundTranscript.replayed(7, payload[0]), payload[1]
+            t, recorded = session_transcripts([payload[0]])[0], payload[1]
             weight = math.prod(r.probability for r in (*t.records, *(recorded[0] if recorded else ())))
             assert weight == 0.5 ** forks
             weights.add(weight)
@@ -2046,12 +2039,13 @@ class TestRoundTable:
         events = []
         play_rounds, record, replay_round = RoundTable.play_rounds, RoundTable._record, ChannelAttack.replay_round
 
-        def playing(self, script, node, plans, attack, row):
-            def marking(round_index, args):
+        def playing(self, script, node, plans, attack, first=1):
+            rows = []
+            for i, plan in enumerate(plans, first):  # one round at a time, to mark each row
+                node, played = play_rounds(self, script, node, [plan], attack, i)
                 events.append("row")
-                return row(round_index, args)
-
-            return play_rounds(self, script, node, plans, attack, marking)
+                rows += played
+            return node, rows
 
         def recording(self, *args):
             events.append("miss")
@@ -2082,6 +2076,46 @@ class TestRoundTable:
         # A miss leaves its round applied to the attack by the play; only a hit replays it.
         assert "replay" in events and ("miss", "replay") not in set(itertools.pairwise(events))
 
+    def test_a_round_that_raises_still_counts_the_hits_before_it(self, table, monkeypatch):
+        cfg = SimConfig(variant="original", strategy="a2", rounds=100, seed=3)
+        run_simulation(cfg)  # records every round the session plays
+        replay_round = ChannelAttack.replay_round
+
+        def raising(self, round_index, recorded):
+            if round_index == 50:
+                raise KeyError("round 50")
+            replay_round(self, round_index, recorded)
+
+        monkeypatch.setattr(ChannelAttack, "replay_round", raising)
+        before, misses = table.hits + table.misses, table.misses
+        with pytest.raises(KeyError, match="round 50"):
+            run_simulation(cfg)
+        # Rounds 1 to 50 were hits; round 50 raised as it replayed onto the attack.
+        assert table.hits + table.misses - before == 50 and table.misses == misses
+
+    @pytest.mark.parametrize("variant,strategy", PAIRS)
+    def test_a_warm_sessions_rows_are_its_leaves_args(self, variant, strategy, table, monkeypatch):
+        # A session keeps one plan class and one row per round, and a row is
+        # the args tuple its leaf stores, by reference.
+        cfg = SimConfig(variant=variant, strategy=strategy, rounds=300, seed=7, hadamard_bias=0.3)
+        run_simulation(cfg)  # records every round the session plays
+        seen, inner = [], RoundTable.play_rounds
+
+        def spy(self, script, node, plans, attack, first=1):
+            end, rows = inner(self, script, node, plans, attack, first)
+            seen.append((plans, rows))
+            return end, rows
+
+        monkeypatch.setattr(RoundTable, "play_rounds", spy)
+        misses = table.misses
+        run_simulation(cfg)
+        assert table.misses == misses  # every round was replayed
+        ((plans, rows),) = seen
+        assert len(plans) == len(rows) == 300
+        assert all(type(plan_class) is harness.PlanClass for plan_class in plans)
+        payloads = {id(payload[0]): payload[0] for payload in _leaf_payloads(table)}
+        assert all(payloads.get(id(row)) is row for row in rows)
+
     # Each single-encoding class that targets w1 or w2, at coin 0 from chi:
     # its honest decode draws nothing, so only the attack's draws fork.
     SINGLES = [harness._class_of(RoundPlan(1, SinglePair(0, 0, target), 0)) for target in (W1, W2)]
@@ -2092,11 +2126,11 @@ class TestRoundTable:
         tape.bits[:] = [0, 1]  # the first round's ancilla reads 0, the walk of the second takes 1
         script = Script((tape,) * 3)
         start = table.node(chi_state(), 0, attack)
-        table.play_rounds(script, start, [(1, self.SINGLES[0])], attack, compact_row)
+        table.play_rounds(script, start, [self.SINGLES[0]], attack)
         # The walk draws the recorded fork, misses below it, and the
         # statevector play then draws nothing.
         with pytest.raises(RuntimeError, match="drew less than its recording: the round table key misses state"):
-            table.play_rounds(script, start, [(2, self.SINGLES[0])], attack, compact_row)
+            table.play_rounds(script, start, [self.SINGLES[0]], attack, 2)
 
     @pytest.mark.parametrize("first,second", [(1, 0), (0, 1)], ids=["ends-at-a-fork", "goes-past-a-leaf"])
     def test_a_round_that_forks_unlike_its_recording_raises(self, first, second, table, monkeypatch):
@@ -2107,14 +2141,14 @@ class TestRoundTable:
         script = Script((tape,) * 3)
         a = _CountingAttack(draws=(0, first))
         start = table.node(chi_state(), 0, a)
-        node, _ = table.play_rounds(script, start, [(1, self.SINGLES[0])], a, compact_row)
-        table.play_rounds(script, node, [(2, self.SINGLES[0])], a, compact_row)
+        node, _ = table.play_rounds(script, start, [self.SINGLES[0]], a)
+        table.play_rounds(script, node, [self.SINGLES[0]], a, 2)
         assert table.entries == 2
         # Session B plays another class at the start node of the full table,
         # so its leaf names an unstored node with the key A stored.
         b = _CountingAttack(draws=(0, second))
-        unstored, _ = table.play_rounds(script, table.node(chi_state(), 0, b), [(1, self.SINGLES[1])], b, compact_row)
+        unstored, _ = table.play_rounds(script, table.node(chi_state(), 0, b), [self.SINGLES[1]], b)
         assert unstored is not node and table._node(unstored) is node and not unstored.edges
         # B's next round misses there, draws ``second`` times and grows A's tree.
         with pytest.raises(RuntimeError, match="forked unlike its recording: the round table key misses state"):
-            table.play_rounds(script, unstored, [(2, self.SINGLES[0])], b, compact_row)
+            table.play_rounds(script, unstored, [self.SINGLES[0]], b, 2)

@@ -379,12 +379,15 @@ class TestCheckPhase:
             assert announced == picks[-1]
         assert picks[0] == picks[1]
 
-    def test_a_view_without_transcripts_checks_alike(self):
+    def test_a_sessions_rows_check_as_its_transcripts(self):
         ts = [_fake_transcript(i, i % 2, int(i % 3 == 0)) for i in range(1, 41)]
-        view = [(t.round_index, t.secret, t.recovered, "pair", None) for t in ts]
-        want = check_phase(ts, 0.3, np.random.default_rng(5), threshold=0.1)
-        assert check_phase(view, 0.3, np.random.default_rng(5), threshold=0.1) == want
-        assert want[0] > 0.1 and len(want[2]) == 12
+        rows = [t.frozen_args() for t in ts]  # the row at position k is round k + 1
+        picked = [int(k) + 1 for k in np.sort(np.random.default_rng(5).choice(40, size=12, replace=False))]
+        rate = sum(r % 2 != int(r % 3 == 0) for r in picked) / 12
+        want = (rate, rate > 0.1, tuple(picked))
+        assert check_phase(rows, 0.3, np.random.default_rng(5), threshold=0.1) == want
+        assert check_phase(ts, 0.3, np.random.default_rng(5), threshold=0.1) == want
+        assert rate > 0.1 and picked != list(range(1, 13))
 
     @pytest.mark.parametrize("fraction,n", [(0.5, 2), (0.25, 100), (0.94, 10)])
     def test_checking_fewer_rounds_without_an_rng_is_a_value_error(self, fraction, n):
