@@ -6,7 +6,8 @@ It runs the default pytest suite in this process under a ``sys.settrace``
 tracer (threads included) and counts the executable lines of each file
 under ``src/`` from its code objects' ``co_lines()``.  It prints each line
 the suite never ran as ``path:line: source``, then how many ran.  The exit
-status is pytest's.
+status is pytest's if the suite failed, else 1 if any line went unrun,
+else 0.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def main(args: list[str]) -> int:
                 missed += 1
                 print(f"{Path(name).relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print(f"ran {total - missed} of {total} executable lines of src/")
-    return int(status)
+    return int(status) or int(missed > 0)
 
 
 if __name__ == "__main__":

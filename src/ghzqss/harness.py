@@ -2,9 +2,14 @@
 
 ``run_simulation`` plays full sessions with independent named rng
 streams per party, so results are reproducible from ``(config)`` alone
-and attacks never disturb the honest parties' draw sequences.  A
-session sets up each of its Alice, Bob, Charlie and attack streams at
-its first draw, and no check stream when every round is checked.
+and attacks never disturb the honest parties' draw sequences.  Stream
+k of seed s is numpy's ``default_rng(SeedSequence(s, spawn_key=(k,)))``,
+and ``pcg64`` is the one place that seeds it.  A session's Alice, Bob,
+Charlie and attack streams are ``PCG64Stream(s, k)``s, which decode
+numpy's draws from raw PCG64 words (O'Neill 2014) and set up their bit
+generator at their first draw; the check stream, ``stream(s, k)``, is a
+numpy ``Generator``, and a session sets up none when every round is
+checked.
 
 ``enumerate_branches`` plays every measurement branch of a short
 scripted scenario as a session of its own.  One tape of outcomes serves
@@ -65,7 +70,7 @@ from .protocol import (
     transcript_fields,
 )
 from .qsim import PureState, require_number
-from .replay import PCG64Stream, RoundTable, Script
+from .replay import _SCALAR_ONLY, RoundTable, Script
 
 VARIANTS = ("original", "revised")
 
@@ -117,22 +122,98 @@ def _seed_state() -> type:
     return SeedState
 
 
-def _generator(entropy: bytes) -> np.random.Generator:
-    """``default_rng`` of a ``SeedSequence`` of the uint32 words of ``entropy``."""
-    w = _seed_words(entropy, 8)  # PCG64 takes them as four uint64 words, low half first
+def pcg64(seed: int, *spawn_key: int) -> np.random.PCG64:
+    """numpy's ``PCG64(SeedSequence(entropy=seed, spawn_key=spawn_key))``, the one
+    place that says which numpy stream a seed and a spawn key name.  numpy pads
+    the seed's words to the pool size only before a key, but its pool mixing
+    hashes a zero for each missing word, so padding always gives the same pool."""
+    w = _seed_words(_words(seed, 4) + b"".join(map(_words, spawn_key)), 8)
+    # PCG64 takes the eight seed words as four uint64 words, low half first.
     state = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32], np.uint64)
-    return np.random.Generator(np.random.PCG64(_seed_state()(state)))
+    return np.random.PCG64(_seed_state()(state))
 
 
 def stream(seed: int, k: int) -> np.random.Generator:
-    """The k-th independent substream of a session seed, numpy's
-    ``default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``."""
-    return _generator(_words(seed, 4) + _words(k))  # the seed's words padded to the pool size, then k's
+    """The k-th independent substream of a session seed as a numpy ``Generator``,
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``: the check stream."""
+    return np.random.Generator(pcg64(seed, k))
 
 
 def derived_seed(*parts: int) -> int:
     """Stable scalar seed derived from a tuple (used by sweeps): numpy's ``SeedSequence(parts)``'s first word."""
     return _seed_words(b"".join(map(_words, parts)), 1)[0]
+
+
+# Raw words a PCG64Stream fetches at a time.
+BLOCK_WORDS = 64
+
+
+class PCG64Stream:
+    """The scalar ``random()`` and ``integers(0, 2)`` draws of numpy's
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=spawn_key))``,
+    decoded in Python from the raw 64-bit words of its PCG64.
+
+    The values are numpy's own.  A double is ``(w >> 11) * 2**-53`` of the
+    next word.  ``integers(0, 2)`` is Lemire's bounded draw (Lemire 2019)
+    for a range of two, which is the top bit of the next 32-bit half-word;
+    half-words come low half first, then high half, and a pending high
+    half waits across ``random()`` calls, as PCG64's ``next_uint32`` does.
+    Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``; a
+    draw reads the next buffered word itself and calls ``_word`` only to
+    fetch the next block.  The stream sets up its bit generator,
+    ``pcg64(seed, *spawn_key)``, at its first word, so a stream that is
+    never drawn from never sets one up, and it builds no numpy ``Generator``.
+
+    ``bit()`` is ``integers(0, 2)`` without arguments, the draw a session
+    passes for Alice's bits.  Each draw is a Python method called with its
+    exact positional arguments, which CPython 3.11 inlines into its caller.
+    Any other call (other bounds, ``size=``, keywords) raises ``TypeError``
+    before anything is drawn, and the stream has no other method or
+    attribute.
+    """
+
+    __slots__ = ("_seed", "_bits", "_block", "_pos", "_half")
+
+    def __init__(self, seed: int, *spawn_key: int) -> None:
+        self._seed = (seed, *spawn_key)
+        self._bits = self._half = None
+        self._block: list[int] = []
+        self._pos = 0  # next word of the block
+
+    def _word(self) -> int:
+        """The first word of a new block, fetched once the buffered block is used up."""
+        if self._bits is None:
+            self._bits = pcg64(*self._seed)
+        self._block = self._bits.random_raw(BLOCK_WORDS).tolist()
+        self._pos = 1
+        return self._block[0]
+
+    def random(self):
+        pos, block = self._pos, self._block
+        if pos < len(block):
+            self._pos = pos + 1
+            return (block[pos] >> 11) * 2.0 ** -53
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, low, high, /):
+        if low != 0 or high != 2:
+            raise TypeError(_SCALAR_ONLY)
+        return self.bit()
+
+    def bit(self):
+        """``integers(0, 2)`` as a draw without arguments, for Alice's bits."""
+        half = self._half
+        if half is None:
+            pos, block = self._pos, self._block
+            if pos < len(block):
+                self._pos = pos + 1
+                word = block[pos]
+            else:
+                word = self._word()
+            self._half = word >> 32
+            return (word >> 31) & 1
+        self._half = None
+        return half >> 31
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -364,10 +445,8 @@ def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[tuple]]:
     """All rounds of one session: the final world, the attack and each round's row."""
     # Set up at their first word: Alice's, Charlie's and the attack
     # stream go undrawn in many sessions.
-    alice = PCG64Stream(functools.partial(stream, cfg.seed, STREAM_ALICE))
-    script = Script(tuple(
-        PCG64Stream(functools.partial(stream, cfg.seed, k)) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)
-    ))
+    alice = PCG64Stream(cfg.seed, STREAM_ALICE)
+    script = Script(tuple(PCG64Stream(cfg.seed, k) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=script.tap(2))
@@ -477,7 +556,8 @@ class _Tape:
     k-th ``bit()`` or ``integers(0, 2)`` is the k-th coin of
     ``np.random.default_rng(seed)``, drawn once, by the first branch that
     needs it, and kept; other bounds raise ``TypeError`` before a draw, as
-    on a ``PCG64Stream``.  The generator is set up at the first coin.
+    on a ``PCG64Stream``, which the coins come from.  Its bit generator is
+    set up at the first coin.
     ``next_branch`` moves the tape to the next branch.
     """
 
@@ -490,7 +570,7 @@ class _Tape:
         self._kept: list[int] = []  # the coins drawn so far
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
-        self._gen = PCG64Stream(lambda: _generator(_words(seed)))
+        self._gen = PCG64Stream(seed)
 
     def random(self) -> float:
         k = self.drawn

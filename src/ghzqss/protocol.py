@@ -332,7 +332,7 @@ class Rngs:
     classical coins (substitute bits, a bluffed announcement) as
     ``integers(0, 2)``.  Sessions and the branch enumerator pass the
     taps of a ``replay.Script``, which log every draw and refuse all but
-    those two: a session's draw from ``replay.PCG64Stream``s, an
+    those two: a session's draw from ``harness.PCG64Stream``s, an
     enumerated branch's from its tape of outcomes and its attacker's
     coins.
     """

@@ -19,17 +19,13 @@ logs the outcome path it records through the script of the session or
 of the enumeration that plays the round.
 
 Every supported session draws only scalar ``random()`` and
-``integers(0, 2)`` values.  Its streams are ``PCG64Stream``s, which
-decode numpy's own values from raw PCG64 words (O'Neill 2014) fetched in
-blocks, without a numpy call per draw, and may set up their bit generator
-only at their first word; they and the script's taps refuse any other
-use.  A stream's draws are plain methods with exact positional
-arguments, and Alice's bits and a fork walk's coins come from its
-zero-argument ``bit()``, so neither leaves the interpreter's inlined
-calls.  Every fork of the paper's Clifford circuits has weight 1/2, so
-a round that forks otherwise raises instead of playing slowly, and an
-enumerated branch's probability is 1/2 to the power of its ``random()``
-draws.
+``integers(0, 2)`` values from its streams, ``harness.PCG64Stream``s
+built from the session seed, and the script's taps refuse any other use.
+A fork walk's coins come from a stream's zero-argument ``bit()``, so the
+walk stays within the interpreter's inlined calls.  Every fork of the
+paper's Clifford circuits has weight 1/2, so a round that forks otherwise
+raises instead of playing slowly, and an enumerated branch's probability
+is 1/2 to the power of its ``random()`` draws.
 
 The process keeps one table, ``harness.ROUND_TABLE``, for Monte Carlo
 sessions and exact enumeration alike: an enumerated branch is a session
@@ -44,96 +40,12 @@ import functools
 import threading
 from typing import Callable
 
-import numpy as np
-
 from .protocol import Rngs, RoundPlan
 from .qsim import PureState
 
 MAX_TABLE_ENTRIES = 4096
 
 _SCALAR_ONLY = "a session stream hands out only random() and integers(0, 2)"
-
-# Raw words a PCG64Stream fetches at a time.
-BLOCK_WORDS = 64
-
-
-class PCG64Stream:
-    """The scalar ``random()`` and ``integers(0, 2)`` draws of a numpy PCG64
-    ``Generator``, decoded in Python from raw 64-bit words.
-
-    The values are numpy's own.  A double is ``(w >> 11) * 2**-53`` of the
-    next word.  ``integers(0, 2)`` is Lemire's bounded draw (Lemire 2019)
-    for a range of two, which is the top bit of the next 32-bit half-word;
-    half-words come low half first, then high half, and a pending high
-    half waits across ``random()`` calls, as PCG64's ``next_uint32`` does.
-    Words are fetched ``BLOCK_WORDS`` at a time with ``random_raw``; a
-    draw reads the next buffered word itself and calls ``_word`` only to
-    fetch the next block.
-
-    ``opener`` is a function without arguments that returns the
-    ``Generator``, with no half-word pending, when the stream needs its
-    first word: a stream that is never drawn from never sets up its bit
-    generator.
-
-    ``bit()`` is ``integers(0, 2)`` without arguments, the draw a session
-    passes for Alice's bits.  Each draw is a Python method called with its
-    exact positional arguments, which CPython 3.11 inlines into its caller.
-    Any other call (other bounds, ``size=``, keywords) raises ``TypeError``
-    before anything is drawn, and the stream has no other method or
-    attribute.
-    """
-
-    __slots__ = ("_bits", "_open", "_words", "_pos", "_half")
-
-    def __init__(self, opener: Callable[[], np.random.Generator]) -> None:
-        self._open = opener
-        self._bits = self._half = None
-        self._words: list[int] = []
-        self._pos = 0  # next word of the block
-
-    def _attach(self, gen: np.random.Generator) -> None:
-        bits = gen.bit_generator
-        if type(bits) is not np.random.PCG64:
-            raise TypeError(f"a PCG64Stream needs a PCG64 bit generator, got {type(bits).__name__}")
-        if bits.state["has_uint32"]:
-            # The word this stream is fetching would skip the pending half.
-            raise ValueError("a stream opened at its first word needs a generator with no half-word pending")
-        self._bits = bits
-
-    def _word(self) -> int:
-        """The first word of a new block, fetched once the buffered block is used up."""
-        if self._bits is None:
-            self._attach(self._open())
-        self._words = self._bits.random_raw(BLOCK_WORDS).tolist()
-        self._pos = 1
-        return self._words[0]
-
-    def random(self):
-        pos, words = self._pos, self._words
-        if pos < len(words):
-            self._pos = pos + 1
-            return (words[pos] >> 11) * 2.0 ** -53
-        return (self._word() >> 11) * 2.0 ** -53
-
-    def integers(self, low, high, /):
-        if low != 0 or high != 2:
-            raise TypeError(_SCALAR_ONLY)
-        return self.bit()
-
-    def bit(self):
-        """``integers(0, 2)`` as a draw without arguments, for Alice's bits."""
-        half = self._half
-        if half is None:
-            pos, words = self._pos, self._words
-            if pos < len(words):
-                self._pos = pos + 1
-                word = words[pos]
-            else:
-                word = self._word()
-            self._half = word >> 32
-            return (word >> 31) & 1
-        self._half = None
-        return half >> 31
 
 
 class Script:

@@ -4,8 +4,10 @@ test through a real subprocess."""
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -314,6 +316,17 @@ class TestUsage:
         proc = _run_process(["run", "--rounds", "15", "--seed", "4", "--format", "json"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rounds_run"] == 15
+
+    def test_the_module_run_as_a_script_exits_with_mains_status(self, monkeypatch, capsys):
+        # In-process, so a line tracer sees the module's ``__main__`` block.
+        monkeypatch.setattr(sys, "argv", ["ghzqss.cli", "verify-equations", "--format", "csv"])
+        with warnings.catch_warnings():
+            # runpy warns that ghzqss.cli is already imported, which it is here.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as done:
+                runpy.run_module("ghzqss.cli", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("identity,branch,deviation,ok\n")
 
 
 class TestPublicNames:

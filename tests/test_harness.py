@@ -13,18 +13,21 @@ import subprocess
 import sys
 import threading
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ghzqss.harness as harness
 import ghzqss.replay as replay
-from ghzqss.replay import BLOCK_WORDS, MAX_TABLE_ENTRIES, PCG64Stream, RoundTable, Script
+from ghzqss.replay import MAX_TABLE_ENTRIES, RoundTable, Script
 from ghzqss.attacks import ATTACKS, ChannelAttack, build_attack
 from ghzqss.harness import (
+    BLOCK_WORDS,
     COMPATIBLE,
     MAX_ENUM_ROUNDS,
     Branch,
+    PCG64Stream,
     Scenario,
     SimConfig,
     SimReport,
@@ -158,7 +161,7 @@ class TestPCG64Stream:
             seed = rnd.randrange(2 ** 64)
             kinds = _mixed_draws(rnd, rnd.randrange(1, 6 * BLOCK_WORDS))
             want = np.random.default_rng(seed)
-            got = PCG64Stream(lambda: np.random.default_rng(seed))
+            got = PCG64Stream(seed)
             assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
 
     def test_the_bit_draw_equals_integers_draw_for_draw(self):
@@ -171,7 +174,7 @@ class TestPCG64Stream:
             mixed = _mixed_draws(rnd, rnd.randrange(1, 6 * BLOCK_WORDS))
             kinds = [k if k == "r" or rnd.random() < 0.5 else "b" for k in mixed]
             want = np.random.default_rng(seed)
-            got = PCG64Stream(lambda: np.random.default_rng(seed))
+            got = PCG64Stream(seed)
             assert [got.bit() if k == "b" else draw[k](got) for k in kinds] == [
                 draw["c" if k == "b" else k](want) for k in kinds
             ], seed
@@ -193,7 +196,7 @@ class TestPCG64Stream:
             seed = rnd.randrange(2 ** 64)
             tail = ["r", "c"] + _mixed_draws(rnd, 2 * BLOCK_WORDS)
             want = np.random.default_rng(seed)
-            got = PCG64Stream(lambda: np.random.default_rng(seed))
+            got = PCG64Stream(seed)
             assert [_draw(got, k) for k in prefix] == [_draw(want, k) for k in prefix]
             with pytest.raises(error):
                 call(got)
@@ -201,13 +204,16 @@ class TestPCG64Stream:
 
 
 class TestStreamSetUp:
-    def test_a_stream_opens_its_generator_at_its_first_word(self):
+    def test_a_stream_opens_its_generator_at_its_first_word(self, monkeypatch):
+        real = harness.pcg64
+        opened = []
+        monkeypatch.setattr(harness, "pcg64", lambda seed, *key: opened.append(seed) or real(seed, *key))
         rnd = random.Random(16)
         for _ in range(20):
             seed = rnd.randrange(2 ** 64)
             kinds = _mixed_draws(rnd, rnd.randrange(1, 3 * BLOCK_WORDS))
-            opened = []
-            got = PCG64Stream(lambda: opened.append(seed) or np.random.default_rng(seed))
+            opened.clear()
+            got = PCG64Stream(seed)
             assert opened == []
             want = np.random.default_rng(seed)
             assert [_draw(got, k) for k in kinds] == [_draw(want, k) for k in kinds], seed
@@ -216,24 +222,14 @@ class TestStreamSetUp:
     def test_a_session_given_its_secrets_opens_no_alice_stream(self, monkeypatch):
         # The alternating variant with every secret given draws nothing
         # from Alice, and a check of every round draws no check stream.
-        real = harness.stream
+        real = harness.pcg64
         opened = []
-        monkeypatch.setattr(harness, "stream", lambda seed, k: opened.append(k) or real(seed, k))
+        monkeypatch.setattr(harness, "pcg64", lambda seed, k: opened.append(k) or real(seed, k))
         cfg = SimConfig(variant="original", rounds=8, seed=2, secret_bits="01101001", check_fraction=1.0)
         want = _reference_session(cfg)[0]
         opened.clear()
         assert run_simulation(cfg) == want
         assert opened == [harness.STREAM_BOB]
-
-    def test_an_opened_generator_is_checked_at_the_first_word(self):
-        got = PCG64Stream(lambda: np.random.Generator(np.random.MT19937(1)))
-        with pytest.raises(TypeError, match="PCG64"):
-            got.random()
-        pending = np.random.default_rng(3)
-        pending.integers(0, 2)
-        got = PCG64Stream(lambda: pending)
-        with pytest.raises(ValueError, match="half-word pending"):
-            got.integers(0, 2)
 
 
 def _alice_reference(cfg):
@@ -511,24 +507,20 @@ class TestRunSimulation:
         assert not report.detected
 
 
-def _stream_of(gen):
-    """A ``PCG64Stream`` that opens ``gen`` at its first word."""
-    return PCG64Stream(lambda: gen)
-
-
-def _live_streams(seed, wrap):
-    return tuple(wrap(np.random.default_rng(seed + k)) for k in range(3))
+def _live_streams(seed, make=np.random.default_rng):
+    """Three streams of ``make``, numpy's own or ``PCG64Stream``s, seeded from ``seed``."""
+    return tuple(make(seed + k) for k in range(3))
 
 
 class TestScript:
-    @pytest.mark.parametrize("wrap", [lambda gen: gen, _stream_of], ids=["Generator", "PCG64Stream"])
-    def test_live_draws_past_the_prefix_equal_numpy_and_are_logged(self, wrap):
+    @pytest.mark.parametrize("make", [np.random.default_rng, PCG64Stream], ids=["Generator", "PCG64Stream"])
+    def test_live_draws_past_the_prefix_equal_numpy_and_are_logged(self, make):
         prefix = [(1, 1), (0, 0.25)]
-        script = Script(_live_streams(40, wrap))
+        script = Script(_live_streams(40, make))
         script.reset(list(prefix))
         rngs = (script.rngs.bob, script.rngs.charlie, script.rngs.attack)
         assert rngs[0].integers(0, 2) == 1 and rngs[0].random() == 0.25
-        want = _live_streams(40, lambda gen: gen)
+        want = _live_streams(40)
         pick = random.Random(3)
         expected = []
         for _ in range(300):
@@ -540,7 +532,7 @@ class TestScript:
         assert script.log == prefix + expected
 
     def test_a_prefix_in_another_order_raises(self):
-        script = Script(_live_streams(5, _stream_of))
+        script = Script(_live_streams(5, PCG64Stream))
         script.reset([(1, 0)])
         with pytest.raises(RuntimeError, match="another order"):
             script.rngs.bob.random()
@@ -557,8 +549,8 @@ class TestScript:
         ids=["random-n", "random-size", "integers-0-4", "integers-size", "other-method"],
     )
     def test_any_other_use_raises_and_logs_nothing(self, use):
-        script = Script(_live_streams(9, _stream_of))
-        want = _live_streams(9, lambda gen: gen)
+        script = Script(_live_streams(9, PCG64Stream))
+        want = _live_streams(9)
         assert script.rngs.charlie.random() == want[1].random()
         with pytest.raises(TypeError, match="only random"):
             use(script.rngs.charlie)
@@ -796,6 +788,80 @@ class TestEnumeration:
                 errs += int(transcripts[1].recovered != transcripts[1].secret)
             sigma = np.sqrt(exact * (1 - exact) / n)
             assert abs(errs / n - exact) <= 3 * sigma
+
+
+def _alice_plans(variant, rounds):
+    """Every plan list Alice can draw in ``rounds`` rounds at the default
+    bias, with its probability: each secret, coin, ``q1`` and target she
+    draws is a fair bit, and a pair round draws no ``q1`` or target."""
+    secrets_of = list(itertools.product((0, 1), repeat=rounds))
+    if variant == "original":
+        return [(Fraction(1, 2 ** rounds), original_plans(secrets)) for secrets in secrets_of]
+    plans = []
+    for coins in itertools.product((0, 1), repeat=rounds):
+        singles, parity = [], 0
+        for i, coin in enumerate(coins):
+            if not coin ^ parity:
+                singles.append(i)
+            parity ^= coin
+        weight = Fraction(1, 4 ** (rounds + len(singles)))
+        for secrets in secrets_of:
+            for steer in itertools.product(itertools.product((0, 1), (W1, W2)), repeat=len(singles)):
+                q1_bits, targets = [0] * rounds, [W1] * rounds
+                for i, (q1, target) in zip(singles, steer):
+                    q1_bits[i], targets[i] = q1, target
+                plans.append((weight, revised_plans(coins, secrets, q1_bits, targets)))
+    return plans
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+class TestExactDetection:
+    """The paper's claims as exact numbers for short sessions (Bagherinezhad
+    & Karimipour, PRA 67 044302): P(detected | N rounds, check fraction 1,
+    threshold 0), summed in ``Fraction``s over every plan Alice can draw and
+    every measurement branch of it.
+
+    dishonest-bob is left out: a scenario fixes the attacker's coins through
+    ``attack_seed``, so its sum would be conditional on those coins."""
+
+    EXACT = {
+        ("revised", "a1"): (0, Fraction(1, 8), Fraction(3, 16)),
+        ("revised", "a2-probe"): (0, Fraction(1, 4), Fraction(1, 4)),
+        ("revised", "none"): (0, 0, 0),
+        ("original", "none"): (0, 0, 0),
+        ("original", "a2"): (0, 0, 0),
+    }
+    # The detection laws of a1 and a2-probe at every N (Fibonacci F(1) = F(2) = 1).
+    LAWS = {
+        ("revised", "a1"): lambda n: Fraction(1, 2) - Fraction(_fibonacci(n + 2), 2 ** (n + 1)),
+        ("revised", "a2-probe"): lambda n: Fraction(1, 2) - Fraction(1, 2 ** (n // 2 + 1)),
+    }
+
+    @staticmethod
+    def _p_detected(variant, strategy, rounds):
+        plans = _alice_plans(variant, rounds)
+        # Each plan Alice can draw comes once, and their weights sum to 1.
+        assert len({p for _, p in plans}) == len(plans) and sum(w for w, _ in plans) == 1
+        total = Fraction(0)
+        for weight, plan in plans:
+            for branch in enumerate_branches(Scenario(variant, plan, strategy=strategy)):
+                if check_phase(branch.transcripts, 1.0, None)[1]:
+                    total += weight * Fraction(branch.probability)
+        return total
+
+    @pytest.mark.parametrize("variant,strategy", list(EXACT), ids=lambda v: v)
+    def test_detection_for_up_to_three_rounds(self, variant, strategy):
+        got = tuple(self._p_detected(variant, strategy, n) for n in (1, 2, 3))
+        assert got == self.EXACT[variant, strategy]
+        law = self.LAWS.get((variant, strategy))
+        if law is not None:
+            assert got == tuple(map(law, (1, 2, 3)))
 
 
 class TapeDecider:
@@ -1868,9 +1934,9 @@ class TestRoundTable:
         assert table.hits > 0
 
     def test_sessions_set_up_only_the_streams_they_draw(self, table, monkeypatch):
-        real = harness.stream
+        real = harness.pcg64
         opened = []
-        monkeypatch.setattr(harness, "stream", lambda seed, k: opened.append(k) or real(seed, k))
+        monkeypatch.setattr(harness, "pcg64", lambda seed, k: opened.append(k) or real(seed, k))
         sessions = [dict(rounds=1, seed=0), dict(rounds=5, seed=1), dict(rounds=24, seed=2), dict(rounds=300, seed=3)]
         seen = {}
         for variant, strategy in PAIRS:
@@ -1894,6 +1960,19 @@ class TestRoundTable:
                 assert harness.STREAM_CHARLIE not in streams
         # Every stream is still set up where it is drawn.
         assert set.union(*seen.values()) == set(range(5))
+
+    def test_a_warm_session_builds_no_numpy_generator_for_its_streams(self, table, monkeypatch):
+        # A session stream decodes its bit generator's raw words itself;
+        # only the check stream, drawn as a sample, is a numpy Generator.
+        real, built = np.random.Generator, []
+        monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits) or real(bits))
+        for variant, strategy in PAIRS:
+            for fraction, generators in ((1.0, 0), (0.25, 1)):
+                cfg = SimConfig(variant=variant, strategy=strategy, rounds=40, seed=6, check_fraction=fraction)
+                want = run_simulation(cfg)  # warms the table
+                built.clear()
+                assert run_simulation(cfg) == want
+                assert len(built) == generators, (variant, strategy, fraction)
 
     @pytest.mark.parametrize("variant,strategy", PAIRS)
     def test_a_warm_session_builds_no_plan_and_transcripts_only_on_request(
