@@ -339,21 +339,19 @@ _CLASS_BY_PLAN: dict[tuple, PlanClass] = {}
 
 
 class PlanClass:
-    """A round plan without its round index, one object per plan in
-    ``PLAN_CLASSES``: the round table keys a replayed round on the object
-    and builds a ``RoundPlan`` only for a round it plays on the
+    """A round plan without its round index, its mode and coin, one object
+    per plan in ``PLAN_CLASSES``: the round table keys a replayed round on
+    the object and builds a ``RoundPlan`` only for a round it plays on the
     statevector path.  With the carrier parity before the round, the
     class tells round 1 and odd and even rounds of the alternating
     variant apart: (0, product), (1, product) and (0, pair).  Each class
     registers itself in ``_CLASS_BY_PLAN`` under its (mode, coin)."""
 
-    __slots__ = ("mode", "coin", "mode_name", "target", "secret")
+    __slots__ = ("mode", "coin")
 
     def __init__(self, kind: type, fields: tuple, coin: int | None) -> None:
-        plan = RoundPlan(0, kind(*fields), coin)
-        self.mode, self.coin = plan.mode, coin
-        self.mode_name, self.target, self.secret = plan.mode_name, plan.target, plan.secret
-        _CLASS_BY_PLAN[plan.mode, coin] = self
+        self.mode, self.coin = kind(*fields), coin
+        _CLASS_BY_PLAN[self.mode, coin] = self
 
 
 # Every plan class, built once and indexed by the draws that pick it:

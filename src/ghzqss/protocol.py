@@ -390,7 +390,7 @@ def check_plan(plan: RoundPlan, parity: int, coin_flip: bool) -> None:
     rule in the module docstring.  Rounds count from 1, a single
     encoding targets ``w1`` or ``w2``, the round index is an int, and every
     payload bit and coin is the int 0 or 1, not a bool or a float: the
-    harness interns plans by value, so equal plans must be equal in type too.
+    harness looks plan classes up by value, so equal plans must be equal in type.
     """
     if type(parity) is not int or parity not in (0, 1):
         raise ValueError(f"carrier parity must be the int 0 or 1, got {parity!r}")

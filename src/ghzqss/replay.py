@@ -140,10 +140,10 @@ class RoundTable:
     the round's fork tree, built one outcome path at a time.  A fork is
     ``(code, outcome-0 subtree, outcome-1 subtree)`` with its ``Script``
     code, a leaf is (next node, payload), and ``None`` is an outcome not
-    yet recorded.  ``_nodes`` maps (world,
-    parity, attack class, ``state``) to the stored node, the world being
-    the id of its copy in ``_worlds``, which interns worlds by their exact
-    labels and amplitude bytes; only ``node`` and a miss look a node up.
+    yet recorded.  ``_nodes`` keys a node by the values a round reads:
+    its world's exact labels and amplitude bytes, the parity, the attack
+    class and ``state``.  A stored node keeps the world that first reached
+    its key; only ``node`` and a miss look a node up.
     A plan class's coin names the variant, and a round reads its index
     only through what the parity, plan class and ``state`` name.  A leaf's
     payload is ``(args, recorded)``: ``args`` the played transcript's
@@ -180,7 +180,6 @@ class RoundTable:
             for node in self._nodes.values():
                 node.edges = {}
             self._nodes.clear()
-            self._worlds: dict[tuple, PureState] = {}  # world key -> interned world
             self._interned: dict = {}
             self.entries = 0  # trees stored
             self.hits = 0
@@ -195,16 +194,12 @@ class RoundTable:
 
     def node(self, world: PureState, parity: int, attack) -> Node:
         """The stored node of ``world`` at ``parity`` with ``attack`` as it is, else a new one."""
-        # A stored key holds the id of a world ``_worlds`` keeps alive, so a
-        # live ``world`` with that id is that world: no world key is built.
-        key = (id(world), parity, type(attack), None if attack is None else attack.state)
-        return self._nodes.get(key) or self._node(Node(world, *key[1:]))
+        return self._node(Node(world, parity, type(attack), None if attack is None else attack.state))
 
     def _node(self, node: Node, store: bool = False) -> Node:
         """The stored node of ``node``'s key, else ``node``, which ``store`` stores."""
-        get = dict.setdefault if store else dict.get
-        node.world = get(self._worlds, self._world_key(node.world), node.world)
-        return get(self._nodes, (id(node.world), node.parity, node.attack, node.state), node)
+        key = (*self._world_key(node.world), node.parity, node.attack, node.state)
+        return (self._nodes.setdefault if store else self._nodes.get)(key, node)
 
     def play_rounds(self, script: Script, node: Node, plans: list, attack, first: int = 1) -> tuple[Node, list]:
         """The one session loop: ``plans[k]``, a plan class, played as round
@@ -263,9 +258,7 @@ class RoundTable:
         after = Node(world, parity, node.attack, None if recorded is None else recorded[2])
         if recorded == ((), (), node.state):
             recorded = None
-        # Sessions in other threads may store at the same time; a world
-        # interned outside the lock could key a node on the id of a world
-        # the table does not keep alive.
+        # Sessions in other threads may store at the same time.
         with self._lock:
             here = self._node(node)
             tree = here.edges.get(plan_class)

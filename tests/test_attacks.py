@@ -113,7 +113,7 @@ class TestRoundReplay:
         def spy(self, script, node, plans, attack, first=1):
             rows = []
             for i, plan in enumerate(plans, first):  # one round at a time, from the node the round before led to
-                seen.append((node.parity, plan.mode_name, plan.coin, attack.state))
+                seen.append((node.parity, protocol.MODE_NAMES[type(plan.mode)], plan.coin, attack.state))
                 node, played = inner(self, script, node, [plan], attack, i)
                 rows += played
             return node, rows

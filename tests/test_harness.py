@@ -825,10 +825,8 @@ class TestExactDetection:
     """The paper's claims as exact numbers for short sessions (Bagherinezhad
     & Karimipour, PRA 67 044302): P(detected | N rounds, check fraction 1,
     threshold 0), summed in ``Fraction``s over every plan Alice can draw and
-    every measurement branch of it.
-
-    dishonest-bob is left out: a scenario fixes the attacker's coins through
-    ``attack_seed``, so its sum would be conditional on those coins."""
+    every measurement branch of it, and for dishonest-bob over every coin
+    string its attacker can draw."""
 
     EXACT = {
         ("revised", "a1"): (0, Fraction(1, 8), Fraction(3, 16)),
@@ -862,6 +860,31 @@ class TestExactDetection:
         law = self.LAWS.get((variant, strategy))
         if law is not None:
             assert got == tuple(map(law, (1, 2, 3)))
+
+    def test_dishonest_bob_over_its_coins_for_up_to_two_rounds(self, monkeypatch):
+        # A scenario fixes the attacker's coins through ``attack_seed``, so
+        # the sum runs over every coin string too: ``_Tape`` draws its coins
+        # from a source that hands out the scripted string, each string of
+        # m coins weighted 2^-m.  A round draws two coins and a pair round
+        # one more, and every scripted coin must be drawn.
+        coins = []
+        monkeypatch.setattr(harness, "PCG64Stream", lambda seed: types.SimpleNamespace(bit=lambda: coins.pop()))
+        got = []
+        for rounds in (1, 2):
+            total = Fraction(0)
+            for weight, plan in _alice_plans("revised", rounds):
+                m = 2 * rounds + sum(isinstance(p.mode, EntangledPair) for p in plan)
+                for string in itertools.product((0, 1), repeat=m):
+                    coins[:] = reversed(string)
+                    for branch in enumerate_branches(Scenario("revised", plan, strategy="dishonest-bob")):
+                        if check_phase(branch.transcripts, 1.0, None)[1]:
+                            total += weight * Fraction(branch.probability) / 2 ** m
+                    assert not coins, (plan, string)
+            got.append(total)
+        assert got == [Fraction(3, 8), Fraction(19, 32)]
+        # The law's recurrence over P(undetected | N): 32 u(N+2) = 32 u(N+1) - 7 u(N).
+        u = [1, 1 - got[0], 1 - got[1]]
+        assert u[1] == Fraction(5, 8) and 32 * u[2] == 32 * u[1] - 7 * u[0]
 
 
 class TapeDecider:
@@ -1523,7 +1546,13 @@ class TestRoundTable:
 
     def test_a_key_without_the_amplitude_bytes_is_caught(self, table, monkeypatch):
         monkeypatch.setattr(RoundTable, "_world_key", staticmethod(lambda world: world.labels))
-        assert self._mismatches(monkeypatch, PAIRS) == set(PAIRS)
+        attacked = {pair for pair in PAIRS if pair[1] != "none"}
+        assert self._mismatches(monkeypatch, PAIRS) == attacked
+        # An honest world is told apart by the parity alone: those sessions
+        # still match the reference under the labels-only key.
+        for variant in ("original", "revised"):
+            cfg = SimConfig(variant=variant, strategy="none", rounds=300, seed=0)
+            assert _session_bytes(*_table_session(cfg, monkeypatch)) == _session_bytes(*_reference_session(cfg))
 
     def test_replayed_inferences_must_take_the_replayed_round(self, table, monkeypatch):
         def recorded_round(self, mark, round_index):
@@ -1914,24 +1943,30 @@ class TestRoundTable:
 
     def test_sessions_make_no_scalar_numpy_draw(self, table, monkeypatch):
         class RawOnly:
-            """A session stream that lends its bit generator and refuses scalar draws."""
+            """A bit generator that hands out raw words and nothing else: no
+            numpy ``Generator`` can be built on it."""
 
-            def __init__(self, gen):
-                self.bit_generator = gen.bit_generator
+            __slots__ = ("random_raw",)
 
-            def random(self, *args, **kwargs):
-                raise AssertionError("a session drew a scalar through numpy")
+            def __init__(self, bits):
+                self.random_raw = bits.random_raw
 
-            integers = random
+        cfgs = [SimConfig(variant=variant, strategy=strategy, rounds=500, seed=11) for variant, strategy in PAIRS]
+        # The reference draws through numpy, so it runs before the patch.
+        wants = [_session_bytes(*_reference_session(cfg)) for cfg in cfgs]
+        real, wrapped = harness.pcg64, set()
 
-        real = harness.stream
-        monkeypatch.setattr(harness, "stream", lambda seed, k: real(seed, k) if k == harness.STREAM_CHECK else RawOnly(real(seed, k)))
-        for variant, strategy in PAIRS:
-            cfg = SimConfig(variant=variant, strategy=strategy, rounds=500, seed=11)
-            want = _session_bytes(*_reference_session(cfg))
-            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", variant, strategy)
-            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", variant, strategy)
-        assert table.hits > 0
+        def raw_only(seed, *key):
+            if key == (harness.STREAM_CHECK,):
+                return real(seed, *key)
+            wrapped.add(key)
+            return RawOnly(real(seed, *key))
+
+        monkeypatch.setattr(harness, "pcg64", raw_only)
+        for cfg, want in zip(cfgs, wants):
+            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("cold", cfg.variant, cfg.strategy)
+            assert _session_bytes(*_table_session(cfg, monkeypatch)) == want, ("warm", cfg.variant, cfg.strategy)
+        assert table.hits > 0 and {(k,) for k in (harness.STREAM_ALICE, harness.STREAM_BOB, harness.STREAM_ATTACK)} <= wrapped
 
     def test_sessions_set_up_only_the_streams_they_draw(self, table, monkeypatch):
         real = harness.pcg64

@@ -287,6 +287,14 @@ class TestOriginalRounds:
         with pytest.raises(ValueError, match="g carrier form"):
             original_round(chi_state(), RoundPlan(2, EntangledPair(0)), 0, _rngs())
 
+    def test_an_honest_round_must_leave_the_carrier_in_form(self):
+        # The parity names the other form than the carrier is in: the round
+        # plays, and its end check refuses the carrier it leaves.
+        with pytest.raises(AssertionError, match="return to its chi form"):
+            original_round(g_state(), RoundPlan(1, ProductPair(0)), 0, _rngs())
+        with pytest.raises(AssertionError, match="return to its g form"):
+            original_round(chi_state(), RoundPlan(2, EntangledPair(1)), 1, _rngs())
+
     def test_no_coin_in_the_alternating_variant(self):
         with pytest.raises(ValueError, match="no per-round coin"):
             original_round(
