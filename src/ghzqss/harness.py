@@ -4,12 +4,13 @@
 streams per party, so results are reproducible from ``(config)`` alone
 and attacks never disturb the honest parties' draw sequences.  Stream
 k of seed s is numpy's ``default_rng(SeedSequence(s, spawn_key=(k,)))``,
-and ``pcg64`` is the one place that seeds it.  A session's Alice, Bob,
-Charlie and attack streams are ``PCG64Stream(s, k)``s, which decode
-numpy's draws from raw PCG64 words (O'Neill 2014) and set up their bit
-generator at their first draw; the check stream, ``stream(s, k)``, is a
-numpy ``Generator``, and a session sets up none when every round is
-checked.
+and ``pcg64`` is the one place that seeds it.  A session's Bob, Charlie
+and attack streams are ``PCG64Stream(s, k)``s, which decode numpy's
+draws from raw PCG64 words (O'Neill 2014) and set up their bit generator
+at their first draw.  So is Alice's when her secrets are given; when she
+draws them, ``_lanes`` decodes the same draws a block at a time.  The
+check stream, ``stream(s, k)``, is a numpy ``Generator``, and a session
+sets up none when every round is checked.
 
 ``enumerate_branches`` plays every measurement branch of a short
 scripted scenario as a session of its own.  One tape of outcomes serves
@@ -42,7 +43,7 @@ import functools
 import itertools
 import operator
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -165,8 +166,10 @@ class PCG64Stream:
     never drawn from never sets one up, and it builds no numpy ``Generator``.
 
     ``bit()`` is ``integers(0, 2)`` without arguments, the draw a session
-    passes for Alice's bits.  Each draw is a Python method called with its
-    exact positional arguments, which CPython 3.11 inlines into its caller.
+    given its secrets passes for Alice's bits; a session that draws them
+    decodes her words through ``_lanes``.  Each draw is a Python method
+    called with its exact positional arguments, which CPython 3.11 inlines
+    into its caller.
     Any other call (other bounds, ``size=``, keywords) raises ``TypeError``
     before anything is drawn, and the stream has no other method or
     attribute.
@@ -214,6 +217,51 @@ class PCG64Stream:
             return (word >> 31) & 1
         self._half = None
         return half >> 31
+
+
+# Lane entries (bits, and randoms in the coin-flip variant) decoded at a time.
+LANE_BLOCK = 1024
+
+# A word's bits for ``bit()``: the top bit of its low half-word, then of its high half.
+_HALF_TOPS = np.array([31, 63], np.uint64)
+
+
+def _lanes(revised: bool, rounds: int, seed: int, *spawn_key: int) -> tuple[Callable[[], int], Callable[[], float]]:
+    """The ``bit()`` and ``random()`` draws of ``PCG64Stream(seed, *spawn_key)``
+    for ``rounds`` rounds of Alice's drawn plans, as the C-level ``__next__``
+    of two lanes that numpy decodes from the raw words a block at a time.
+
+    Without given secrets Alice's draws come in a fixed order whatever the
+    outcomes: the alternating variant draws only bits, so word k holds bits
+    2k and 2k + 1; the coin-flip variant draws bit, random, bit, random, ...
+    (secret then coin, and ``q1`` then target for a single encoding), so
+    word 3k holds bits 2k and 2k + 1 and words 3k + 1 and 3k + 2 randoms 2k
+    and 2k + 1.  Each bit is the top bit of a word's low half-word, then of
+    its high half, and each random ``(w >> 11) * 2**-53``, as ``bit()`` and
+    ``random()`` hand them out.  A lane is a chain of per-block lists: a
+    draw runs no Python frame, and only a new block resumes the generator
+    that decodes it.  The first block holds the session's most draws per
+    lane (one bit a round, or two bits and two randoms) up to
+    ``LANE_BLOCK``, later blocks ``LANE_BLOCK``, so memory stays bounded.
+    A block's randoms are decoded with its bits, which each round draws
+    first.  The bit generator is set up at the first draw.
+    """
+    randoms: deque[list[float]] = deque()  # decoded blocks of the random lane not yet drawn
+
+    def bits():
+        gen, n = pcg64(seed, *spawn_key), min(2 * rounds if revised else rounds, LANE_BLOCK)
+        while True:
+            if revised:
+                words = gen.random_raw(n // 2 * 3).reshape(-1, 3)
+                randoms.append(((words[:, 1:] >> 11) * 2.0 ** -53).ravel().tolist())
+                words = words[:, :1]
+            else:
+                words = gen.random_raw(-(-n // 2))[:, None]
+            yield (words >> _HALF_TOPS & 1).ravel().tolist()
+            n = LANE_BLOCK
+
+    chain = itertools.chain.from_iterable
+    return chain(bits()).__next__, chain(iter(randoms.popleft, None)).__next__
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -393,11 +441,13 @@ def _round_plans(
     from Alice's stream.  The coin-flip variant picks the encoding per the
     form rule; the carrier form is the XOR of the coins so far.
 
-    A session passes Alice's ``PCG64Stream`` methods themselves, ``bit``
-    and ``random``, and the comparisons are made here: a Python method
-    called with its exact arguments is inlined by CPython 3.11, where a
-    lambda around it would add a frame per draw and a C-level wrapper such
-    as a ``functools.partial`` a fresh interpreter frame."""
+    The comparisons are made here, so a session passes draws that run no
+    Python frame of their own: the C-level ``__next__`` of Alice's two
+    lanes (``_lanes``) when she draws her secrets, and else ``map.__next__``
+    over the given secrets with her ``PCG64Stream``'s ``bit`` and
+    ``random`` themselves, which CPython 3.11 inlines, as a Python method
+    called with its exact arguments.  A lambda around a draw would add a
+    frame per draw, and a ``functools.partial`` a fresh interpreter frame."""
     alternating, pairs, singles = PLAN_CLASSES
     if variant == "original":
         return [alternating[i & 1][secret()] for i in range(1, rounds + 1)]
@@ -441,19 +491,23 @@ ROUND_TABLE = RoundTable(_play_round)
 
 def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[tuple]]:
     """All rounds of one session: the final world, the attack and each round's row."""
-    # Set up at their first word: Alice's, Charlie's and the attack
-    # stream go undrawn in many sessions.
-    alice = PCG64Stream(cfg.seed, STREAM_ALICE)
+    # Set up at their first word: Charlie's and the attack stream go
+    # undrawn in many sessions, and so does Alice's given her secrets.
     script = Script(tuple(PCG64Stream(cfg.seed, k) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
     # Classical attacker coins share the attack stream object, so they
     # interleave deterministically with its quantum draws.
     attack = build_attack(cfg.strategy, coins=script.tap(2))
-    # Draws that CPython inlines (see ``_round_plans``); a given secret is
-    # read from the string in C, which calls no Python function.
-    secret = alice.bit if cfg.secret_bits is None else map(int, cfg.secret_bits).__next__
-    plans = _round_plans(
-        cfg.variant, cfg.rounds, secret, q1=alice.bit, coin=alice.random, w1=alice.random, bias=cfg.hadamard_bias
-    )
+    # Draws that run no Python frame of their own (see ``_round_plans``).
+    if cfg.secret_bits is None:
+        # Alice's draws come in a fixed order, decoded a block at a time.
+        bit, random = _lanes(cfg.variant == "revised", cfg.rounds, cfg.seed, STREAM_ALICE)
+        secret = bit
+    else:
+        # Given secrets are read from the string in C; her coin-flip draws
+        # then interleave by outcome, so they come from her stream.
+        alice = PCG64Stream(cfg.seed, STREAM_ALICE)
+        secret, bit, random = map(int, cfg.secret_bits).__next__, alice.bit, alice.random
+    plans = _round_plans(cfg.variant, cfg.rounds, secret, q1=bit, coin=random, w1=random, bias=cfg.hadamard_bias)
     start = ROUND_TABLE.node(chi_state(), 0, attack)
     end, rows = ROUND_TABLE.play_rounds(script, start, plans, attack)
     return end.world, attack, rows

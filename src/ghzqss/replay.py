@@ -192,13 +192,19 @@ class RoundTable:
     def _intern(self, value):
         return self._interned.setdefault(value, value)
 
+    def _key(self, world: PureState, parity: int, attack: type, state) -> tuple:
+        """The key of ``_nodes``: what a round reads of its node."""
+        return (*self._world_key(world), parity, attack, state)
+
     def node(self, world: PureState, parity: int, attack) -> Node:
         """The stored node of ``world`` at ``parity`` with ``attack`` as it is, else a new one."""
-        return self._node(Node(world, parity, type(attack), None if attack is None else attack.state))
+        cls, state = type(attack), None if attack is None else attack.state
+        found = self._nodes.get(self._key(world, parity, cls, state))
+        return Node(world, parity, cls, state) if found is None else found
 
     def _node(self, node: Node, store: bool = False) -> Node:
         """The stored node of ``node``'s key, else ``node``, which ``store`` stores."""
-        key = (*self._world_key(node.world), node.parity, node.attack, node.state)
+        key = self._key(node.world, node.parity, node.attack, node.state)
         return (self._nodes.setdefault if store else self._nodes.get)(key, node)
 
     def play_rounds(self, script: Script, node: Node, plans: list, attack, first: int = 1) -> tuple[Node, list]:

@@ -25,6 +25,7 @@ from ghzqss.attacks import ATTACKS, ChannelAttack, build_attack
 from ghzqss.harness import (
     BLOCK_WORDS,
     COMPATIBLE,
+    LANE_BLOCK,
     MAX_ENUM_ROUNDS,
     Branch,
     PCG64Stream,
@@ -297,20 +298,35 @@ class TestAlicePlans:
     def test_a_session_passes_only_draws_that_inline(self, monkeypatch):
         # A lambda around a draw adds a Python frame per call, and a C-level
         # wrapper (a functools.partial, a map over iter(random, None)) a
-        # fresh interpreter frame.  A session passes Alice's stream methods
-        # themselves; a given secret reads the string in C and calls no Python.
-        passed = []
+        # fresh interpreter frame.  A session that draws its secrets passes
+        # the C-level __next__ of Alice's two lanes, chains of per-block
+        # lists, so only a new block runs Python; one given its secrets reads
+        # them from the string in C and passes her stream's methods
+        # themselves, which CPython inlines.
+        passed, frames = [], []
+
+        def profile(frame, event, arg):
+            # A frame that _round_plans or its list comprehension calls.
+            if event == "call" and frame.f_code not in own and frame.f_back.f_code in own:
+                frames.append(frame.f_code.co_name)
 
         def spy(variant, rounds, secret, **draws):
             passed.append(dict(draws, secret=secret))
-            return plans(variant, rounds, secret, **draws)
+            sys.setprofile(profile)
+            try:
+                return plans(variant, rounds, secret, **draws)
+            finally:
+                sys.setprofile(None)
 
         plans = harness._round_plans
+        own = {plans.__code__, *(c for c in plans.__code__.co_consts if isinstance(c, types.CodeType))}
         monkeypatch.setattr(harness, "_round_plans", spy)
+        method_wrapper = type(iter(()).__next__)
         for variant in ("original", "revised"):
-            for kwargs in (dict(), dict(hadamard_bias=0.3), dict(secret_bits="0110")):
+            for kwargs in (dict(), dict(hadamard_bias=0.3), dict(secret_bits="0110"), dict(rounds=3 * LANE_BLOCK)):
                 passed.clear()
-                cfg = SimConfig(variant=variant, rounds=4, seed=1, **kwargs)
+                frames.clear()
+                cfg = SimConfig(variant=variant, **{"rounds": 4, "seed": 1, **kwargs})
                 harness._play_session(cfg)
                 (draws,) = passed
                 assert draws.pop("bias") == cfg.hadamard_bias
@@ -318,9 +334,17 @@ class TestAlicePlans:
                 if "secret_bits" in kwargs:
                     secret = draws.pop("secret")
                     assert type(secret.__self__) is map and secret.__name__ == "__next__", (variant, kwargs)
+                    for name, draw in draws.items():
+                        assert type(draw) is types.MethodType, (variant, kwargs, name, draw)
+                        assert type(draw.__self__) is PCG64Stream, (variant, kwargs, name, draw)
+                    continue
                 for name, draw in draws.items():
-                    assert type(draw) is types.MethodType, (variant, kwargs, name, draw)
-                    assert type(draw.__self__) is PCG64Stream, (variant, kwargs, name, draw)
+                    assert type(draw) is method_wrapper and draw.__name__ == "__next__", (variant, kwargs, name, draw)
+                    assert type(draw.__self__) is itertools.chain, (variant, kwargs, name, draw)
+                assert draws["secret"].__self__ is draws["q1"].__self__ is not draws["coin"].__self__
+                assert draws["coin"].__self__ is draws["w1"].__self__
+                # The only Python frames the draws run decode a block each.
+                assert set(frames) == {"bits"} and len(frames) <= -(-2 * cfg.rounds // LANE_BLOCK), (variant, frames)
 
     def test_the_class_table_and_the_plan_lookup_agree(self):
         alternating, pairs, singles = harness.PLAN_CLASSES
@@ -333,6 +357,72 @@ class TestAlicePlans:
             assert harness._class_of(RoundPlan(index, c.mode, c.coin)) is c
             described.add((type(c.mode), tuple(vars(c.mode).values()), c.coin))
         assert len(described) == 24
+
+
+class TestAliceLanes:
+    # Sessions around the first block boundaries of both variants: an
+    # alternating session draws one bit a round, a coin-flip one a bit and
+    # a random, or two of each.
+    LENGTHS = (1023, 1024, 1025, 2049, 5000)
+    SEEDS = (3, 2 ** 64 + 9)
+
+    @staticmethod
+    def _plans_of(monkeypatch, cfg):
+        played = []
+
+        def spy(table, script, node, plans, attack, first=1):
+            played.append([(i, c.mode, c.coin) for i, c in enumerate(plans, first)])
+            return node, []
+
+        monkeypatch.setattr(RoundTable, "play_rounds", spy)
+        harness._play_session(cfg)
+        (plans,) = played
+        return plans
+
+    @pytest.mark.parametrize("rounds", LENGTHS)
+    def test_plans_across_blocks_are_numpys(self, monkeypatch, rounds):
+        for seed in self.SEEDS:
+            cfgs = [SimConfig(variant="original", rounds=rounds, seed=seed)]
+            cfgs += [SimConfig(rounds=rounds, seed=seed, hadamard_bias=bias) for bias in (0.0, 0.3, 0.5, 1.0)]
+            for cfg in cfgs:
+                assert self._plans_of(monkeypatch, cfg) == _alice_reference(cfg), (cfg.variant, seed, cfg.hadamard_bias)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 + 1, 2 ** 64 + 9])
+    def test_lanes_are_the_streams_draws_in_their_order(self, seed):
+        # The alternating variant draws only bits; the coin-flip variant
+        # a bit and a random in turn.  The first block is sized to the session.
+        n = 2 * LANE_BLOCK + 7
+        for rounds in (1, 5, LANE_BLOCK // 2 + 1, 5000):
+            bit, _ = harness._lanes(False, rounds, seed, harness.STREAM_ALICE)
+            want = PCG64Stream(seed, harness.STREAM_ALICE)
+            assert [bit() for _ in range(n)] == [want.bit() for _ in range(n)], (seed, rounds)
+            bit, rnd = harness._lanes(True, rounds, seed, harness.STREAM_ALICE)
+            want = PCG64Stream(seed, harness.STREAM_ALICE)
+            got = [(bit(), rnd()) for _ in range(n)]
+            assert got == [(want.bit(), want.random()) for _ in range(n)], (seed, rounds)
+
+    @pytest.mark.parametrize("variant", ["original", "revised"])
+    def test_a_long_session_decodes_one_block_at_a_time(self, monkeypatch, variant):
+        class Spy:
+            __slots__ = ("random_raw",)
+
+            def __init__(self, bits):
+                def random_raw(n):
+                    asked.append(n)
+                    return bits.random_raw(n)
+
+                self.random_raw = random_raw
+
+        def spied(seed, *key):
+            bits = real(seed, *key)
+            return Spy(bits) if key == (harness.STREAM_ALICE,) else bits
+
+        real, asked = harness.pcg64, []
+        monkeypatch.setattr(harness, "pcg64", spied)
+        rounds, words = 200_000, LANE_BLOCK // 2 * (3 if variant == "revised" else 1)
+        _, _, rows = harness._play_session(SimConfig(variant=variant, rounds=rounds, seed=5))
+        assert len(rows) == rounds
+        assert max(asked) == words and len(asked) > rounds // LANE_BLOCK, asked[:4]
 
 
 def _leaves(table) -> list:
