@@ -7,7 +7,8 @@ base class provides do-nothing implementations:
     Called while the transit qubits travel from Alice to the receivers.
     Returns ``(world, to_bob, to_charlie)`` where the two labels name
     the qubits actually delivered (an attacker may substitute its own).
-    Any measurement the attacker performs draws from ``rngs.attack``.
+    Every draw the attacker makes, a measurement or a coin, comes from
+    ``rngs.attack``.
 
 ``sync_hadamard(world)``
     Called whenever the parties apply the public between-round Hadamard
@@ -24,12 +25,12 @@ base class provides do-nothing implementations:
     serialized).
 
 Classical choices an attacker makes (substitute bits, forged
-announcements) come from the attack's ``coins``, a stream of scalar
-``integers(0, 2)`` draws.  Sessions and the branch enumerator both pass
-the attack stream's tap of their ``replay.Script``, so the round table
-records each coin as a fork; in enumeration the coins come from a
-generator seeded by the scenario's ``attack_seed``, the same in every
-branch, so they are fixed inputs rather than weighted forks.
+announcements) are scalar ``integers(0, 2)`` draws on ``rngs.attack``,
+the stream its measurements draw from: an attack holds no stream of its
+own and is built from its class alone.  The round table records each
+coin as a fork; in enumeration the coins come from a generator seeded by
+the scenario's ``attack_seed``, the same in every branch, so they are
+fixed inputs rather than weighted forks.
 
 ``ATTACKS`` is the strategy table: it maps each strategy name to its
 class, whose attributes state the session variant the strategy is
@@ -48,13 +49,11 @@ tells apart, and to stamp its inferences.  The round table replays
 recorded rounds without calling the hooks, and ``replay_round``
 re-applies one; the harness reads nothing else of an attack.  Each
 quantum draw of a round must show up as a record of weight 1/2, else the
-round table raises; ``rngs`` and ``coins`` hand out only scalar
-``random()`` and ``integers(0, 2)``.
+round table raises; ``rngs`` hands out only scalar ``random()`` and
+``integers(0, 2)``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .protocol import W1, W2
 from .qsim import MeasurementRecord, PureState, apply_cnot, apply_h, basis_state, measure, prepare_pair_qbar, tensor
@@ -72,8 +71,7 @@ class ChannelAttack:
     controls_bob = False
     state = None  # what the hooks carry from one call to the next; immutable
 
-    def __init__(self, coins: np.random.Generator | None = None) -> None:
-        self.coins = coins if coins is not None else np.random.default_rng(0)
+    def __init__(self) -> None:
         self.inferred: list[tuple[int, int, str]] = []
         # Measurements performed inside intercept hooks land here so the
         # round table can check their Born weights against its forks
@@ -272,8 +270,8 @@ class DishonestBobAttack(ChannelAttack):
     state: tuple[int, int, int] | None = None
 
     def intercept(self, world, round_index, rngs):
-        b1 = int(self.coins.integers(0, 2))
-        b2 = int(self.coins.integers(0, 2))
+        b1 = int(rngs.attack.integers(0, 2))
+        b2 = int(rngs.attack.integers(0, 2))
         self.state = (round_index, b1, b2)
         world = tensor(world, basis_state([("w1p", b1), ("w2p", b2)]))
         return world, W1, "w2p"
@@ -293,7 +291,7 @@ class DishonestBobAttack(ChannelAttack):
         if target is None:
             # Entangled pair: his lone decode collapses junk.
             inferred = None
-            announced = int(self.coins.integers(0, 2))
+            announced = int(rngs.attack.integers(0, 2))
         else:
             inferred = rec1.outcome ^ rec2.outcome
             self.inferred.append((round_index, inferred, "secret"))
@@ -352,10 +350,10 @@ ATTACKS: dict[str, type[ChannelAttack] | None] = {
 STRATEGIES = tuple(ATTACKS)
 
 
-def build_attack(strategy: str, coins: np.random.Generator | None = None) -> ChannelAttack | None:
+def build_attack(strategy: str) -> ChannelAttack | None:
     """Instantiate a strategy by name; ``"none"`` maps to ``None``."""
     try:
         cls = ATTACKS[strategy]
     except (KeyError, TypeError):  # an unhashable name is unknown too
         raise ValueError(f"unknown strategy {strategy!r}; known: {', '.join(STRATEGIES)}") from None
-    return None if cls is None else cls(coins)
+    return None if cls is None else cls()

@@ -494,9 +494,7 @@ def _play_session(cfg: SimConfig) -> tuple[PureState, object, list[tuple]]:
     # Set up at their first word: Charlie's and the attack stream go
     # undrawn in many sessions, and so does Alice's given her secrets.
     script = Script(tuple(PCG64Stream(cfg.seed, k) for k in (STREAM_BOB, STREAM_CHARLIE, STREAM_ATTACK)))
-    # Classical attacker coins share the attack stream object, so they
-    # interleave deterministically with its quantum draws.
-    attack = build_attack(cfg.strategy, coins=script.tap(2))
+    attack = build_attack(cfg.strategy)
     # Draws that run no Python frame of their own (see ``_round_plans``).
     if cfg.secret_bits is None:
         # Alice's draws come in a fixed order, decoded a block at a time.
@@ -604,8 +602,9 @@ class _Tape:
 
     A branch's k-th ``random()`` returns 0.0 (outcome 1) if bit k of
     ``bits`` is set and 1.0 (outcome 0, which no Born weight reaches)
-    otherwise, also past the tape.  Every branch sees the same coins: its
-    k-th ``bit()`` or ``integers(0, 2)`` is the k-th coin of
+    otherwise, also past the tape.  Every branch sees the same coins, the
+    draws an attack makes on ``rngs.attack`` and a fork walk on the tape:
+    its k-th ``bit()`` or ``integers(0, 2)`` is the k-th coin of
     ``np.random.default_rng(seed)``, drawn once, by the first branch that
     needs it, and kept; other bounds raise ``TypeError`` before a draw, as
     on a ``PCG64Stream``, which the coins come from.  Its bit generator is
@@ -613,12 +612,12 @@ class _Tape:
     ``next_branch`` moves the tape to the next branch.
     """
 
-    __slots__ = ("bits", "drawn", "coins", "_kept", "_gen")
+    __slots__ = ("bits", "drawn", "tossed", "_kept", "_gen")
 
     def __init__(self, seed: int) -> None:
         self.bits: list[int] = []
         self.drawn = 0  # random() calls so far
-        self.coins = 0  # integers() calls so far
+        self.tossed = 0  # coins so far, by bit() or integers(0, 2)
         self._kept: list[int] = []  # the coins drawn so far
         # ``np.random`` is looked up at the first coin too: numpy imports it
         # lazily, and an enumeration without coins never loads it.
@@ -632,8 +631,8 @@ class _Tape:
     integers = PCG64Stream.integers  # (0, 2) only, then ``bit()``
 
     def bit(self) -> int:
-        k, kept = self.coins, self._kept
-        self.coins = k + 1
+        k, kept = self.tossed, self._kept
+        self.tossed = k + 1
         if k == len(kept):
             kept.append(self._gen.bit())
         return kept[k]
@@ -649,7 +648,7 @@ class _Tape:
         if not bits:
             return False
         bits[-1] = 1
-        self.drawn = self.coins = 0
+        self.drawn = self.tossed = 0
         return True
 
 
@@ -658,7 +657,7 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
 
     A branch's rounds go through ``RoundTable.play_rounds`` like a
     session's, with one ``_Tape`` for the whole enumeration as its quantum
-    streams and its attacker's coins, and one ``Script`` on that tape.  The start node is
+    streams, the attack's coins included, and one ``Script`` on that tape.  The start node is
     looked up once, with the first branch's attack: every branch's fresh
     attack has the same class and ``state``.  Branches come out in the
     lexicographic order of their outcomes, and every branch plays each of
@@ -675,7 +674,7 @@ def enumerate_branches(scenario: Scenario) -> list[Branch]:
     script = Script((tape, tape, tape))
     start, branches = None, []
     while True:
-        attack = build_attack(scenario.strategy, coins=script.tap(2))
+        attack = build_attack(scenario.strategy)
         if start is None:
             start = ROUND_TABLE.node(chi_state(), 0, attack)
         end, rows = ROUND_TABLE.play_rounds(script, start, plans, attack)

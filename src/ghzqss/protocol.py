@@ -328,13 +328,13 @@ class Rngs:
     ``attack`` feeds any measurement an attacker performs.  Keeping them
     separate guarantees that inserting an attack never perturbs the
     honest parties' draw sequence.  A measurement draws a scalar
-    ``random()``; the attack stream also hands dishonest-bob its
-    classical coins (substitute bits, a bluffed announcement) as
-    ``integers(0, 2)``.  Sessions and the branch enumerator pass the
-    taps of a ``replay.Script``, which log every draw and refuse all but
-    those two: a session's draw from ``harness.PCG64Stream``s, an
-    enumerated branch's from its tape of outcomes and its attacker's
-    coins.
+    ``random()``; the attack stream is also an attack's only source of
+    classical coins (dishonest-bob's substitute bits and bluffed
+    announcement), as ``integers(0, 2)``.  Sessions and the branch
+    enumerator pass the taps of a ``replay.Script``, which log every
+    draw and refuse all but those two: a session's draw from
+    ``harness.PCG64Stream``s, an enumerated branch's from its tape of
+    outcomes and its attacker's coins.
     """
 
     bob: object

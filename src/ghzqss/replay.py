@@ -68,15 +68,11 @@ class Script:
 
     @property
     def rngs(self) -> Rngs:
-        """New taps on this script, one per stream, for a statevector round play."""
-        return Rngs(*map(self.tap, range(3)))
-
-    def tap(self, index: int) -> _Tap:
-        """A new tap on stream ``index`` (0 Bob, 1 Charlie, 2 attack).  The
-        script does not keep it: a script and its taps form no reference
-        cycle, so a session's script is freed when it ends, not by the
-        cyclic GC."""
-        return _Tap(self, index)
+        """New taps on this script, one per stream, for a statevector round
+        play.  The script does not keep them: a script and its taps form no
+        reference cycle, so a session's script is freed when it ends, not by
+        the cyclic GC."""
+        return Rngs(_Tap(self, 0), _Tap(self, 1), _Tap(self, 2))
 
     def reset(self, drawn: list) -> None:
         self.log = drawn

@@ -93,8 +93,8 @@ class TestBaseInterface:
 
 class TestRoundReplay:
     def test_a_recorded_round_replays_at_another_round_index(self):
-        attack = DishonestBobAttack(np.random.default_rng(3))
-        twin = DishonestBobAttack(np.random.default_rng(3))
+        attack = DishonestBobAttack()
+        twin = DishonestBobAttack()
         mark = attack.round_mark()
         world = tensor(chi_state(), basis_state([(W1, 0), (W2, 1)]))
         world, _, _ = attack.intercept(world, 4, _rngs())
@@ -147,17 +147,15 @@ class TestRoundReplay:
             else:
                 plans = revised_plans(coins, secrets, q1_bits, [(W1, W2)[t] for t in targets])
             streams = Rngs(*(np.random.default_rng([seed, k]) for k in range(3)))
-            live = cls(streams.attack)
+            live = cls()
             world, parity = chi_state(), 0
             for plan in plans:
                 fresh = cls()
                 fresh.state = live.state
                 played = []
                 for attack in (live, fresh):
-                    # Each play draws from its own copy of the streams; the
-                    # coins share the attack stream, as in a session.
+                    # Each play draws from its own copy of the streams.
                     rngs = copy.deepcopy(streams)
-                    attack.coins = rngs.attack
                     mark = attack.round_mark()
                     *after, t = harness._play_round(world, plan, parity, rngs, attack)
                     drawn = [gen.bit_generator.state for gen in (rngs.bob, rngs.charlie, rngs.attack)]
@@ -297,12 +295,21 @@ class TestEveReconstruct:
 
 class TestDishonestBob:
     def test_substitute_is_delivered_to_charlie(self):
-        attack = DishonestBobAttack(np.random.default_rng(3))
+        attack = DishonestBobAttack()
         world = tensor(chi_state(), basis_state([(W1, 0), (W2, 0)]))
         world, to_bob, to_charlie = attack.intercept(world, 1, _rngs())
         assert to_bob == W1
         assert to_charlie == "w2p"
         assert "w1p" in world.labels and "w2p" in world.labels
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_substitute_bits_are_the_attack_streams_first_coins(self, seed):
+        # An attack draws its coins only through ``rngs.attack``.
+        rngs = Rngs(np.random.default_rng(10), np.random.default_rng(11), np.random.default_rng(seed))
+        plan = RoundPlan(1, SinglePair(1, 0, W1), alice_hadamard=0)
+        _, t = revised_round(chi_state(), plan, 0, rngs, build_attack("dishonest-bob"))
+        want = np.random.default_rng(seed)
+        assert t.eve_notes["substitute_bits"] == (int(want.integers(0, 2)), int(want.integers(0, 2)))
 
     def test_decode_requires_intercept_first(self):
         with pytest.raises(ValueError, match="before intercept"):

@@ -978,17 +978,22 @@ class TestExactDetection:
 
 
 class TapeDecider:
-    """Scripted stand-in for every quantum rng during one replay of a
-    scenario, for ``_replay_branches`` only.
+    """Scripted stand-in for every rng during one replay of a scenario,
+    for ``_replay_branches`` only.
 
     A tape bit of 1 forces outcome 1 (by returning 0.0), a bit of 0 forces
     outcome 0 (by returning 1.0, which no Born weight reaches).  Drawing
-    past the scripted prefix extends the tape with zeros.
+    past the scripted prefix extends the tape with zeros.  The attacker's
+    coins, ``integers(low, high)``, come from ``coins``.
     """
 
-    def __init__(self, prefix):
+    def __init__(self, prefix, coins):
         self.consumed = []
         self._prefix = list(prefix)
+        self._coins = coins
+
+    def integers(self, low, high):
+        return self._coins.integers(low, high)
 
     def random(self):
         bit = self._prefix[len(self.consumed)] if len(self.consumed) < len(self._prefix) else 0
@@ -1006,8 +1011,8 @@ def _replay_branches(scenario):
     branches = []
     tape = []
     while True:
-        decider = TapeDecider(tape)
-        attack = build_attack(scenario.strategy, coins=np.random.default_rng(scenario.attack_seed))
+        decider = TapeDecider(tape, np.random.default_rng(scenario.attack_seed))
+        attack = build_attack(scenario.strategy)
         rngs = Rngs(bob=decider, charlie=decider, attack=decider)
         world, parity = chi_state(), 0
         transcripts = []
@@ -1121,9 +1126,9 @@ class TestForkingWalk:
             __slots__ = ()
 
             def next_branch(self):
-                coins = self.coins
+                tossed = self.tossed
                 following = super().next_branch()
-                self.coins = coins
+                self.tossed = tossed
                 return following
 
         monkeypatch.setattr(harness, "_Tape", SharingTape)
@@ -1141,12 +1146,11 @@ class TestForkingWalk:
         ],
         ids=["a2", "a1", "dishonest-bob"],
     )
-    def test_branches_own_their_attack_and_coins(self, scenario):
+    def test_branches_own_their_attack_and_transcripts(self, scenario):
         branches = enumerate_branches(scenario)
         assert len(branches) > 1
         for owned in (
             [b.attack for b in branches],
-            [b.attack.coins for b in branches],
             [b.attack.records for b in branches],
             [b.attack.inferred for b in branches],
             [t for b in branches for t in b.transcripts],
@@ -1253,14 +1257,14 @@ class TestForkingWalk:
         tape = harness._Tape(5)
         with pytest.raises(TypeError, match="only random"):
             tape.integers(*bounds)
-        assert tape.coins == 0 and tape._kept == [] and tape._gen._bits is None
+        assert tape.tossed == 0 and tape._kept == [] and tape._gen._bits is None
 
     def test_a_tape_bit_is_its_next_kept_coin(self):
         tape, want = harness._Tape(5), np.random.default_rng(5)
         coins = [tape.bit() for _ in range(40)]
         assert coins == [int(want.integers(0, 2)) for _ in range(40)]
         tape.random()
-        assert tape.next_branch() and tape.coins == 0
+        assert tape.next_branch() and tape.tossed == 0
         # The next branch reads the same coins, whichever way it draws them.
         assert [tape.bit() if k % 3 else tape.integers(0, 2) for k in range(40)] == coins
         assert len(tape._kept) == 40
@@ -1425,7 +1429,7 @@ def _reference_session(cfg, make_attack=build_attack):
         charlie=stream(cfg.seed, harness.STREAM_CHARLIE),
         attack=stream(cfg.seed, harness.STREAM_ATTACK),
     )
-    attack = make_attack(cfg.strategy, coins=rngs.attack)
+    attack = make_attack(cfg.strategy)
     world, parity = chi_state(), 0
     transcripts = []
     for i in range(1, cfg.rounds + 1):
@@ -1521,7 +1525,7 @@ def _tilted(fork):
 
         def intercept(self, world, round_index, rngs):
             if fork == "coin":
-                self._notes = {"coin": int(self.coins.integers(0, 4))}
+                self._notes = {"coin": int(rngs.attack.integers(0, 4))}
                 return world, W1, W2
             world = tensor(world, state_from_terms(["t"], {"0": 0.6, "1": 0.8}))
             rec, world = measure(world, "t", rngs.attack)
@@ -1529,7 +1533,7 @@ def _tilted(fork):
                 self.records.append(rec)
             return discard(world, "t"), W1, W2
 
-    return lambda strategy, coins=None: TiltedProbe(coins)
+    return lambda strategy: TiltedProbe()
 
 
 class _FlippingAttack(ChannelAttack):
@@ -1543,7 +1547,7 @@ class _FlippingAttack(ChannelAttack):
     def intercept(self, world, round_index, rngs):
         state = self.state
         self.state = 1 - state
-        self._notes = {"state": state, "coin": int(self.coins.integers(0, 2)) if state else None}
+        self._notes = {"state": state, "coin": int(rngs.attack.integers(0, 2)) if state else None}
         return world, W1, W2
 
 
@@ -1862,8 +1866,8 @@ class TestRoundTable:
             assert list(harness._mode_breakdown(rows).items()) == want, (rounds, seed)
 
     def test_an_attack_state_the_world_does_not_show_is_keyed(self, table, monkeypatch):
-        def make(strategy, coins=None):
-            return _FlippingAttack(coins)
+        def make(strategy):
+            return _FlippingAttack()
 
         monkeypatch.setattr(harness, "build_attack", make)
         for variant, strategy in (("original", "a2"), ("revised", "a1")):
@@ -1942,7 +1946,7 @@ class TestRoundTable:
             def state(self, value):
                 self._state = value
 
-        monkeypatch.setattr(harness, "build_attack", lambda strategy, coins=None: Counted(coins))
+        monkeypatch.setattr(harness, "build_attack", lambda strategy: Counted())
         cfg = SimConfig(variant=ATTACKS[strategy].variant, strategy=strategy, rounds=200, seed=5)
         want = _session_bytes(*_table_session(cfg, monkeypatch))  # records every round
         assert len(reads) > 1  # each miss reads it
